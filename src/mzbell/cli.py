@@ -11,7 +11,8 @@ thresholds  the minimal requirements for any Bell violation
 
 Reports are stable ``key = value`` lines; CSV fields carry 15 significant
 digits. Output is byte-identical for identical inputs. Exit codes:
-0 success, 2 input/parse error, 3 degenerate state, 4 truncation leakage.
+0 success, 2 input/parse error or out of memory, 3 degenerate state,
+4 truncation leakage.
 """
 
 from __future__ import annotations
@@ -78,7 +79,11 @@ def parse_spec_file(path: Path) -> StateSpec:
 
 def resolve_state_arg(value: str) -> StateSpec:
     path = Path(value)
-    if path.is_file():
+    try:
+        is_file = path.is_file()
+    except OSError:  # e.g. an inline spec longer than a file name may be
+        is_file = False
+    if is_file:
         return parse_spec_file(path)
     return parse_inline_spec(value)
 
@@ -362,7 +367,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except TruncationLeakageError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

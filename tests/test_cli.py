@@ -49,6 +49,20 @@ class TestSpecParsing:
         assert spec.family == "incoherent_anticorrelated"
         assert spec.params["p"] == 0.25
 
+    def test_inline_spec_longer_than_a_file_name(self, tmp_path, capsys):
+        amps = [[round(0.2 + 0.01 * k, 6), 0.0] for k in range(25)]
+        text = json.dumps(amps, separators=(",", ":"))
+        inline = f"pure_explicit amplitudes={text}"
+        assert len(inline.encode()) > 255
+        assert cli.resolve_state_arg(inline).params["amplitudes"] == amps
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(
+            {"family": "pure_explicit", "params": {"amplitudes": amps}}))
+        code, out, err = run_cli(capsys, "analyze", "--state", inline)
+        assert code == 0, err
+        _, from_file, _ = run_cli(capsys, "analyze", "--state", str(path))
+        assert out == from_file
+
     def test_spec_file_missing_family(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}")
@@ -105,6 +119,24 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--state", "no_such_family")
         assert code == 2
         assert "error" in err
+
+    def test_memory_error_exit_code(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("cannot allocate the state")
+        monkeypatch.setattr(cli.catalog, "build_state", exhausted)
+        code, out, err = run_cli(capsys, "analyze", "--state",
+                                 "split_single_photon")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: MemoryError: cannot allocate")
+
+    def test_split_number_200(self, capsys):
+        # only the N = 200 sector is occupied, so no block above it is built
+        code, out, err = run_cli(capsys, "analyze", "--state",
+                                 "split_number n=200")
+        assert code == 0, err
+        report = parse_report(out)
+        assert abs(float(report["g2"]) - 0.995) < 1e-12
 
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run_cli(capsys, "analyze", "--state",

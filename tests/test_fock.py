@@ -10,7 +10,8 @@ from mzbell import (DimensionLimitError, ModeSystem, QuantumState,
                     basis_state, coherent_state, expect_normal_ordered,
                     make_mixed, make_pure, number_state, pad_cutoffs, purity,
                     tensor, thermal_state, vacuum_state)
-from mzbell.fock import eigen_components, max_joint_occupation
+from mzbell.fock import (eigen_components, max_joint_occupation,
+                         pad_for_beamsplitter)
 
 from oracle import (annihilation_matrix, brute_expect, bs_unitary_spectral,
                     random_density, random_pure, random_state)
@@ -347,6 +348,61 @@ class TestBeamsplitter:
         # all occupied blocks fit after padding, so the oracle applies
         want = u @ padded.rho @ u.conj().T
         np.testing.assert_allclose(out.rho, want, atol=1e-12)
+
+    @pytest.mark.parametrize("mixed,cutoffs,modes,inverse", [
+        (False, (2, 3), (0, 1), False),
+        (True, (3, 1), (0, 1), True),
+        (False, (2, 1, 3), (0, 2), True),
+        (True, (2, 1, 3), (2, 0), False),
+        (False, (1, 2, 1, 2), (3, 0), False),
+        (True, (1, 2, 1, 2), (1, 3), True),
+    ])
+    def test_truncation_matches_padded_oracle(self, mixed, cutoffs, modes,
+                                              inverse):
+        # pad until every block fits, transform with the spectral oracle,
+        # then keep only the original cutoffs: that is the truncated map
+        rng = np.random.default_rng(17)
+        state = (random_density(rng, cutoffs, rank=3) if mixed
+                 else random_pure(rng, cutoffs))
+        padded = pad_for_beamsplitter(state, *modes)
+        u = bs_unitary_spectral(padded.system.dims, *modes, inverse=inverse)
+        keep = tuple(slice(0, c + 1) for c in cutoffs)
+        out = apply_beamsplitter(state, *modes, inverse=inverse,
+                                 leak_tol=None)
+        if mixed:
+            full = u @ padded.rho @ u.conj().T
+            want = full.reshape(padded.system.dims * 2)[keep * 2]
+            want = want.reshape(state.dim, state.dim)
+            np.testing.assert_allclose(out.rho, want, atol=1e-12)
+            retained = np.trace(want).real
+        else:
+            want = (u @ padded.vector).reshape(padded.system.dims)[keep]
+            want = want.reshape(-1)
+            np.testing.assert_allclose(out.vector, want, atol=1e-12)
+            retained = np.vdot(want, want).real
+        assert out.leakage > 1e-3   # some blocks really are truncated
+        assert abs(out.leakage - (1.0 - retained)) < 1e-12
+        with pytest.raises(TruncationLeakageError):
+            apply_beamsplitter(state, *modes, inverse=inverse)
+
+    def test_empty_sectors_build_no_block(self, monkeypatch):
+        import mzbell.fock as fock
+        requested = set()
+        build = fock._bs_block
+
+        def recording(total, forward):
+            requested.add(total)
+            return build(total, forward)
+        monkeypatch.setattr(fock, "_bs_block", recording)
+        state = basis_state(ModeSystem((150, 150)), (3, 0))
+        out = apply_beamsplitter(state, 0, 1)
+        assert requested == {3}
+        amps = out.tensorized()[:4, :4]
+        assert abs(abs(amps[0, 3]) ** 2 - 1 / 8) < 1e-14
+        mixed = basis_state(ModeSystem((20, 20)), (3, 0)).to_density()
+        out = apply_beamsplitter(mixed, 0, 1)
+        assert requested == {3}
+        assert abs(purity(out) - 1.0) < 1e-12
 
     def test_invalid_modes(self):
         state = vacuum_state(TWO_MODE)
