@@ -185,8 +185,9 @@ def state_to_spec(state: QuantumState) -> StateSpec:
     """Snapshot any state as a reproducible StateSpec.
 
     Pure states become ``pure_explicit``; mixed states become a
-    ``mixed_ensemble`` of their eigencomponents. ``build_state`` on the
-    result reconstructs the state up to eigenbasis phase conventions.
+    ``mixed_ensemble`` of their stored components, each normalized and
+    weighted by its squared norm. ``build_state`` on the result rebuilds
+    the same components up to rounding.
     """
     def amplitude_pairs(vec):
         return [[float(a.real), float(a.imag)] for a in vec]
@@ -196,10 +197,11 @@ def state_to_spec(state: QuantumState) -> StateSpec:
         return StateSpec("pure_explicit",
                          {"amplitudes": amplitude_pairs(state.vector),
                           "cutoffs": cutoffs})
+    weights = [float(np.vdot(row, row).real) for row in state.amps]
     components = [
         {"weight": w, "family": "pure_explicit",
-         "amplitudes": amplitude_pairs(part.vector), "cutoffs": cutoffs}
-        for w, part in fock.eigen_components(state)]
+         "amplitudes": amplitude_pairs(row / math.sqrt(w)), "cutoffs": cutoffs}
+        for w, row in zip(weights, state.amps)]
     return StateSpec("mixed_ensemble", {"components": components})
 
 

@@ -186,24 +186,16 @@ def cmd_fringe(args) -> int:
     return 0
 
 
-def _resolve_betas(args, moments) -> tuple[float, float]:
-    if args.beta == "auto":
-        betas = homodyne.optimal_lo_amplitudes(moments)
-        if isinstance(betas, homodyne.DegenerateLimit):
-            scale = homodyne.DEGENERATE_BETA_SCALE
-            return (scale * math.sqrt(betas.ratio),
-                    scale / math.sqrt(betas.ratio))
-        return betas
-    beta = float(args.beta)
-    if beta < 0:
-        raise ValueError("--beta must be non-negative")
-    return beta, beta
-
-
 def cmd_bell_scan(args) -> int:
     spec, state = _build(args)
     moments = coherence.compute_moments(state)
-    beta1, beta2 = _resolve_betas(args, moments)
+    if args.beta == "auto":
+        beta1, beta2 = (lo.beta for lo in
+                        homodyne.lo_pair_for(moments, 0.0, 0.0))
+    else:
+        beta1 = beta2 = float(args.beta)
+        if beta1 < 0:
+            raise ValueError("--beta must be non-negative")
     rows = [BELL_SCAN_CSV_HEADER]
     for i in range(args.grid):
         theta1 = 2.0 * math.pi * i / args.grid

@@ -7,10 +7,18 @@ That ordering is exactly numpy's C order for an array of shape
 to those dims has axis k acting as mode k. All file formats and every
 module in the package rely on this ordering.
 
-Pure states are dense complex amplitude vectors; mixed states are dense
-complex density operators. Transforms return new states and never mutate
-or implicitly renormalize their inputs: a norm deficit after a transform
-is a bug (or measured truncation leakage), not something to hide.
+Every state, pure or mixed, is one stack of amplitude vectors of shape
+(rank, dim) with the ensemble weights folded in: row k is sqrt(w_k)|phi_k>,
+so rho = sum_k w_k |phi_k><phi_k|. A pure state has rank 1; a mixture keeps
+the components its constructor knows (a thermal state its number states, a
+convex mixture its members). Every operation is linear in the rows, so one
+code path serves pure and mixed states alike, and none forms the dense
+density operator (``QuantumState.rho`` derives it for tests and oracles). A state may store at most ``AMPLITUDE_LIMIT`` complex
+amplitudes (rank times dim); larger ones are refused before allocating.
+
+Transforms return new states and never mutate or implicitly renormalize
+their inputs: a norm deficit after a transform is a bug (or measured
+truncation leakage), not something to hide.
 
 The 50:50 beamsplitter is kept as one cutoff-independent SU(2) block per
 total photon number of its mode pair (Campos, Saleh & Teich, PRA 40,
@@ -28,10 +36,8 @@ import numpy as np
 from .errors import DimensionLimitError, TruncationLeakageError
 
 DEFAULT_TAIL_EPS = 1e-12
-#: Dense density operators above this basis size are refused by default.
-DEFAULT_DIM_LIMIT = 4096
-#: Amplitude vectors are far cheaper; allow much larger products.
-DEFAULT_PURE_DIM_LIMIT = 1 << 21
+#: Most complex amplitudes (rank x dim) one state may store: 32 MiB.
+AMPLITUDE_LIMIT = 1 << 21
 DEFAULT_LEAK_TOL = 1e-9
 NORM_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
@@ -64,12 +70,26 @@ class ModeSystem:
         return math.prod(self.dims)
 
 
+def _check_size(rank: int, dim: int) -> None:
+    """Refuse a state of this rank and dimension before allocating it."""
+    if rank * dim > AMPLITUDE_LIMIT:
+        raise DimensionLimitError(
+            f"a state of rank {rank} and dimension {dim} would store "
+            f"{rank * dim} amplitudes, above the limit of {AMPLITUDE_LIMIT}")
+
+
 class QuantumState:
     """Immutable pure or mixed state over a :class:`ModeSystem` basis.
+
+    Give exactly one of ``vector`` (a pure state), ``amps`` (a stack of
+    weighted amplitude vectors) or ``rho`` (a density operator, factored
+    once into such a stack; meant for tests and oracles).
 
     Attributes
     ----------
     system : ModeSystem
+    amps : numpy.ndarray
+        Read-only ``(rank, dim)`` stack with rho = amps.T @ amps.conj().
     renormalized : bool
         True when construction had to rescale by more than ``NORM_TOL``.
     leakage : float
@@ -77,103 +97,80 @@ class QuantumState:
         state (0.0 for freshly constructed states).
     """
 
-    __slots__ = ("system", "_vector", "_rho", "renormalized", "leakage",
-                 "_eigen_cache")
+    __slots__ = ("system", "amps", "renormalized", "leakage")
 
-    def __init__(self, system: ModeSystem, *, vector=None, rho=None,
-                 renormalized: bool = False, leakage: float = 0.0,
+    def __init__(self, system: ModeSystem, *, vector=None, amps=None,
+                 rho=None, renormalized: bool = False, leakage: float = 0.0,
                  validate: bool = True):
-        if (vector is None) == (rho is None):
-            raise ValueError("exactly one of vector/rho must be given")
+        if sum(x is not None for x in (vector, amps, rho)) != 1:
+            raise ValueError("exactly one of vector/amps/rho must be given")
         self.system = system
         self.renormalized = bool(renormalized)
         self.leakage = float(leakage)
-        self._eigen_cache = None
         if vector is not None:
-            vector = np.ascontiguousarray(vector, dtype=np.complex128)
+            vector = np.asarray(vector, dtype=np.complex128)
             if vector.shape != (system.dim,):
                 raise ValueError(
                     f"amplitude vector has length {vector.shape}, "
                     f"system dimension is {system.dim}")
-            vector.setflags(write=False)
-            self._vector = vector
-            self._rho = None
-            if validate:
-                self._validate_pure()
-        else:
-            rho = np.ascontiguousarray(rho, dtype=np.complex128)
+            amps = vector[None]
+        elif rho is not None:
+            rho = np.asarray(rho, dtype=np.complex128)
             if rho.shape != (system.dim, system.dim):
-                raise ValueError(
-                    f"density operator has shape {rho.shape}, "
-                    f"expected {(system.dim, system.dim)}")
-            rho.setflags(write=False)
-            self._vector = None
-            self._rho = rho
+                raise ValueError(f"density operator has shape {rho.shape}, "
+                                 f"expected {(system.dim, system.dim)}")
             if validate:
-                self._validate_density()
-
-    def _validate_pure(self):
-        if not np.all(np.isfinite(self._vector.view(np.float64))):
-            raise ValueError("amplitudes must be finite")
-        norm2 = float(np.vdot(self._vector, self._vector).real)
-        if abs(norm2 - 1.0) > 2 * NORM_TOL + self.leakage:
-            raise ValueError(f"pure state norm^2 = {norm2!r}, expected 1")
-
-    def _validate_density(self):
-        rho = self._rho
-        if not np.all(np.isfinite(rho.view(np.float64))):
-            raise ValueError("density entries must be finite")
-        herm = np.max(np.abs(rho - rho.conj().T)) if rho.size else 0.0
-        if herm > HERMITICITY_TOL:
-            raise ValueError(f"density operator not Hermitian ({herm:.3e})")
-        tr = float(np.trace(rho).real)
-        if abs(tr - 1.0) > NORM_TOL + self.leakage:
-            raise ValueError(f"density operator trace = {tr!r}, expected 1")
+                if not np.all(np.isfinite(rho.view(np.float64))):
+                    raise ValueError("density entries must be finite")
+                herm = np.max(np.abs(rho - rho.conj().T)) if rho.size else 0.0
+                if herm > HERMITICITY_TOL:
+                    raise ValueError(
+                        f"density operator not Hermitian ({herm:.3e})")
+            # factored once into eigencomponents, heaviest first; weights
+            # up to 1e-14 (numerical zeros and negatives) are dropped
+            vals, vecs = np.linalg.eigh(rho)
+            keep = np.flatnonzero(vals > 1e-14)[::-1]
+            amps = (vecs[:, keep] * np.sqrt(vals[keep])).T
+        amps = np.ascontiguousarray(amps, dtype=np.complex128)
+        if amps.ndim != 2 or amps.shape[1] != system.dim:
+            raise ValueError(f"amplitude stack has shape {amps.shape}, "
+                             f"expected (rank, {system.dim})")
+        amps.setflags(write=False)
+        self.amps = amps
+        if validate:
+            if not np.all(np.isfinite(amps.view(np.float64))):
+                raise ValueError("amplitudes must be finite")
+            norm2 = float(np.vdot(amps, amps).real)
+            if abs(norm2 - 1.0) > NORM_TOL + self.leakage:
+                raise ValueError(f"state norm^2 = {norm2!r}, expected 1")
 
     @property
     def is_pure(self) -> bool:
-        return self._vector is not None
+        return len(self.amps) == 1
 
     @property
     def vector(self) -> np.ndarray:
-        if self._vector is None:
-            raise ValueError("state is a density operator, not a pure vector")
-        return self._vector
+        if not self.is_pure:
+            raise ValueError(f"state is a mixture of rank {len(self.amps)}, "
+                             "not a pure vector")
+        return self.amps[0]
 
     @property
     def rho(self) -> np.ndarray:
-        if self._rho is None:
-            raise ValueError("state is pure; use to_density() for an operator")
-        return self._rho
+        """The dense density operator, built on each access (dim^2 entries;
+        for tests and oracles)."""
+        return self.amps.T @ self.amps.conj()
 
     @property
     def dim(self) -> int:
         return self.system.dim
 
     def tensorized(self) -> np.ndarray:
-        """Amplitudes reshaped so axis k is mode k (2M axes for densities:
-        row modes first, then column modes)."""
-        dims = self.system.dims
-        if self.is_pure:
-            return self._vector.reshape(dims)
-        return self._rho.reshape(dims + dims)
-
-    def to_density(self) -> "QuantumState":
-        if not self.is_pure:
-            return self
-        rho = np.outer(self._vector, self._vector.conj())
-        return QuantumState(self.system, rho=rho, leakage=self.leakage,
-                            validate=False)
-
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the density operator (1.0-norm states
-        should satisfy >= -1e-10). O(dim^3); meant for validation."""
-        if self.is_pure:
-            return 0.0
-        return float(np.linalg.eigvalsh(self._rho)[0])
+        """The stack reshaped to (rank, *dims), so axis k + 1 is mode k."""
+        return self.amps.reshape((len(self.amps),) + self.system.dims)
 
     def __repr__(self):
-        kind = "pure" if self.is_pure else "mixed"
+        kind = "pure" if self.is_pure else f"mixed, rank {len(self.amps)}"
         return (f"QuantumState({kind}, cutoffs={self.system.cutoffs}, "
                 f"dim={self.dim})")
 
@@ -213,9 +210,9 @@ def make_pure(system: ModeSystem, amplitudes: Iterable[complex]) -> QuantumState
 
 
 def make_mixed(ensemble: Sequence[tuple[float, QuantumState]]) -> QuantumState:
-    """Convex mixture of states sharing one ModeSystem.
+    """Convex mixture of states sharing one ModeSystem: the members' stacks,
+    each scaled by sqrt(weight), stacked (zero weights are dropped).
 
-    Pure members contribute |psi><psi|; mixed members their operators.
     Weights must be non-negative and sum to 1 within ``NORM_TOL``.
     """
     if not ensemble:
@@ -230,34 +227,22 @@ def make_mixed(ensemble: Sequence[tuple[float, QuantumState]]) -> QuantumState:
     for _, state in ensemble:
         if state.system != system:
             raise ValueError("ensemble members live on different ModeSystems")
-    rho = np.zeros((system.dim, system.dim), dtype=np.complex128)
-    for w, state in ensemble:
-        if w == 0.0:
-            continue
-        if state.is_pure:
-            rho += w * np.outer(state.vector, state.vector.conj())
-        else:
-            rho += w * state.rho
-    return QuantumState(system, rho=rho)
+    members = [(w, state) for w, (_, state) in zip(weights, ensemble)
+               if w != 0.0]
+    _check_size(sum(len(state.amps) for _, state in members), system.dim)
+    amps = np.concatenate([math.sqrt(w) * state.amps for w, state in members])
+    return QuantumState(system, amps=amps)
 
 
-def tensor(left: QuantumState, right: QuantumState, *,
-           dim_limit: int | None = None) -> QuantumState:
-    """Tensor product; left modes come first (slowest) in the new basis."""
+def tensor(left: QuantumState, right: QuantumState) -> QuantumState:
+    """Tensor product; left modes come first (slowest) in the new basis.
+    Every pair of components multiplies, so the ranks multiply."""
     system = ModeSystem(left.system.cutoffs + right.system.cutoffs)
-    both_pure = left.is_pure and right.is_pure
-    limit = dim_limit if dim_limit is not None else (
-        DEFAULT_PURE_DIM_LIMIT if both_pure else DEFAULT_DIM_LIMIT)
-    if system.dim > limit:
-        raise DimensionLimitError(
-            f"tensor product dimension {system.dim} exceeds limit {limit}")
-    if both_pure:
-        return QuantumState(system,
-                            vector=np.kron(left.vector, right.vector),
-                            validate=False)
-    lrho = left.to_density().rho
-    rrho = right.to_density().rho
-    return QuantumState(system, rho=np.kron(lrho, rrho), validate=False)
+    rank = len(left.amps) * len(right.amps)
+    _check_size(rank, system.dim)
+    amps = left.amps[:, None, :, None] * right.amps[None, :, None, :]
+    return QuantumState(system, amps=amps.reshape(rank, system.dim),
+                        validate=False)
 
 
 def coherent_state(alpha: complex, tail_eps: float = DEFAULT_TAIL_EPS, *,
@@ -310,13 +295,14 @@ def number_state(n: int, cutoff: int) -> QuantumState:
 def thermal_state(nbar: float, tail_eps: float = DEFAULT_TAIL_EPS, *,
                   max_cutoff: int = 4095) -> QuantumState:
     """Single-mode thermal state p_n = nbar^n / (1 + nbar)^(n+1), truncated
-    when the geometric tail drops below ``tail_eps`` and renormalized."""
+    when the geometric tail drops below ``tail_eps`` and renormalized; its
+    components are the number states, rows sqrt(p_n)|n>."""
     if nbar < 0:
         raise ValueError("nbar must be non-negative")
     if not 0.0 < tail_eps < 1.0:
         raise ValueError("tail_eps must lie in (0, 1)")
     if nbar == 0.0:
-        return basis_state(ModeSystem((0,)), (0,)).to_density()
+        return basis_state(ModeSystem((0,)), (0,))
     q = nbar / (1.0 + nbar)
     # tail after cutoff N is q^(N+1)
     cutoff = max(0, math.ceil(math.log(tail_eps) / math.log(q)) - 1)
@@ -326,9 +312,11 @@ def thermal_state(nbar: float, tail_eps: float = DEFAULT_TAIL_EPS, *,
         raise DimensionLimitError(
             f"thermal nbar={nbar:.3g} needs a cutoff beyond {max_cutoff} "
             f"for tail {tail_eps:g}")
+    _check_size(cutoff + 1, cutoff + 1)
     probs = (1 - q) * q ** np.arange(cutoff + 1)
     probs /= probs.sum()
-    return QuantumState(ModeSystem((cutoff,)), rho=np.diag(probs.astype(complex)),
+    return QuantumState(ModeSystem((cutoff,)),
+                        amps=np.diag(np.sqrt(probs).astype(np.complex128)),
                         validate=False)
 
 
@@ -343,39 +331,40 @@ def pad_cutoffs(state: QuantumState, cutoffs: Sequence[int]) -> QuantumState:
     if cutoffs == old:
         return state
     system = ModeSystem(cutoffs)
-    old_dims = state.system.dims
-    if state.is_pure:
-        out = np.zeros(system.dims, dtype=np.complex128)
-        out[tuple(slice(0, d) for d in old_dims)] = state.tensorized()
-        return QuantumState(system, vector=out.reshape(-1),
-                            leakage=state.leakage, validate=False)
-    out = np.zeros(system.dims + system.dims, dtype=np.complex128)
-    out[tuple(slice(0, d) for d in old_dims * 2)] = state.tensorized()
-    return QuantumState(system, rho=out.reshape(system.dim, system.dim),
+    rank = len(state.amps)
+    out = np.zeros((rank,) + system.dims, dtype=np.complex128)
+    out[(slice(None),) + tuple(slice(0, d) for d in state.system.dims)] = \
+        state.tensorized()
+    return QuantumState(system, amps=out.reshape(rank, system.dim),
                         leakage=state.leakage, validate=False)
 
 
-def _lower(arr: np.ndarray, axis: int, power: int) -> np.ndarray:
-    """Apply the annihilation operator `power` times along one axis:
-    out[n] = sqrt((n+1)...(n+power)) * arr[n+power]."""
-    if power == 0:
-        return arr
-    d = arr.shape[axis]
-    out = np.zeros_like(arr)
-    if power >= d:
+def _lower(stack: np.ndarray, powers: Sequence[int]) -> np.ndarray:
+    """Apply prod_k a_k^{p_k} to every row of a (rank, *dims) stack:
+    out[:, n] = prod_k sqrt((n_k+1)...(n_k+p_k)) * stack[:, n + p], zero
+    where n + p lies above a cutoff. Writes one new array."""
+    if not any(powers):
+        return stack
+    out = np.zeros_like(stack)
+    dims = stack.shape[1:]
+    if any(p >= d for p, d in zip(powers, dims)):
         return out
-    n = np.arange(d - power, dtype=np.float64)
-    f = np.ones(d - power)
-    for step in range(power):
-        f *= n + 1 + step
-    f = np.sqrt(f)
-    shape = [1] * arr.ndim
-    shape[axis] = d - power
-    src = [slice(None)] * arr.ndim
-    src[axis] = slice(power, d)
-    dst = [slice(None)] * arr.ndim
-    dst[axis] = slice(0, d - power)
-    out[tuple(dst)] = arr[tuple(src)] * f.reshape(shape)
+    factors = []
+    for axis, (p, d) in enumerate(zip(powers, dims), start=1):
+        if p:
+            n = np.arange(d - p, dtype=np.float64)
+            f = np.ones(d - p)
+            for step in range(p):
+                f *= n + 1 + step
+            shape = [1] * stack.ndim
+            shape[axis] = d - p
+            factors.append(np.sqrt(f).reshape(shape))
+    src = (slice(None),) + tuple(slice(p, d) for p, d in zip(powers, dims))
+    dst = (slice(None),) + tuple(slice(0, d - p) for p, d in zip(powers, dims))
+    region = out[dst]
+    np.multiply(stack[src], factors[0], out=region)
+    for f in factors[1:]:
+        region *= f
     return out
 
 
@@ -392,45 +381,16 @@ def expect_normal_ordered(state: QuantumState,
         raise ValueError("powers list length does not match mode count")
     if any(p < 0 or q < 0 for p, q in powers):
         raise ValueError("operator powers must be non-negative")
-    if state.is_pure:
-        # <psi| A^dag B |psi> = <A psi | B psi> with A = prod a^p, B = prod a^q
-        left = right = state.tensorized()
-        for axis, (p, q) in enumerate(powers):
-            left = _lower(left, axis, p)
-            right = _lower(right, axis, q)
-        return complex(np.vdot(left, right))
-    # The operator sends column |n> to the single row |n - q + p> with a
-    # product of sqrt factors, so the trace is a gather along that band:
-    # Tr[rho O] = sum_n f(n) rho[n, n - q + p].
-    dims = state.system.dims
-    factors, col_parts, row_parts = [], [], []
-    for k, (p, q) in enumerate(powers):
-        d = dims[k]
-        n = np.arange(q, min(d - 1, d - 1 + q - p) + 1)
-        if n.size == 0:
-            return 0j
-        f = np.ones(n.size)
-        for step in range(q):
-            f *= n - step                 # n (n-1) ... (n-q+1)
-        for step in range(p):
-            f *= n - q + 1 + step         # (n-q+1) ... (n-q+p)
-        factors.append(np.sqrt(f))
-        col_parts.append(n)
-        row_parts.append(n - q + p)
-    grids = [f.reshape([-1 if j == k else 1 for j in range(len(dims))])
-             for k, f in enumerate(factors)]
-    coeff = grids[0]
-    for g in grids[1:]:
-        coeff = coeff * g
-    strides = np.cumprod((dims[1:] + (1,))[::-1])[::-1]
-    def flat(parts):
-        total = 0
-        for k, part in enumerate(parts):
-            total = total + part.reshape(
-                [-1 if j == k else 1 for j in range(len(dims))]) * strides[k]
-        return total
-    rho = state.rho
-    return complex((coeff * rho[flat(col_parts), flat(row_parts)]).sum())
+    # Tr[rho A^dag B] = sum_k <A phi_k | B phi_k>, A = prod a^p, B = prod a^q,
+    # over slices of about 2^15 amplitudes (512 KiB): temporaries much larger
+    # than that get fresh pages from the OS on every call
+    stack = state.tensorized()
+    step = max(1, (1 << 15) // state.dim)
+    creation, annihilation = zip(*powers)
+    parts = [np.vdot(_lower(stack[k:k + step], creation),
+                     _lower(stack[k:k + step], annihilation))
+             for k in range(0, len(stack), step)]
+    return complex(np.sum(parts))
 
 
 def apply_phase(state: QuantumState, mode: int, phi: float) -> QuantumState:
@@ -438,17 +398,10 @@ def apply_phase(state: QuantumState, mode: int, phi: float) -> QuantumState:
     unitary on the truncated space."""
     d = state.system.dims[mode]
     phases = np.exp(1j * float(phi) * np.arange(d))
-    m = state.system.mode_count
-    if state.is_pure:
-        t = state.tensorized() * phases.reshape(
-            [d if k == mode else 1 for k in range(m)])
-        return QuantumState(state.system, vector=t.reshape(-1),
-                            leakage=state.leakage, validate=False)
-    t = state.tensorized()
-    t = t * phases.reshape([d if k == mode else 1 for k in range(2 * m)])
-    t = t * phases.conj().reshape(
-        [d if k == m + mode else 1 for k in range(2 * m)])
-    return QuantumState(state.system, rho=t.reshape(state.dim, state.dim),
+    shape = [d if k == mode + 1 else 1
+             for k in range(state.system.mode_count + 1)]
+    t = state.tensorized() * phases.reshape(shape)
+    return QuantumState(state.system, amps=t.reshape(len(state.amps), -1),
                         leakage=state.leakage, validate=False)
 
 
@@ -492,10 +445,11 @@ def _bs_block(total: int, forward: bool) -> np.ndarray:
 
 def _transform_rows(mat: np.ndarray, out: np.ndarray, dims: tuple[int, ...],
                     mode_i: int, mode_j: int, forward: bool) -> None:
-    """Write U @ mat into `out` (zero-filled, or `mat` itself), where U is
-    the beamsplitter on modes (mode_i, mode_j) of the basis indexing the
-    rows of the 2-D array `mat`. Sectors without a nonzero row build and
-    apply no block; within a sector only nonzero columns are touched.
+    """Write U @ mat into the zero-filled `out`, where U is the
+    beamsplitter on modes (mode_i, mode_j) of the basis indexing the rows
+    of the 2-D array `mat` (one column per component). Sectors without a
+    nonzero row build and apply no block; within a sector only nonzero
+    columns are touched.
     """
     d_i, d_j = dims[mode_i], dims[mode_j]
     # flat basis index of (pair index n_i * d_j + n_j, other modes), with
@@ -525,48 +479,33 @@ def apply_beamsplitter(state: QuantumState, mode_i: int, mode_j: int, *,
     """50:50 beamsplitter on two modes: mode_i -> (mode_i + i mode_j)/sqrt(2),
     mode_j -> (i mode_i + mode_j)/sqrt(2) (inverse flips the sign of i).
 
-    Each sector N = n_i + n_j goes through its SU(2) block U_N (a density
-    operator on its rows, then on its columns with the conjugate block).
-    A sector that does not fit under the cutoffs gets the retained rows and
-    columns of U_N; the probability so pushed above the cutoffs is
-    measured, and above ``leak_tol`` a :class:`TruncationLeakageError` is
-    raised (``leak_tol=None`` only records it as the returned state's
-    ``leakage``). The output is never renormalized.
+    Each sector N = n_i + n_j of every component goes through its SU(2)
+    block U_N. A sector that does not fit under the cutoffs gets the
+    retained rows and columns of U_N; the probability so pushed above the
+    cutoffs is measured, and above ``leak_tol`` a
+    :class:`TruncationLeakageError` is raised (``leak_tol=None`` only
+    records it as the returned state's ``leakage``). The output is never
+    renormalized.
     """
     m = state.system.mode_count
     if mode_i == mode_j or not (0 <= mode_i < m and 0 <= mode_j < m):
         raise ValueError(f"invalid beamsplitter modes ({mode_i}, {mode_j})")
-    dims, forward = state.system.dims, not inverse
-    if state.is_pure:
-        vector = np.zeros(state.dim, dtype=np.complex128)
-        _transform_rows(state.vector[:, None], vector[:, None], dims,
-                        mode_i, mode_j, forward)
-        leakage = float(np.vdot(state.vector, state.vector).real
-                        - np.vdot(vector, vector).real)
-        fields = {"vector": vector}
-    else:
-        rho = np.zeros((state.dim, state.dim), dtype=np.complex128)
-        _transform_rows(state.rho, rho, dims, mode_i, mode_j, forward)
-        # (U rho) U^dag: the conjugate block is the inverse-direction one
-        _transform_rows(rho.T, rho.T, dims, mode_i, mode_j, not forward)
-        leakage = float(np.trace(state.rho).real - np.trace(rho).real)
-        fields = {"rho": rho}
+    amps = np.zeros_like(state.amps)
+    _transform_rows(state.amps.T, amps.T, state.system.dims, mode_i, mode_j,
+                    not inverse)
+    leakage = float(np.vdot(state.amps, state.amps).real
+                    - np.vdot(amps, amps).real)
     if leak_tol is not None and leakage > leak_tol:
         raise TruncationLeakageError(leakage, leak_tol)
-    return QuantumState(state.system, leakage=leakage, validate=False, **fields)
+    return QuantumState(state.system, amps=amps, leakage=leakage,
+                        validate=False)
 
 
 def max_joint_occupation(state: QuantumState, mode_i: int, mode_j: int) -> int:
     """Largest n_i + n_j carrying any population (support scan)."""
     m = state.system.mode_count
-    if state.is_pure:
-        weights = np.abs(state.tensorized()) ** 2
-        axes = tuple(k for k in range(m) if k not in (mode_i, mode_j))
-    else:
-        diag = np.einsum("ii->i", state.rho).real
-        weights = diag.reshape(state.system.dims)
-        axes = tuple(k for k in range(m) if k not in (mode_i, mode_j))
-    marg = weights.sum(axis=axes) if axes else weights
+    axes = (0,) + tuple(k + 1 for k in range(m) if k not in (mode_i, mode_j))
+    marg = (np.abs(state.tensorized()) ** 2).sum(axis=axes)
     nz = np.argwhere(marg > 0.0)
     if nz.size == 0:
         return 0
@@ -588,27 +527,7 @@ def pad_for_beamsplitter(state: QuantumState, mode_i: int,
 
 
 def purity(state: QuantumState) -> float:
-    """Tr(rho^2); 1 for pure states (up to normalization rounding)."""
-    if state.is_pure:
-        return float(np.vdot(state.vector, state.vector).real ** 2)
-    return float(np.vdot(state.rho, state.rho).real)
-
-
-def eigen_components(state: QuantumState, *, weight_tol: float = 1e-14
-                     ) -> tuple[tuple[float, QuantumState], ...]:
-    """Spectral decomposition into (weight, pure state) pairs, heaviest
-    first, dropping numerically zero weights. Cached on the (immutable)
-    state, since sweeps and angle grids reuse it heavily."""
-    if state.is_pure:
-        return ((1.0, state),)
-    if state._eigen_cache is None:
-        vals, vecs = np.linalg.eigh(state.rho)
-        parts = []
-        for k in range(len(vals) - 1, -1, -1):
-            w = float(vals[k])
-            if w <= weight_tol:
-                break
-            parts.append((w, QuantumState(state.system, vector=vecs[:, k],
-                                          validate=False)))
-        state._eigen_cache = tuple(parts)
-    return state._eigen_cache
+    """Tr(rho^2), the squared Frobenius norm of the components' Gram
+    matrix; 1 for pure states (up to normalization rounding)."""
+    gram = state.amps.conj() @ state.amps.T
+    return float(np.vdot(gram, gram).real)

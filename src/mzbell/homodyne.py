@@ -116,13 +116,6 @@ def _lo_state(lo: LocalOscillator, tail_eps: float) -> QuantumState:
     return fock.coherent_state(lo.alpha, tail_eps)
 
 
-def _pure_components(state: QuantumState):
-    """Eigen-ensemble of the signal state. Every correlator below is
-    linear in the density operator, so summing per-eigenvector results is
-    exact and avoids forming the (padded) four-mode density operator."""
-    return fock.eigen_components(state)
-
-
 def _number_pair(state: QuantumState, i: int, j: int) -> float:
     spec = [(0, 0)] * state.system.mode_count
     spec[i] = (1, 1)
@@ -168,6 +161,8 @@ def modulation_depth_numeric(state_a: QuantumState, lo1: LocalOscillator,
                              tail_eps: float = fock.DEFAULT_TAIL_EPS) -> float:
     """E = <D1 D2>/<S1 S2> on the four-mode state a1 x a2 x b1 x b2.
 
+    The signal's components are tensored with the two oscillators all at
+    once, so a route runs once per call for any state within the bound.
     route="unitary" applies the beamsplitters and measures output photon
     numbers; route="input_operator" evaluates the equivalent input-side
     operator forms without any transform. The two must agree to roundoff.
@@ -178,15 +173,21 @@ def modulation_depth_numeric(state_a: QuantumState, lo1: LocalOscillator,
         raise ValueError(f"unknown route {route!r}")
     b1 = _lo_state(lo1, tail_eps)
     b2 = _lo_state(lo2, tail_eps)
+    evaluate = _dd_ss_unitary if route == "unitary" else _dd_ss_input_operator
+    # all components at once, unless the four-mode stack would exceed the
+    # amplitude bound: then in as few slices of components as fit under it
+    dims = state_a.system.dims + (b1.dim, b2.dim)
+    if route == "unitary":  # pair (a_k, b_k) is padded to at most n_a + n_b
+        dims = (dims[0] + dims[2] - 1, dims[1] + dims[3] - 1) * 2
+    step = max(1, fock.AMPLITUDE_LIMIT // math.prod(dims))
     dd = ss = 0.0
-    for weight, component in _pure_components(state_a):
-        four = fock.tensor(fock.tensor(component, b1), b2)
-        if route == "unitary":
-            d, s = _dd_ss_unitary(four)
-        else:
-            d, s = _dd_ss_input_operator(four)
-        dd += weight * d
-        ss += weight * s
+    for start in range(0, len(state_a.amps), step):
+        part = QuantumState(state_a.system,
+                            amps=state_a.amps[start:start + step],
+                            validate=False)
+        d, s = evaluate(fock.tensor(fock.tensor(part, b1), b2))
+        dd += d
+        ss += s
     if ss <= 1e-15:
         raise DegenerateDenominatorError(
             f"<S1 S2> = {ss:.3e}: no joint signal, modulation depth undefined")

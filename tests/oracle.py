@@ -44,6 +44,12 @@ def brute_expect(state: QuantumState, powers) -> complex:
     return complex(np.trace(state.rho @ op))
 
 
+def phase_matrix(dims, mode, phi) -> np.ndarray:
+    """Dense phase shifter exp(i phi a^dag a) on one mode."""
+    a = annihilation_matrix(dims, mode)
+    return np.diag(np.exp(1j * phi * np.diag(a.conj().T @ a).real))
+
+
 def bs_unitary_spectral(dims, mode_i, mode_j, inverse=False) -> np.ndarray:
     """50:50 beamsplitter unitary exp(i theta (a^dag b + a b^dag)) with
     theta = +-pi/4, via eigendecomposition of the (Hermitian) generator.

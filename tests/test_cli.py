@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -100,6 +101,30 @@ class TestAnalyze:
         assert abs(float(report["g2"]) - 2.0) < 1e-8
         assert report["violates_bell"] == "false"
         assert report["violates_classical"] == "false"
+
+    def test_split_thermal_beyond_the_dense_basis(self, capsys):
+        # rank 97 x dim 97^2 amplitudes; a dense rho would need 9409^2
+        code, out, err = run_cli(capsys, "analyze", "--state",
+                                 "split_thermal nbar=3")
+        assert code == 0, err
+        report = parse_report(out)
+        assert abs(float(report["n1"]) - 1.5) < 1e-8
+        assert abs(float(report["n2"]) - 1.5) < 1e-8
+        assert abs(float(report["g2"]) - 2.0) < 1e-8
+
+    def test_amplitude_limit_refused_before_allocating(self, capsys):
+        # rank 180 x dim 180^2 = 5832000 amplitudes (89 MiB) > 2^21
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "analyze", "--state",
+                                     "split_thermal nbar=6")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert "DimensionLimitError" in err and "5832000 amplitudes" in err
+        assert peak < 8 * 2 ** 20
 
     def test_csv_block_appended(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--state",
@@ -249,6 +274,15 @@ class TestSweep:
                 if purity(state) < 1 - 1e-6:
                     mixed_violations.append(row)
         assert mixed_violations
+
+    def test_split_thermal_sweep_past_the_dense_limit(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--state",
+                                 "split_thermal nbar=0.1",
+                                 "--sweep", "nbar=0.1:2:0.1")
+        assert code == 0, err
+        rows = [l.split(",") for l in out.strip().splitlines()[1:]]
+        assert len(rows) == 20
+        assert all(abs(float(r[2]) - 2.0) < 1e-8 for r in rows)
 
     def test_incoherent_sweep_no_coherence(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--state",

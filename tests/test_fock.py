@@ -10,8 +10,7 @@ from mzbell import (DimensionLimitError, ModeSystem, QuantumState,
                     basis_state, coherent_state, expect_normal_ordered,
                     make_mixed, make_pure, number_state, pad_cutoffs, purity,
                     tensor, thermal_state, vacuum_state)
-from mzbell.fock import (eigen_components, max_joint_occupation,
-                         pad_for_beamsplitter)
+from mzbell.fock import max_joint_occupation, pad_for_beamsplitter
 
 from oracle import (annihilation_matrix, brute_expect, bs_unitary_spectral,
                     random_density, random_pure, random_state)
@@ -111,9 +110,10 @@ class TestTensor:
         assert abs(norm - 1.0) < 1e-10
 
     def test_dimension_limit(self):
+        # rank 40 x 40 times rank 40 x 40: 1600 x 1600 amplitudes > 2^21
         big = thermal_state(1.0, 1e-12)
-        with pytest.raises(DimensionLimitError):
-            tensor(big, big, dim_limit=100)
+        with pytest.raises(DimensionLimitError, match="2560000 amplitudes"):
+            tensor(big, big)
 
 
 class TestSingleModeStates:
@@ -149,7 +149,7 @@ class TestSingleModeStates:
 
     def test_thermal_vacuum(self):
         state = thermal_state(0.0)
-        assert not state.is_pure
+        assert state.is_pure
         assert state.rho[0, 0] == 1.0
 
     def test_thermal_mean_photon_number(self):
@@ -193,7 +193,8 @@ class TestExpectations:
     def test_pure_equals_rank_one_density(self):
         rng = np.random.default_rng(5)
         state = random_pure(rng, (2, 3))
-        dense = state.to_density()
+        dense = QuantumState(state.system,
+                             rho=np.outer(state.vector, state.vector.conj()))
         for powers in ([(1, 0), (0, 1)], [(1, 1), (1, 1)], [(2, 0), (0, 2)]):
             a = expect_normal_ordered(state, powers)
             b = expect_normal_ordered(dense, powers)
@@ -240,8 +241,8 @@ class TestPhase:
     def test_density_phase_matches_pure(self):
         rng = np.random.default_rng(9)
         state = random_pure(rng, (2, 2))
-        a = apply_phase(state, 1, 0.7).to_density().rho
-        b = apply_phase(state.to_density(), 1, 0.7).rho
+        a = apply_phase(state, 1, 0.7).rho
+        b = apply_phase(QuantumState(state.system, rho=state.rho), 1, 0.7).rho
         np.testing.assert_allclose(a, b, atol=1e-14)
 
 
@@ -397,12 +398,14 @@ class TestBeamsplitter:
         state = basis_state(ModeSystem((150, 150)), (3, 0))
         out = apply_beamsplitter(state, 0, 1)
         assert requested == {3}
-        amps = out.tensorized()[:4, :4]
+        amps = out.tensorized()[0, :4, :4]
         assert abs(abs(amps[0, 3]) ** 2 - 1 / 8) < 1e-14
-        mixed = basis_state(ModeSystem((20, 20)), (3, 0)).to_density()
+        system = ModeSystem((20, 20))
+        mixed = make_mixed([(0.5, basis_state(system, (3, 0))),
+                            (0.5, basis_state(system, (1, 2)))])
         out = apply_beamsplitter(mixed, 0, 1)
         assert requested == {3}
-        assert abs(purity(out) - 1.0) < 1e-12
+        assert abs(purity(out) - 0.5) < 1e-12
 
     def test_invalid_modes(self):
         state = vacuum_state(TWO_MODE)
@@ -424,19 +427,30 @@ class TestSupportAndPadding:
     def test_max_joint_occupation(self):
         state = basis_state(ModeSystem((3, 3)), (2, 1))
         assert max_joint_occupation(state, 0, 1) == 3
-        assert max_joint_occupation(state.to_density(), 0, 1) == 3
+        mixed = make_mixed([(0.5, state),
+                            (0.5, basis_state(ModeSystem((3, 3)), (0, 1)))])
+        assert max_joint_occupation(mixed, 0, 1) == 3
         assert max_joint_occupation(vacuum_state(TWO_MODE), 0, 1) == 0
 
     def test_eigen_components_reconstruct(self):
+        # a density operator is factored once into its eigencomponents,
+        # heaviest first, and the stored stack rebuilds it
         rng = np.random.default_rng(15)
-        state = random_density(rng, (2, 2), rank=3)
-        parts = eigen_components(state)
-        rebuilt = sum(w * np.outer(s.vector, s.vector.conj())
-                      for w, s in parts)
-        np.testing.assert_allclose(rebuilt, state.rho, atol=1e-12)
-        assert eigen_components(state) is parts  # cached
+        g = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
+        rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        state = QuantumState(ModeSystem((2, 2)), rho=rho)
+        assert state.amps.shape == (3, 9)
+        rebuilt = sum(np.outer(row, row.conj()) for row in state.amps)
+        np.testing.assert_allclose(rebuilt, rho, atol=1e-12)
+        weights = np.linalg.norm(state.amps, axis=1) ** 2
+        assert np.all(np.diff(weights) <= 0)
 
     def test_min_eigenvalue_positive(self):
+        # rounding-level negative eigenvalues of a given density operator
+        # are dropped, so the stored state is positive semidefinite
         rng = np.random.default_rng(16)
-        state = random_density(rng, (2, 2))
-        assert state.min_eigenvalue() > -1e-12
+        vec = random_pure(rng, (2, 2)).vector
+        rho = np.outer(vec, vec.conj()) - 1e-13 * np.eye(9)
+        state = QuantumState(ModeSystem((2, 2)), rho=rho / np.trace(rho).real)
+        assert state.is_pure
+        assert np.linalg.eigvalsh(state.rho)[0] > -1e-12

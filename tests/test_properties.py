@@ -1,12 +1,16 @@
-"""Property-based tests of the photon-number-sector beamsplitter."""
+"""Property-based tests of the photon-number-sector beamsplitter and of
+states stored as amplitude stacks, against the dense-matrix oracle."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from mzbell import apply_beamsplitter, fock
+from mzbell import (LocalOscillator, ModeSystem, QuantumState,
+                    apply_beamsplitter, apply_phase, expect_normal_ordered,
+                    fock, modulation_depth_numeric, purity)
 from mzbell.fock import pad_for_beamsplitter
 
-from oracle import random_density, random_pure
+from oracle import (bs_unitary_spectral, normal_ordered_matrix, phase_matrix,
+                    random_density, random_pure)
 
 
 @given(total=st.integers(0, 80), forward=st.booleans())
@@ -57,3 +61,59 @@ def test_leakage_is_the_lost_probability(case, inverse):
             else np.trace(out.rho).real)
     assert out.leakage > -1e-12
     assert abs(out.leakage - (1.0 - kept)) < 1e-12
+
+
+@st.composite
+def ensembles(draw, modes=(2, 3)):
+    """A random state of rank 1-4 stored as its amplitude stack."""
+    cutoffs = draw(st.lists(st.integers(1, 3), min_size=modes[0],
+                            max_size=modes[1]))
+    rank = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    system = ModeSystem(tuple(cutoffs))
+    amps = (rng.normal(size=(rank, system.dim))
+            + 1j * rng.normal(size=(rank, system.dim)))
+    return QuantumState(system, amps=amps / np.linalg.norm(amps)), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=ensembles())
+def test_ensemble_matches_dense_oracle(case):
+    state, rng = case
+    rho, dims = state.rho, state.system.dims
+    for _ in range(3):
+        powers = [(int(rng.integers(0, 3)), int(rng.integers(0, 3)))
+                  for _ in dims]
+        want = np.trace(rho @ normal_ordered_matrix(dims, powers))
+        assert abs(expect_normal_ordered(state, powers) - want) < 1e-12
+    mode, phi = int(rng.integers(0, len(dims))), float(rng.uniform(0, 7))
+    p = phase_matrix(dims, mode, phi)
+    np.testing.assert_allclose(apply_phase(state, mode, phi).rho,
+                               p @ rho @ p.conj().T, atol=1e-12)
+    assert abs(purity(state) - np.trace(rho @ rho).real) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=ensembles(), inverse=st.booleans())
+def test_ensemble_beamsplitter_matches_dense_oracle(case, inverse):
+    state, rng = case
+    mode_i, mode_j = rng.permutation(state.system.mode_count)[:2].tolist()
+    padded = pad_for_beamsplitter(state, mode_i, mode_j)
+    u = bs_unitary_spectral(padded.system.dims, mode_i, mode_j,
+                            inverse=inverse)
+    out = apply_beamsplitter(padded, mode_i, mode_j, inverse=inverse)
+    np.testing.assert_allclose(out.rho, u @ padded.rho @ u.conj().T,
+                               atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=ensembles(modes=(2, 2)),
+       betas=st.tuples(st.floats(0.2, 0.8), st.floats(0.2, 0.8)),
+       thetas=st.tuples(st.floats(0, 6.3), st.floats(0, 6.3)))
+def test_numeric_routes_agree_on_mixed_states(case, betas, thetas):
+    state, _ = case
+    lo1, lo2 = (LocalOscillator(b, t) for b, t in zip(betas, thetas))
+    unitary = modulation_depth_numeric(state, lo1, lo2, route="unitary")
+    operator = modulation_depth_numeric(state, lo1, lo2,
+                                        route="input_operator")
+    assert abs(unitary - operator) < 1e-10
