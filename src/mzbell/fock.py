@@ -13,8 +13,12 @@ so rho = sum_k w_k |phi_k><phi_k|. A pure state has rank 1; a mixture keeps
 the components its constructor knows (a thermal state its number states, a
 convex mixture its members). Every operation is linear in the rows, so one
 code path serves pure and mixed states alike, and none forms the dense
-density operator (``QuantumState.rho`` derives it for tests and oracles). A state may store at most ``AMPLITUDE_LIMIT`` complex
-amplitudes (rank times dim); larger ones are refused before allocating.
+density operator (``QuantumState.rho`` derives it for tests and oracles).
+A state may store at most ``AMPLITUDE_LIMIT`` complex amplitudes (rank
+times dim); larger ones are refused before allocating.
+
+Normal-ordered expectations are batched: ``expectations`` takes all terms
+a caller needs on one state and makes each lowering once per slice.
 
 Transforms return new states and never mutate or implicitly renormalize
 their inputs: a norm deficit after a transform is a bug (or measured
@@ -332,6 +336,7 @@ def pad_cutoffs(state: QuantumState, cutoffs: Sequence[int]) -> QuantumState:
         return state
     system = ModeSystem(cutoffs)
     rank = len(state.amps)
+    _check_size(rank, system.dim)
     out = np.zeros((rank,) + system.dims, dtype=np.complex128)
     out[(slice(None),) + tuple(slice(0, d) for d in state.system.dims)] = \
         state.tensorized()
@@ -368,6 +373,40 @@ def _lower(stack: np.ndarray, powers: Sequence[int]) -> np.ndarray:
     return out
 
 
+def expectations(state: QuantumState,
+                 terms: Sequence[Sequence[tuple[int, int]]]) -> list[complex]:
+    """Expectations of normal-ordered products, one per term (each given as
+    for :func:`expect_normal_ordered`). Per slice of the stack, each
+    distinct creation or annihilation power tuple is lowered once and
+    shared by every term that uses it."""
+    pairs = []
+    for powers in terms:
+        powers = [(int(p), int(q)) for p, q in powers]
+        if len(powers) != state.system.mode_count:
+            raise ValueError("powers list length does not match mode count")
+        if any(p < 0 or q < 0 for p, q in powers):
+            raise ValueError("operator powers must be non-negative")
+        pairs.append(tuple(zip(*powers)))
+    # Tr[rho A^dag B] = sum_k <A phi_k | B phi_k>, A = prod a^p, B = prod a^q,
+    # over slices of about 2^15 amplitudes (512 KiB): temporaries much larger
+    # than that get fresh pages from the OS on every call
+    stack = state.tensorized()
+    step = max(1, (1 << 15) // state.dim)
+    # a lowering is dropped after the last term that uses it, so callers
+    # that list the terms sharing one next to each other hold few at once
+    last = {powers: i for i, pair in enumerate(pairs) for powers in pair}
+    parts = [[] for _ in pairs]
+    for k in range(0, len(stack), step):
+        lowered = {}
+        for i, (part, pair) in enumerate(zip(parts, pairs)):
+            for powers in pair:
+                if powers not in lowered:
+                    lowered[powers] = _lower(stack[k:k + step], powers)
+            part.append(np.vdot(lowered[pair[0]], lowered[pair[1]]))
+            lowered = {p: v for p, v in lowered.items() if last[p] > i}
+    return [complex(np.sum(part)) for part in parts]
+
+
 def expect_normal_ordered(state: QuantumState,
                           powers: Sequence[tuple[int, int]]) -> complex:
     """Expectation of prod_k (a_k^dag)^{p_k} (a_k)^{q_k}.
@@ -376,21 +415,7 @@ def expect_normal_ordered(state: QuantumState,
     by ladder-index arithmetic, so the result is exact up to state
     truncation: no operator matrices are built and no sampling occurs.
     """
-    powers = [(int(p), int(q)) for p, q in powers]
-    if len(powers) != state.system.mode_count:
-        raise ValueError("powers list length does not match mode count")
-    if any(p < 0 or q < 0 for p, q in powers):
-        raise ValueError("operator powers must be non-negative")
-    # Tr[rho A^dag B] = sum_k <A phi_k | B phi_k>, A = prod a^p, B = prod a^q,
-    # over slices of about 2^15 amplitudes (512 KiB): temporaries much larger
-    # than that get fresh pages from the OS on every call
-    stack = state.tensorized()
-    step = max(1, (1 << 15) // state.dim)
-    creation, annihilation = zip(*powers)
-    parts = [np.vdot(_lower(stack[k:k + step], creation),
-                     _lower(stack[k:k + step], annihilation))
-             for k in range(0, len(stack), step)]
-    return complex(np.sum(parts))
+    return expectations(state, [powers])[0]
 
 
 def apply_phase(state: QuantumState, mode: int, phi: float) -> QuantumState:

@@ -126,6 +126,23 @@ class TestAnalyze:
         assert "DimensionLimitError" in err and "5832000 amplitudes" in err
         assert peak < 8 * 2 ** 20
 
+    def test_fringe_pad_refused_before_allocating(self, capsys, tmp_path):
+        # |1500, 0> pads to cutoffs (1500, 1500): 1501^2 = 2253001 > 2^21
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"family": "pure_explicit", "params": {
+            "cutoffs": [1500, 0], "amplitudes": [0] * 1500 + [1]}}))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "fringe", "--state", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: DimensionLimitError")
+        assert "2253001 amplitudes" in err
+        assert peak < 8 * 2 ** 20
+
     def test_csv_block_appended(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--state",
                                "split_single_photon", "--format", "csv")

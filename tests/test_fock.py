@@ -7,7 +7,8 @@ import pytest
 
 from mzbell import (DimensionLimitError, ModeSystem, QuantumState,
                     TruncationLeakageError, apply_beamsplitter, apply_phase,
-                    basis_state, coherent_state, expect_normal_ordered,
+                    basis_state, coherent_state, coherence,
+                    expect_normal_ordered, expectations, fock, homodyne,
                     make_mixed, make_pure, number_state, pad_cutoffs, purity,
                     tensor, thermal_state, vacuum_state)
 from mzbell.fock import max_joint_occupation, pad_for_beamsplitter
@@ -219,6 +220,68 @@ class TestExpectations:
             expect_normal_ordered(vac, [(1, -1), (0, 0)])
 
 
+class TestBatchedExpectations:
+    @staticmethod
+    def stack_state(rng, cutoffs, rank):
+        system = ModeSystem(cutoffs)
+        amps = (rng.normal(size=(rank, system.dim))
+                + 1j * rng.normal(size=(rank, system.dim)))
+        return QuantumState(system, amps=amps / np.linalg.norm(amps))
+
+    # (cutoffs, rank): 19 rows of dim 1681, or 52 of dim 625, per slice
+    @pytest.mark.parametrize("cutoffs, rank", [((40, 40), 50),
+                                               ((4, 4, 4, 4), 120)])
+    def test_batch_equals_single_terms_bit_for_bit(self, cutoffs, rank):
+        rng = np.random.default_rng(rank)
+        state = self.stack_state(rng, cutoffs, rank)
+        step = (1 << 15) // state.dim
+        assert len(state.amps) > 2 * step
+        terms = [[(int(rng.integers(0, 3)), int(rng.integers(0, 3)))
+                  for _ in cutoffs] for _ in range(6)]
+        terms += [terms[0], [(0, 0)] * len(cutoffs),
+                  [(cutoffs[0] + 1, 0)] + [(1, 1)] * (len(cutoffs) - 1)]
+        got = expectations(state, terms)
+        assert got == [expect_normal_ordered(state, t) for t in terms]
+        # the same sums, slice by slice in order, as two separate lowerings
+        stack = state.tensorized()
+        for value, term in zip(got, terms):
+            creation, annihilation = zip(*term)
+            want = complex(np.sum([
+                np.vdot(fock._lower(stack[k:k + step], creation),
+                        fock._lower(stack[k:k + step], annihilation))
+                for k in range(0, len(stack), step)]))
+            assert value == want
+        assert expectations(state, []) == []
+
+    def test_each_lowering_made_once_per_slice(self, monkeypatch):
+        made = []
+        lower = fock._lower
+
+        def counting(stack, powers):
+            if any(powers):
+                made.append(tuple(powers))
+            return lower(stack, powers)
+
+        def lowerings(run):
+            made.clear()
+            run()
+            return len(made), len(set(made))
+
+        monkeypatch.setattr(fock, "_lower", counting)
+        rng = np.random.default_rng(17)
+        state = self.stack_state(rng, (1, 2), 2)
+        four = tensor(tensor(state, coherent_state(0.3)), coherent_state(0.4))
+        # one slice, also after the unitary route pads its two pairs
+        padded = pad_for_beamsplitter(pad_for_beamsplitter(four, 0, 2), 1, 3)
+        assert padded.amps.size <= 1 << 15
+        assert lowerings(lambda: coherence.compute_moments(state)) == (3, 3)
+        assert lowerings(
+            lambda: homodyne._dd_ss_input_operator(four)) == (4, 4)
+        assert lowerings(lambda: homodyne._dd_ss_unitary(four)) == (4, 4)
+        assert lowerings(
+            lambda: coherence.fringe_scan(state, [0.0, 1.0, 2.0])) == (9, 3)
+
+
 class TestPhase:
     def test_identity(self):
         state = make_pure(TWO_MODE, split_photon_amplitudes())
@@ -423,6 +486,14 @@ class TestSupportAndPadding:
         assert abs(np.linalg.norm(padded.vector) - 1) < 1e-14
         with pytest.raises(ValueError):
             pad_cutoffs(padded, (1, 1))
+
+    def test_pad_refused_before_allocating(self):
+        # rank 40 x dim 52429 = 2097160 amplitudes, 8 above 2^21
+        state = thermal_state(1.0, 1e-12)
+        assert len(state.amps) == 40
+        assert pad_cutoffs(state, (52427,)).amps.shape == (40, 52428)
+        with pytest.raises(DimensionLimitError, match="2097160 amplitudes"):
+            pad_cutoffs(state, (52428,))
 
     def test_max_joint_occupation(self):
         state = basis_state(ModeSystem((3, 3)), (2, 1))

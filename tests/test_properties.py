@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mzbell import (LocalOscillator, ModeSystem, QuantumState,
                     apply_beamsplitter, apply_phase, expect_normal_ordered,
-                    fock, modulation_depth_numeric, purity)
+                    expectations, fock, modulation_depth_numeric, purity)
 from mzbell.fock import pad_for_beamsplitter
 
 from oracle import (bs_unitary_spectral, normal_ordered_matrix, phase_matrix,
@@ -91,6 +91,30 @@ def test_ensemble_matches_dense_oracle(case):
     np.testing.assert_allclose(apply_phase(state, mode, phi).rho,
                                p @ rho @ p.conj().T, atol=1e-12)
     assert abs(purity(state) - np.trace(rho @ rho).real) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=ensembles(), data=st.data())
+def test_batched_expectations_match_dense_oracle(case, data):
+    state, _ = case
+    rho, dims = state.rho, state.system.dims
+    power = st.integers(0, 4)
+    terms = data.draw(st.lists(st.lists(st.tuples(power, power),
+                                        min_size=len(dims),
+                                        max_size=len(dims)), max_size=6))
+    # always a repeated term, the all-zero term and a power above a cutoff
+    above = [(0, 0)] * len(dims)
+    mode = data.draw(st.integers(0, len(dims) - 1))
+    above[mode] = data.draw(st.sampled_from(
+        [(dims[mode], 0), (0, dims[mode]), (dims[mode], dims[mode] + 1)]))
+    terms += [[(0, 0)] * len(dims), above]
+    terms += [data.draw(st.sampled_from(terms))]
+    terms = data.draw(st.permutations(terms))
+    got = expectations(state, terms)
+    assert len(got) == len(terms)
+    for value, powers in zip(got, terms):
+        want = np.trace(rho @ normal_ordered_matrix(dims, powers))
+        assert abs(value - want) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
