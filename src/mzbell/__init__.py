@@ -9,7 +9,8 @@ from .coherence import (CoherenceMoments, FringeRecord, analytic_visibility,
                         compute_moments, fringe_scan, g1, g2,
                         titulaer_glauber_margin, visibility)
 from .errors import (DegenerateDenominatorError, DegenerateStateError,
-                     DimensionLimitError, MzBellError, TruncationLeakageError)
+                     DimensionLimitError, MzBellError, RouteResidualError,
+                     TruncationLeakageError)
 from .fock import (ModeSystem, QuantumState, apply_beamsplitter, apply_phase,
                    basis_state, coherent_state, expect_normal_ordered,
                    expectations, make_mixed, make_pure, number_state,
@@ -19,8 +20,8 @@ from .homodyne import (ChshResult, DegenerateLimit, FringeCoefficients,
                        criterion_from_measurements, fringe_coefficients,
                        fringe_coefficients_at, local_realism_verdict,
                        maximize_chsh, modulation_depth_analytic,
-                       modulation_depth_numeric, optimal_lo_amplitudes,
-                       violation_thresholds)
+                       modulation_depth_numeric, numeric_fringe_coefficients,
+                       optimal_lo_amplitudes, violation_thresholds)
 
 __version__ = "0.1.0"
 
@@ -35,10 +36,11 @@ __all__ = [
     "LocalOscillator", "FringeCoefficients", "DegenerateLimit", "ChshResult",
     "Verdict", "modulation_depth_numeric", "modulation_depth_analytic",
     "optimal_lo_amplitudes", "fringe_coefficients", "fringe_coefficients_at",
+    "numeric_fringe_coefficients",
     "chsh_value", "maximize_chsh", "local_realism_verdict",
     "criterion_from_measurements", "violation_thresholds",
     "StateSpec", "build_state", "split_single_photon", "split_input",
     "incoherent_anticorrelated", "noisy_split_photon", "mixed_ensemble",
     "MzBellError", "DegenerateStateError", "DegenerateDenominatorError",
-    "TruncationLeakageError", "DimensionLimitError",
+    "TruncationLeakageError", "DimensionLimitError", "RouteResidualError",
 ]

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The CLI maps them to exit codes: 2 for ``DimensionLimitError`` (and any
+input error), 3 for the two degeneracy errors, 4 for
+``TruncationLeakageError`` and 5 for ``RouteResidualError``.
+"""
 
 
 class MzBellError(Exception):
@@ -24,6 +29,12 @@ class TruncationLeakageError(MzBellError, RuntimeError):
         )
         self.leakage = leakage
         self.threshold = threshold
+
+
+class RouteResidualError(MzBellError, RuntimeError):
+    """A numeric route broke the phase covariance its trig-form
+    coefficients rest on: a pointwise E, or an <S1 S2>, disagreed with
+    them beyond roundoff. The CLI exits with code 5."""
 
 
 class DimensionLimitError(MzBellError, ValueError):

@@ -26,7 +26,9 @@ truncation leakage), not something to hide.
 
 The 50:50 beamsplitter is kept as one cutoff-independent SU(2) block per
 total photon number of its mode pair (Campos, Saleh & Teich, PRA 40,
-1371 (1989)), built on first use and cached for the process.
+1371 (1989)), built on first use and cached for the process. The cache
+is bounded by ``BLOCK_ENTRY_LIMIT`` entries per direction, checked before
+any block is built.
 """
 
 from __future__ import annotations
@@ -430,9 +432,23 @@ def apply_phase(state: QuantumState, mode: int, phi: float) -> QuantumState:
                         leakage=state.leakage, validate=False)
 
 
+#: Most entries the cached blocks U_0..U_N of one direction may hold,
+#: sum of (n + 1)^2 up to N: 16 times the largest state, 512 MiB, which
+#: admits sectors up to N = 463.
+BLOCK_ENTRY_LIMIT = 16 * AMPLITUDE_LIMIT
 #: Read-only beamsplitter blocks U_N keyed by (N, forward), from U_0 = [[1]].
 _BLOCKS = {(0, forward): np.broadcast_to(np.complex128(1), (1, 1))
            for forward in (True, False)}
+
+
+def _check_blocks(total: int) -> None:
+    """Refuse a sector whose blocks U_0..U_total, sum of (n + 1)^2
+    entries, would pass ``BLOCK_ENTRY_LIMIT``."""
+    entries = (total + 1) * (total + 2) * (2 * total + 3) // 6
+    if entries > BLOCK_ENTRY_LIMIT:
+        raise DimensionLimitError(
+            f"the beamsplitter blocks up to {total} photons would hold "
+            f"{entries} entries, above the limit of {BLOCK_ENTRY_LIMIT}")
 
 
 def _bs_block(total: int, forward: bool) -> np.ndarray:
@@ -449,6 +465,8 @@ def _bs_block(total: int, forward: bool) -> np.ndarray:
     start = total
     while (start, forward) not in _BLOCKS:
         start -= 1
+    if start < total:
+        _check_blocks(total)
     s = 1j if forward else -1j
     for n in range(start + 1, total + 1):
         parent = _BLOCKS[(n - 1, forward)]
@@ -488,7 +506,9 @@ def _transform_rows(mat: np.ndarray, out: np.ndarray, dims: tuple[int, ...],
     nonzero = mat != 0
     occupied = np.logical_or.reduceat(
         nonzero.any(axis=1)[index].any(axis=1), starts)
-    for total in np.flatnonzero(occupied).tolist():
+    # largest sector first: its block needs every smaller one, so the cache
+    # bound in _bs_block is checked before any of them is built
+    for total in np.flatnonzero(occupied)[::-1].tolist():
         lo, size = int(starts[total]), int(counts[total])
         k_lo = max(0, total - (d_j - 1))
         rows = index[lo:lo + size].ravel()
@@ -542,13 +562,17 @@ def pad_for_beamsplitter(state: QuantumState, mode_i: int,
     """Pad the two modes so a 50:50 beamsplitter acts without leakage.
 
     Each total-photon-number block N needs both cutoffs >= N; padding to
-    the largest occupied N makes the transform exactly unitary.
+    the largest occupied N makes the transform exactly unitary. A sector
+    whose blocks would pass the cache bound is refused here, before the
+    padded state is transformed.
     """
     n_max = max_joint_occupation(state, mode_i, mode_j)
     cutoffs = list(state.system.cutoffs)
     cutoffs[mode_i] = max(cutoffs[mode_i], n_max)
     cutoffs[mode_j] = max(cutoffs[mode_j], n_max)
-    return pad_cutoffs(state, cutoffs)
+    padded = pad_cutoffs(state, cutoffs)
+    _check_blocks(n_max)
+    return padded
 
 
 def purity(state: QuantumState) -> float:

@@ -13,6 +13,12 @@ coincidence rate alone.
 Three independent computation routes for E (beamsplitter unitaries,
 input-operator forms, and the analytic moment formula) cross-validate one
 another and are kept deliberately separate.
+
+On both numeric routes an oscillator phase is an exact rotation, so E at
+fixed oscillator amplitudes is a two-frequency fringe in the phases:
+``numeric_fringe_coefficients`` reads its coefficients off four route
+evaluations and checks them against a fifth, pointwise one. A whole E grid
+then costs five route evaluations, not one per grid point.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ import numpy as np
 
 from . import fock
 from .coherence import DEGENERACY_FLOOR, CoherenceMoments, g1, g2
-from .errors import DegenerateDenominatorError, DegenerateStateError
+from .errors import (DegenerateDenominatorError, DegenerateStateError,
+                     RouteResidualError)
 from .fock import QuantumState
 
 # sqrt(0.5) is the correctly rounded double for 1/sqrt(2); dividing by
@@ -36,6 +43,12 @@ BELL_BOUND_C1 = math.sqrt(0.5)
 #: bias in E is O(beta^2) ~ 1e-4.
 DEGENERATE_BETA_SCALE = 1e-2
 _TWO_PI = 2.0 * math.pi
+#: Angle pair (rad) evaluated pointwise to check numeric fringe
+#: coefficients: neither an anchor nor a point of any 2 pi k/grid grid.
+HELD_OUT_ANGLES = (1.0, 2.0)
+#: Largest residual of E (absolute) and of <S1 S2> (relative) between a
+#: pointwise route evaluation and the four-anchor trig form.
+ROUTE_RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -150,16 +163,13 @@ def _dd_ss_input_operator(four: QuantumState) -> tuple[float, float]:
     return dd.real, ss.real
 
 
-def modulation_depth_numeric(state_a: QuantumState, lo1: LocalOscillator,
-                             lo2: LocalOscillator, route: str = "unitary", *,
-                             tail_eps: float = fock.DEFAULT_TAIL_EPS) -> float:
-    """E = <D1 D2>/<S1 S2> on the four-mode state a1 x a2 x b1 x b2.
+def _dd_ss(state_a: QuantumState, lo1: LocalOscillator, lo2: LocalOscillator,
+           route: str, tail_eps: float) -> tuple[float, float]:
+    """<D1 D2> and <S1 S2> by one route on the four-mode state
+    a1 x a2 x b1 x b2.
 
     The signal's components are tensored with the two oscillators all at
-    once, so a route runs once per call for any state within the bound.
-    route="unitary" applies the beamsplitters and measures output photon
-    numbers; route="input_operator" evaluates the equivalent input-side
-    operator forms without any transform. The two must agree to roundoff.
+    once, so the route runs once for any state within the bound.
     """
     if state_a.system.mode_count != 2:
         raise ValueError("state_a must be a two-mode (signal-channel) state")
@@ -185,7 +195,62 @@ def modulation_depth_numeric(state_a: QuantumState, lo1: LocalOscillator,
     if ss <= 1e-15:
         raise DegenerateDenominatorError(
             f"<S1 S2> = {ss:.3e}: no joint signal, modulation depth undefined")
+    return dd, ss
+
+
+def modulation_depth_numeric(state_a: QuantumState, lo1: LocalOscillator,
+                             lo2: LocalOscillator, route: str = "unitary", *,
+                             tail_eps: float = fock.DEFAULT_TAIL_EPS) -> float:
+    """E = <D1 D2>/<S1 S2> on the four-mode state a1 x a2 x b1 x b2.
+
+    route="unitary" applies the beamsplitters and measures output photon
+    numbers; route="input_operator" evaluates the equivalent input-side
+    operator forms without any transform. The two must agree to roundoff.
+    """
+    dd, ss = _dd_ss(state_a, lo1, lo2, route, tail_eps)
     return dd / ss
+
+
+def numeric_fringe_coefficients(state_a: QuantumState, beta1: float,
+                                beta2: float, route: str, *,
+                                tail_eps: float = fock.DEFAULT_TAIL_EPS
+                                ) -> FringeCoefficients:
+    """Trig-form coefficients of the numeric E at the given oscillator
+    amplitudes, from four route evaluations.
+
+    Each term of <D1 D2> holds one b1 or b1^dag and one b2 or b2^dag, and
+    an oscillator phase is a rotation diagonal in photon number (exact on
+    the truncated oscillator), so <D1 D2> = Re[X e^{i(t1-t2)} +
+    Y e^{i(t1+t2)}] and <S1 S2> does not depend on the angles. The anchor
+    pairs (0, 0), (pi/2, 0), (0, pi/2) and (pi/2, pi/2) determine X and Y.
+    One more pointwise evaluation at the held-out pair ``HELD_OUT_ANGLES``
+    must then agree with the trig form to ``ROUTE_RESIDUAL_TOL``, and all
+    five <S1 S2> to that relative tolerance; otherwise
+    :class:`RouteResidualError` is raised.
+    """
+    half_pi = 0.5 * math.pi
+    anchors = [(0.0, 0.0), (half_pi, 0.0), (0.0, half_pi), (half_pi, half_pi)]
+    (d00, s00), (dp0, sp0), (d0p, s0p), (dpp, spp), (dd, ss) = (
+        _dd_ss(state_a, LocalOscillator(beta1, t1), LocalOscillator(beta2, t2),
+               route, tail_eps)
+        for t1, t2 in anchors + [HELD_OUT_ANGLES])
+    sums = (s00, sp0, s0p, spp, ss)
+    if max(sums) - min(sums) > ROUTE_RESIDUAL_TOL * max(sums):
+        raise RouteResidualError(
+            f"<S1 S2> varies with the oscillator phases on the {route} "
+            f"route: {min(sums)!r} to {max(sums)!r}")
+    s = (s00 + sp0 + s0p + spp) / 4.0
+    x = complex(d00 + dpp, d0p - dp0) / (2.0 * s)
+    y = complex(d00 - dpp, -(dp0 + d0p)) / (2.0 * s)
+    coeffs = FringeCoefficients(c1=abs(x), phi1=cmath.phase(x),
+                                c2=abs(y), phi2=cmath.phase(y))
+    residual = abs(dd / ss - fringe_e(coeffs, *HELD_OUT_ANGLES))
+    if residual > ROUTE_RESIDUAL_TOL:
+        raise RouteResidualError(
+            f"the {route} route's E at the held-out angles "
+            f"{HELD_OUT_ANGLES} differs from its four-anchor trig form "
+            f"by {residual:.3e}")
+    return coeffs
 
 
 def modulation_depth_analytic(moments: CoherenceMoments,

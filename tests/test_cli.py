@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from mzbell import cli, purity
+from mzbell import cli, homodyne, purity
 from mzbell.catalog import StateSpec, build_state
 
 
@@ -143,6 +143,24 @@ class TestAnalyze:
         assert "2253001 amplitudes" in err
         assert peak < 8 * 2 ** 20
 
+    def test_block_cache_refused_before_building(self, capsys, tmp_path):
+        # |1000, 0> pads to 1001^2 amplitudes (16 MB, under the bound), but
+        # its blocks U_0..U_1000 would hold 334835501 entries (5.4 GB)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"family": "pure_explicit", "params": {
+            "cutoffs": [1000, 0], "amplitudes": [0] * 1000 + [1]}}))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "fringe", "--state", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: DimensionLimitError")
+        assert "334835501 entries" in err
+        assert peak < 64 * 2 ** 20
+
     def test_csv_block_appended(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--state",
                                "split_single_photon", "--format", "csv")
@@ -264,6 +282,49 @@ class TestBellScan:
         report = parse_report(out)
         assert float(report["beta1"]) == 0.05
         assert float(report["beta2"]) == 0.05
+
+    def test_no_negative_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "bell-scan", "--state",
+                               "incoherent_anticorrelated p=0.3",
+                               "--grid", "4")
+        assert code == 0
+        rows = [l.split(",") for l in out.strip().splitlines()[1:17]]
+        assert [r[3] for r in rows] == ["0"] * 16
+
+    @pytest.mark.parametrize("grid", ["4", "12"])
+    @pytest.mark.parametrize("route", ["input_operator", "unitary"])
+    def test_five_route_evaluations_per_scan(self, capsys, monkeypatch,
+                                             route, grid):
+        # four anchors and one held-out pair, whatever the grid
+        calls = {"input_operator": 0, "unitary": 0}
+        for name in calls:
+            real = getattr(homodyne, f"_dd_ss_{name}")
+
+            def counted(four, real=real, name=name):
+                calls[name] += 1
+                return real(four)
+            monkeypatch.setattr(homodyne, f"_dd_ss_{name}", counted)
+        code, out, err = run_cli(
+            capsys, "bell-scan", "--state",
+            "noisy_split_photon w=0.5 alpha_re=0.2 alpha_im=0.1",
+            "--grid", grid, "--route", route)
+        assert code == 0, err
+        assert len(out.strip().splitlines()) == 1 + int(grid) ** 2 + 9
+        other = "unitary" if route == "input_operator" else "input_operator"
+        assert calls == {route: 5, other: 0}
+
+    def test_route_residual_exit_code(self, capsys, monkeypatch):
+        real = homodyne._dd_ss
+
+        def skewed(state, lo1, lo2, route, tail_eps):
+            dd, ss = real(state, lo1, lo2, route, tail_eps)
+            return dd + 1e-9 * math.cos(lo1.theta) * ss, ss
+        monkeypatch.setattr(homodyne, "_dd_ss", skewed)
+        code, out, err = run_cli(capsys, "bell-scan", "--state",
+                                 "split_single_photon", "--grid", "4")
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error: RouteResidualError")
 
 
 class TestSweep:

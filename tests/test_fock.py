@@ -470,6 +470,20 @@ class TestBeamsplitter:
         assert requested == {3}
         assert abs(purity(out) - 0.5) < 1e-12
 
+    def test_block_cache_bound_checked_before_building(self):
+        # U_0..U_463 hold 33406840 entries, U_0..U_464 33623065 > 2^25
+        fock._check_blocks(463)
+        with pytest.raises(DimensionLimitError, match="33623065 entries"):
+            fock._check_blocks(464)
+        # every sector 0..470 is occupied: the largest is asked for first,
+        # so the bound is hit before any smaller block is built
+        cached = set(fock._BLOCKS)
+        state = QuantumState(ModeSystem((470, 0)),
+                             vector=np.full(471, 1 / math.sqrt(471)))
+        with pytest.raises(DimensionLimitError, match="up to 470 photons"):
+            apply_beamsplitter(state, 0, 1, leak_tol=None)
+        assert set(fock._BLOCKS) == cached
+
     def test_invalid_modes(self):
         state = vacuum_state(TWO_MODE)
         with pytest.raises(ValueError):

@@ -7,14 +7,14 @@ import pytest
 
 from mzbell import (ChshResult, CoherenceMoments, DegenerateDenominatorError,
                     DegenerateLimit, DegenerateStateError, FringeCoefficients,
-                    LocalOscillator, ModeSystem, basis_state, chsh_value,
-                    coherent_state, compute_moments,
+                    LocalOscillator, ModeSystem, RouteResidualError,
+                    basis_state, chsh_value, coherent_state, compute_moments,
                     criterion_from_measurements, fringe_coefficients,
-                    fringe_coefficients_at, local_realism_verdict,
+                    fringe_coefficients_at, homodyne, local_realism_verdict,
                     maximize_chsh, modulation_depth_analytic,
-                    modulation_depth_numeric, optimal_lo_amplitudes,
-                    split_input, split_single_photon, thermal_state,
-                    violation_thresholds)
+                    modulation_depth_numeric, numeric_fringe_coefficients,
+                    optimal_lo_amplitudes, split_input, split_single_photon,
+                    thermal_state, violation_thresholds)
 from mzbell.homodyne import fringe_e
 
 from oracle import random_density, random_pure, random_state
@@ -80,6 +80,39 @@ class TestModulationDepthNumeric:
         lo = LocalOscillator(0.1, 0.0)
         with pytest.raises(ValueError):
             modulation_depth_numeric(split_single_photon(), lo, lo, "magic")
+
+
+class TestNumericFringeCoefficients:
+    @pytest.mark.parametrize("route", ["unitary", "input_operator"])
+    def test_match_pointwise_route(self, route):
+        rng = np.random.default_rng(35)
+        state = random_density(rng, (2, 2), rank=3)
+        beta1, beta2 = 0.4, 0.3
+        coeffs = numeric_fringe_coefficients(state, beta1, beta2, route)
+        assert coeffs.c1 > 0.01 and coeffs.c2 > 0.01
+        for t1, t2 in rng.uniform(0, 2 * math.pi, size=(8, 2)):
+            want = modulation_depth_numeric(
+                state, LocalOscillator(beta1, t1), LocalOscillator(beta2, t2),
+                route)
+            assert abs(fringe_e(coeffs, t1, t2) - want) < 1e-12
+
+    @pytest.mark.parametrize("skew, message", [
+        ("dd", "held-out angles"), ("ss", "varies with the oscillator")])
+    def test_broken_phase_covariance_raises(self, monkeypatch, skew,
+                                            message):
+        real = homodyne._dd_ss
+
+        def skewed(state, lo1, lo2, route, tail_eps):
+            dd, ss = real(state, lo1, lo2, route, tail_eps)
+            wobble = 1e-9 * math.cos(lo1.theta)
+            if skew == "dd":
+                return dd + wobble * ss, ss
+            return dd, ss * (1.0 + wobble)
+        monkeypatch.setattr(homodyne, "_dd_ss", skewed)
+        for route in ("unitary", "input_operator"):
+            with pytest.raises(RouteResidualError, match=message):
+                numeric_fringe_coefficients(split_single_photon(), 0.1, 0.1,
+                                            route)
 
 
 class TestModulationDepthAnalytic:

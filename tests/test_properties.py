@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from mzbell import (LocalOscillator, ModeSystem, QuantumState,
                     apply_beamsplitter, apply_phase, expect_normal_ordered,
-                    expectations, fock, modulation_depth_numeric, purity)
+                    compute_moments, expectations, fock,
+                    fringe_coefficients_at, modulation_depth_numeric,
+                    numeric_fringe_coefficients, purity)
+from mzbell.homodyne import fringe_e
 from mzbell.fock import pad_for_beamsplitter
 
 from oracle import (bs_unitary_spectral, normal_ordered_matrix, phase_matrix,
@@ -141,3 +144,23 @@ def test_numeric_routes_agree_on_mixed_states(case, betas, thetas):
     operator = modulation_depth_numeric(state, lo1, lo2,
                                         route="input_operator")
     assert abs(unitary - operator) < 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=ensembles(modes=(2, 2)),
+       betas=st.tuples(st.floats(0.2, 0.8), st.floats(0.2, 0.8)),
+       thetas=st.tuples(st.floats(0, 6.3), st.floats(0, 6.3)),
+       route=st.sampled_from(["unitary", "input_operator"]))
+def test_numeric_fringe_coefficients_on_mixed_states(case, betas, thetas,
+                                                     route):
+    # the four-anchor trig form against one pointwise route evaluation,
+    # and its c1, c2 against the analytic moment formula: with the
+    # numeric routes, three independent values of C1
+    state, _ = case
+    coeffs = numeric_fringe_coefficients(state, *betas, route)
+    lo1, lo2 = (LocalOscillator(b, t) for b, t in zip(betas, thetas))
+    pointwise = modulation_depth_numeric(state, lo1, lo2, route=route)
+    assert abs(fringe_e(coeffs, *thetas) - pointwise) < 1e-12
+    analytic = fringe_coefficients_at(compute_moments(state), *betas)
+    assert abs(coeffs.c1 - analytic.c1) < 1e-10
+    assert abs(coeffs.c2 - analytic.c2) < 1e-10
