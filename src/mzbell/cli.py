@@ -13,9 +13,8 @@ Reports are stable ``key = value`` lines; CSV fields carry 15 significant
 digits. Output is byte-identical for identical inputs. Exit codes:
 0 success, 2 input/parse error or out of memory, 3 degenerate state,
 4 truncation leakage, 5 a numeric route that is not phase-covariant
-(``bell-scan`` builds its E_numeric column from four anchor evaluations
-and checks one held-out pair pointwise; see
-``homodyne.numeric_fringe_coefficients``).
+(``bell-scan`` fills E_numeric from four route evaluations and checks a
+fifth; see ``homodyne.numeric_fringe_coefficients``).
 """
 
 from __future__ import annotations
@@ -204,6 +203,7 @@ def cmd_bell_scan(args) -> int:
     e_analytic = [homodyne.modulation_depth_analytic(
         moments, homodyne.LocalOscillator(beta1, theta1),
         homodyne.LocalOscillator(beta2, theta2)) for theta1, theta2 in pairs]
+    # after E_analytic, whose errors come first, and only for a real grid
     if pairs:
         numeric = homodyne.numeric_fringe_coefficients(
             state, beta1, beta2, args.route, tail_eps=args.tail_eps)
