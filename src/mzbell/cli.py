@@ -137,12 +137,17 @@ def _verdict_csv_row(state_id: str, verdict: homodyne.Verdict,
     ])
 
 
+def _note_ignored_grid(args):
+    if args.grid is not None:
+        print("note: --grid is deprecated and ignored", file=sys.stderr)
+
+
 def cmd_analyze(args) -> int:
+    _note_ignored_grid(args)
     spec, state = _build(args)
     moments = coherence.compute_moments(state)
     verdict = homodyne.local_realism_verdict(moments)
-    coeffs = homodyne.fringe_coefficients(moments)
-    chsh = homodyne.maximize_chsh(coeffs, grid=args.grid)
+    chsh = homodyne.maximize_chsh(verdict.coeffs)
     lines = [
         f"state = {catalog.spec_label(spec)}",
         f"n1 = {_fmt(moments.n1)}",
@@ -189,6 +194,8 @@ def cmd_fringe(args) -> int:
 
 
 def cmd_bell_scan(args) -> int:
+    if args.grid < 1:
+        raise ValueError(f"--grid must be a positive integer, got {args.grid}")
     spec, state = _build(args)
     moments = coherence.compute_moments(state)
     if args.beta == "auto":
@@ -203,10 +210,9 @@ def cmd_bell_scan(args) -> int:
     e_analytic = [homodyne.modulation_depth_analytic(
         moments, homodyne.LocalOscillator(beta1, theta1),
         homodyne.LocalOscillator(beta2, theta2)) for theta1, theta2 in pairs]
-    # after E_analytic, whose errors come first, and only for a real grid
-    if pairs:
-        numeric = homodyne.numeric_fringe_coefficients(
-            state, beta1, beta2, args.route, tail_eps=args.tail_eps)
+    # after E_analytic, whose errors come first
+    numeric = homodyne.numeric_fringe_coefficients(
+        state, beta1, beta2, args.route, tail_eps=args.tail_eps)
     rows = [BELL_SCAN_CSV_HEADER]
     for (theta1, theta2), e_an in zip(pairs, e_analytic):
         # + 0.0 turns a signed zero into 0, so no row prints -0
@@ -215,7 +221,7 @@ def cmd_bell_scan(args) -> int:
                               _fmt(e_an), _fmt(e_numeric)]))
     _emit(rows, args.out)
     coeffs = homodyne.fringe_coefficients_at(moments, beta1, beta2)
-    chsh = homodyne.maximize_chsh(coeffs, grid=args.grid)
+    chsh = homodyne.maximize_chsh(coeffs)
     summary = [
         f"beta1 = {_fmt(beta1)}",
         f"beta2 = {_fmt(beta2)}",
@@ -247,6 +253,7 @@ def _sweep_values(spec_text: str) -> tuple[str, list[float]]:
 
 
 def cmd_sweep(args) -> int:
+    _note_ignored_grid(args)
     spec = resolve_state_arg(args.state)
     sweeps = [_sweep_values(s) for s in args.sweep]
     if not sweeps:
@@ -261,8 +268,7 @@ def cmd_sweep(args) -> int:
                                     tail_eps=args.tail_eps)
         moments = coherence.compute_moments(state)
         verdict = homodyne.local_realism_verdict(moments)
-        coeffs = homodyne.fringe_coefficients(moments)
-        chsh = homodyne.maximize_chsh(coeffs, grid=args.grid)
+        chsh = homodyne.maximize_chsh(verdict.coeffs)
         rows.append(_verdict_csv_row(catalog.spec_label(point), verdict,
                                      chsh.b_value))
     _emit(rows, args.out)
@@ -304,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full coherence/Bell report")
     add_common(p)
-    p.add_argument("--grid", type=int, default=24,
-                   help="CHSH angle-grid points per angle")
+    p.add_argument("--grid", type=int,
+                   help="deprecated and ignored: the CHSH maximum is exact")
     p.add_argument("--format", choices=("report", "csv"), default="report",
                    help="csv appends a machine-readable block")
     p.set_defaults(func=cmd_analyze)
@@ -323,10 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "optimal choice (small-scale fallback when the "
                         "optimum is a limit)")
     p.add_argument("--grid", type=int, default=24,
-                   help="points per angle for both the E grid and the "
-                        "CHSH maximization; E_numeric is filled from four "
-                        "anchor evaluations of the route plus one held-out "
-                        "check, whatever the grid")
+                   help="points per angle of the E grid (a positive "
+                        "integer); E_numeric is filled from four anchor "
+                        "evaluations of the route plus one held-out check, "
+                        "whatever the grid")
     p.add_argument("--route", choices=("unitary", "input_operator"),
                    default="input_operator",
                    help="numeric route for the E_numeric column")
@@ -337,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", action="append", default=[],
                    metavar="KEY=START:STOP:STEP",
                    help="parameter range (repeatable; cartesian product)")
-    p.add_argument("--grid", type=int, default=24)
+    p.add_argument("--grid", type=int,
+                   help="deprecated and ignored: the CHSH maximum is exact")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("criterion",

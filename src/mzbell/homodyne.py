@@ -19,6 +19,9 @@ fixed oscillator amplitudes is a two-frequency fringe in the phases:
 ``numeric_fringe_coefficients`` reads its coefficients off four route
 evaluations and checks them against a fifth, pointwise one. A whole E grid
 then costs five route evaluations, not one per grid point.
+
+The CHSH maximum of the fringe, 2 sqrt(2) sqrt(c1^2 + c2^2), and its
+angles come in closed form from a 2x2 singular value decomposition.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from . import fock
 from .coherence import DEGENERACY_FLOOR, CoherenceMoments, g1, g2
@@ -110,8 +111,9 @@ class ChshResult:
 class Verdict:
     """All inequality diagnostics for one state.
 
-    c2 and thw_sum are None when only (|g1|, g2) were measured. A Bell
-    violation implies a classical-field violation; the converse fails.
+    c2, thw_sum and coeffs (the input of :func:`maximize_chsh`) are None
+    when only (|g1|, g2) were measured. A Bell violation implies a
+    classical-field violation; the converse fails.
     """
 
     g1_mag: float
@@ -123,6 +125,7 @@ class Verdict:
     tg_margin: float
     violates_bell: bool
     violates_classical: bool
+    coeffs: FringeCoefficients | None
 
 
 def _lo_state(lo: LocalOscillator, tail_eps: float) -> QuantumState:
@@ -313,39 +316,11 @@ def fringe_coefficients_at(moments: CoherenceMoments, beta1: float,
         raise DegenerateDenominatorError(
             f"modulation-depth denominator {den:.3e} vanishes")
     prefactor = beta1 * beta2 / den
-    coeffs = FringeCoefficients(
+    return FringeCoefficients(
         c1=2.0 * prefactor * abs(moments.m12),
         phi1=cmath.phase(moments.m12),
         c2=2.0 * prefactor * abs(moments.anom),
         phi2=(math.pi - cmath.phase(moments.anom)) % _TWO_PI)
-    if __debug__:
-        _validate_trig_form(moments, LocalOscillator(beta1, 0.0),
-                            LocalOscillator(beta2, 0.0), coeffs)
-    return coeffs
-
-
-def _validate_trig_form(moments, lo1, lo2, coeffs, samples: int = 16):
-    """Fit the two-frequency fringe from angle scans of the moment formula
-    and require agreement with the closed-form coefficients to 1e-9.
-
-    The closed form (including the sign fold in phi2) is derived, not
-    quoted, so it is re-checked whenever assertions are enabled.
-    """
-    grid = _TWO_PI * np.arange(samples) / samples
-    # difference-frequency scan at fixed angle sum, then the reverse
-    e_diff = np.array([modulation_depth_analytic(
-        moments, LocalOscillator(lo1.beta, d / 2),
-        LocalOscillator(lo2.beta, -d / 2)) for d in grid])
-    e_sum = np.array([modulation_depth_analytic(
-        moments, LocalOscillator(lo1.beta, s / 2),
-        LocalOscillator(lo2.beta, s / 2)) for s in grid])
-    z1 = 2.0 * np.mean(e_diff * np.exp(-1j * grid))
-    z2 = 2.0 * np.mean(e_sum * np.exp(-1j * grid))
-    err = max(abs(z1 - coeffs.c1 * cmath.exp(1j * coeffs.phi1)),
-              abs(z2 - coeffs.c2 * cmath.exp(1j * coeffs.phi2)))
-    if err > 1e-9:
-        raise AssertionError(
-            f"trig-form coefficients disagree with angle-scan fit by {err:.3e}")
 
 
 def fringe_coefficients(moments: CoherenceMoments) -> FringeCoefficients:
@@ -381,39 +356,49 @@ def chsh_value(coeffs: FringeCoefficients,
             + fringe_e(coeffs, t1p, t2) - fringe_e(coeffs, t1p, t2p))
 
 
-def maximize_chsh(coeffs: FringeCoefficients, *, grid: int = 24,
-                  angle_tol: float = 1e-6) -> ChshResult:
-    """Deterministically maximize B over the four analyzer angles.
+#: (source slot, half turns added) per slot of (t1, t1', t2, t2') for the
+#: relabelings on which B is the same; each also holds with a half turn
+#: added to all four angles.
+_CHSH_RELABELINGS = (((0, 0), (1, 0), (2, 0), (3, 0)),
+                     ((0, 0), (1, 1), (3, 0), (2, 0)),
+                     ((1, 0), (0, 0), (2, 0), (3, 1)),
+                     ((1, 1), (0, 0), (3, 0), (2, 1)))
 
-    Coarse grid (first maximum in lexicographic angle order wins ties),
-    then coordinate descent with a halving step down to ``angle_tol``.
-    B is symmetric under shifting one station's pair of angles by pi, so
-    maximizing B also maximizes |B|.
+
+def maximize_chsh(coeffs: FringeCoefficients) -> ChshResult:
+    """Maximum of B over the four analyzer angles, in closed form.
+
+    E = a^T M b with a = (cos t1, sin t1), b = (cos t2, sin t2) and a 2x2 M
+    of singular values s1 = c1 + c2, s2 = |c1 - c2|, so B_max =
+    2 sqrt(s1^2 + s2^2) = 2 sqrt(2) hypot(c1, c2) (Horodecki^3, Phys. Lett.
+    A 200, 340 (1995)). It is reached at a = u1, a' = u2 and b, b' =
+    cos(chi) v1 +- sin(chi) v2 with tan(chi) = s2/s1: t1 = -sigma,
+    t1' = t1 + pi/2 (- pi/2 if c1 < c2) and t2, t2' = rho +- chi, where
+    sigma, rho = (phi1 +- phi2)/2. Of the eight relabelings of that set, the
+    lexicographically smallest in [0, 2 pi) is returned, so tied optima
+    cannot flip; it jumps only where sigma crosses a multiple of pi/2.
+    If c1 = c2, chi = 0 and b = b'. If c1 or c2 is 0, the other term's
+    phase is meaningless and is set to put t1 at 0; if both are, B = 0
+    and all four angles are 0.
     """
-    ang = _TWO_PI * np.arange(grid) / grid
-    e = (coeffs.c1 * np.cos(ang[:, None] - ang[None, :] + coeffs.phi1)
-         + coeffs.c2 * np.cos(ang[:, None] + ang[None, :] + coeffs.phi2))
-    b = (e[:, None, :, None] + e[:, None, None, :]
-         + e[None, :, :, None] - e[None, :, None, :])
-    flat_best = int(np.argmax(b))
-    idx = np.unravel_index(flat_best, b.shape)
-    angles = [float(ang[i]) for i in idx]
-    best = float(b[idx])
-    step = _TWO_PI / grid
-    while step > angle_tol:
-        moved = True
-        while moved:
-            moved = False
-            for k in range(4):
-                for delta in (step, -step):
-                    trial = list(angles)
-                    trial[k] = angles[k] + delta
-                    value = chsh_value(coeffs, trial)
-                    if value > best + 1e-15:
-                        best, angles, moved = value, trial, True
-        step *= 0.5
-    wrapped = tuple(a % _TWO_PI for a in angles)
-    return ChshResult(b_value=best, angles=wrapped)
+    c1, phi1, c2, phi2 = coeffs.c1, coeffs.phi1, coeffs.c2, coeffs.phi2
+    b_value = 2.0 * math.sqrt(2.0) * math.hypot(c1, c2)
+    if c1 == 0.0 and c2 == 0.0:
+        return ChshResult(b_value=b_value, angles=(0.0, 0.0, 0.0, 0.0))
+    if c1 == 0.0:
+        phi1 = -phi2
+    elif c2 == 0.0:
+        phi2 = -phi1
+    sigma, rho = 0.5 * (phi1 + phi2), 0.5 * (phi1 - phi2)
+    chi = math.atan2(abs(c1 - c2), c1 + c2)
+    quarter = 0.5 * math.pi if c1 >= c2 else -0.5 * math.pi
+    angles = (-sigma, quarter - sigma, rho + chi, rho - chi)
+    # each candidate is an input angle plus 0 or pi, so ties are exact; the
+    # second % maps the 2 pi that a tiny negative angle rounds to onto 0
+    return ChshResult(b_value=b_value, angles=min(
+        tuple((angles[i] + (turns + shift) % 2 * math.pi) % _TWO_PI % _TWO_PI
+              for i, turns in relabeling)
+        for relabeling in _CHSH_RELABELINGS for shift in (0, 1)))
 
 
 def local_realism_verdict(moments: CoherenceMoments) -> Verdict:
@@ -436,6 +421,7 @@ def local_realism_verdict(moments: CoherenceMoments) -> Verdict:
         tg_margin=tg,
         violates_bell=coeffs.c1 > BELL_BOUND_C1,
         violates_classical=tg < 0.0,
+        coeffs=coeffs,
     )
 
 
@@ -458,6 +444,7 @@ def criterion_from_measurements(g1_mag: float, g2_value: float) -> Verdict:
         tg_margin=tg,
         violates_bell=c1 > BELL_BOUND_C1,
         violates_classical=tg < 0.0,
+        coeffs=None,
     )
 
 

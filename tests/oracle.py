@@ -4,14 +4,19 @@ Everything here is deliberately implemented by a different route than the
 package: operators are explicit dense matrices assembled with kron, the
 beamsplitter unitary comes from a spectral decomposition of its quadratic
 generator, and expectations are literal <psi|M|psi> / Tr[rho M] products.
-Slow and obvious by design.
+The CHSH maximum is found by grid search plus coordinate descent, and the
+trig-form fringe coefficients are fitted from angle scans of the moment
+formula. Slow and obvious by design.
 """
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
-from mzbell import ModeSystem, QuantumState
+from mzbell import (ChshResult, LocalOscillator, ModeSystem, QuantumState,
+                    chsh_value, modulation_depth_analytic)
 
 
 def annihilation_matrix(dims, mode) -> np.ndarray:
@@ -86,3 +91,60 @@ def random_state(rng, cutoffs) -> QuantumState:
     if rng.random() < 0.5:
         return random_pure(rng, cutoffs)
     return random_density(rng, cutoffs)
+
+
+def search_chsh(coeffs, grid: int = 24, angle_tol: float = 1e-6) -> ChshResult:
+    """Maximize B over the four analyzer angles by search.
+
+    Coarse grid (first maximum in lexicographic angle order wins ties),
+    then coordinate descent with a halving step down to ``angle_tol``. At a
+    coarse grid the descent can stop at a stationary point below the
+    maximum.
+    """
+    ang = 2.0 * np.pi * np.arange(grid) / grid
+    e = (coeffs.c1 * np.cos(ang[:, None] - ang[None, :] + coeffs.phi1)
+         + coeffs.c2 * np.cos(ang[:, None] + ang[None, :] + coeffs.phi2))
+    b = (e[:, None, :, None] + e[:, None, None, :]
+         + e[None, :, :, None] - e[None, :, None, :])
+    idx = np.unravel_index(int(np.argmax(b)), b.shape)
+    angles = [float(ang[i]) for i in idx]
+    best = float(b[idx])
+    step = 2.0 * np.pi / grid
+    while step > angle_tol:
+        moved = True
+        while moved:
+            moved = False
+            for k in range(4):
+                for delta in (step, -step):
+                    trial = list(angles)
+                    trial[k] = angles[k] + delta
+                    value = chsh_value(coeffs, trial)
+                    if value > best + 1e-15:
+                        best, angles, moved = value, trial, True
+        step *= 0.5
+    return ChshResult(b_value=best,
+                      angles=tuple(a % (2.0 * np.pi) for a in angles))
+
+
+def validate_trig_form(moments, lo1, lo2, coeffs, samples: int = 16):
+    """Fit the two-frequency fringe from angle scans of the moment formula
+    and require agreement with the closed-form coefficients to 1e-9.
+
+    The closed form (including the sign fold in phi2) is derived, not
+    quoted, so the tests re-check it against this fit.
+    """
+    grid = 2.0 * np.pi * np.arange(samples) / samples
+    # difference-frequency scan at fixed angle sum, then the reverse
+    e_diff = np.array([modulation_depth_analytic(
+        moments, LocalOscillator(lo1.beta, d / 2),
+        LocalOscillator(lo2.beta, -d / 2)) for d in grid])
+    e_sum = np.array([modulation_depth_analytic(
+        moments, LocalOscillator(lo1.beta, s / 2),
+        LocalOscillator(lo2.beta, s / 2)) for s in grid])
+    z1 = 2.0 * np.mean(e_diff * np.exp(-1j * grid))
+    z2 = 2.0 * np.mean(e_sum * np.exp(-1j * grid))
+    err = max(abs(z1 - coeffs.c1 * cmath.exp(1j * coeffs.phi1)),
+              abs(z2 - coeffs.c2 * cmath.exp(1j * coeffs.phi2)))
+    if err > 1e-9:
+        raise AssertionError(
+            f"trig-form coefficients disagree with angle-scan fit by {err:.3e}")

@@ -169,6 +169,17 @@ class TestAnalyze:
         last = out.strip().splitlines()[-1]
         assert last.startswith("split_single_photon,1,0,1,")
 
+    @pytest.mark.parametrize("command", [
+        ("analyze", "--state", "split_thermal nbar=0.5"),
+        ("sweep", "--state", "split_thermal nbar=0.5",
+         "--sweep", "nbar=0.5:0.7:0.1")])
+    def test_grid_is_ignored_with_a_note(self, capsys, command):
+        code, plain, err = run_cli(capsys, *command)
+        assert code == 0 and err == ""
+        code, out, err = run_cli(capsys, *command, "--grid", "4")
+        assert code == 0 and out == plain
+        assert err == "note: --grid is deprecated and ignored\n"
+
     def test_degenerate_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--state",
                                "incoherent_anticorrelated p=1")
@@ -312,6 +323,23 @@ class TestBellScan:
         assert len(out.strip().splitlines()) == 1 + int(grid) ** 2 + 9
         other = "unitary" if route == "input_operator" else "input_operator"
         assert calls == {route: 5, other: 0}
+
+    @pytest.mark.parametrize("grid", ["0", "-2"])
+    def test_grid_must_be_positive(self, capsys, grid):
+        code, out, err = run_cli(capsys, "bell-scan", "--state",
+                                 "split_single_photon", "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: ValueError: --grid must be a positive "
+                       f"integer, got {grid}\n")
+
+    def test_horodecki_maximum_at_a_coarse_grid(self, capsys):
+        # a 4-point angle search stopped at 0.828427125247177 here
+        code, out, err = run_cli(capsys, "bell-scan", "--state",
+                                 "split_thermal nbar=0.1", "--grid", "4",
+                                 "--route", "unitary")
+        assert code == 0, err
+        assert parse_report(out)["b_max"] == "1.17157287596231"
 
     def test_route_residual_exit_code(self, capsys, monkeypatch):
         real = homodyne._dd_ss

@@ -1,6 +1,7 @@
 """Homodyne Bell tests: modulation depth routes, CHSH, verdicts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from mzbell import (ChshResult, CoherenceMoments, DegenerateDenominatorError,
                     thermal_state, violation_thresholds)
 from mzbell.homodyne import fringe_e
 
-from oracle import random_density, random_pure, random_state
+from oracle import (random_density, random_pure, random_state, search_chsh,
+                    validate_trig_form)
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -228,6 +230,8 @@ class TestFringeCoefficients:
             beta1 = rng.uniform(0.05, 0.4)
             beta2 = rng.uniform(0.05, 0.4)
             coeffs = fringe_coefficients_at(m, beta1, beta2)
+            validate_trig_form(m, LocalOscillator(beta1, 0.0),
+                               LocalOscillator(beta2, 0.0), coeffs)
             for _ in range(5):
                 t1 = rng.uniform(0, 2 * math.pi)
                 t2 = rng.uniform(0, 2 * math.pi)
@@ -237,14 +241,13 @@ class TestFringeCoefficients:
                 assert abs(via_trig - via_moments) < 1e-12
 
     def test_runtime_validation_hard_failure(self):
-        from mzbell.homodyne import _validate_trig_form
         m = compute_moments(split_single_photon())
         good = fringe_coefficients_at(m, 0.1, 0.1)
         bad = FringeCoefficients(c1=good.c1 + 1e-6, phi1=good.phi1,
                                  c2=good.c2, phi2=good.phi2)
         with pytest.raises(AssertionError, match="trig-form"):
-            _validate_trig_form(m, LocalOscillator(0.1, 0.0),
-                                LocalOscillator(0.1, 0.0), bad)
+            validate_trig_form(m, LocalOscillator(0.1, 0.0),
+                               LocalOscillator(0.1, 0.0), bad)
 
 
 class TestChsh:
@@ -273,18 +276,36 @@ class TestChsh:
         assert abs(result.b_value - 2.0) < 1e-5
 
     def test_maximum_matches_quadrature_sum(self):
-        # grid + descent against the closed-form candidate
-        # 2 sqrt(2) sqrt(c1^2 + c2^2); checked, never assumed in reports
+        # the oracle's grid + descent search reaches the closed form
+        # 2 sqrt(2) sqrt(c1^2 + c2^2) at the default grid
         rng = np.random.default_rng(35)
         for _ in range(8):
             c1 = rng.uniform(0, 0.8)
             c2 = rng.uniform(0, min(0.8, 1.0 - c1))
             coeffs = FringeCoefficients(c1, rng.uniform(0, 2 * math.pi),
                                         c2, rng.uniform(0, 2 * math.pi))
-            result = maximize_chsh(coeffs)
+            result = search_chsh(coeffs)
             want = 2 * math.sqrt(2) * math.hypot(c1, c2)
             assert abs(result.b_value - want) < 1e-5
+            assert maximize_chsh(coeffs).b_value == want
             assert abs(result.b_value) <= 2 * math.sqrt(2) + 1e-9
+
+    def test_degenerate_coefficients(self):
+        zero = maximize_chsh(FringeCoefficients(0.0, 1.0, 0.0, 2.0))
+        assert zero == ChshResult(0.0, (0.0, 0.0, 0.0, 0.0))
+        # one term: the other's phase is meaningless, and t1 is pinned at 0
+        for coeffs, other in ((FringeCoefficients(0.6, 1.0, 0.0, 2.0),
+                               {"phi2": 5.0}),
+                              (FringeCoefficients(0.0, 1.0, 0.6, 2.0),
+                               {"phi1": 4.0})):
+            result = maximize_chsh(coeffs)
+            assert result == maximize_chsh(replace(coeffs, **other))
+            assert result.angles[0] == 0.0
+            assert abs(chsh_value(coeffs, result.angles)
+                       - 2 * math.sqrt(2) * 0.6) < 1e-12
+        # c1 = c2: s2 = 0, so b and b' agree up to a half turn
+        t2, t2p = maximize_chsh(FringeCoefficients(0.3, 1.0, 0.3, 2.0)).angles[2:]
+        assert abs(math.sin(t2 - t2p)) < 1e-12
 
     def test_deterministic(self):
         coeffs = FringeCoefficients(0.61, 1.9, 0.2, 0.4)

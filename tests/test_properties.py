@@ -1,19 +1,24 @@
 """Property-based tests of the photon-number-sector beamsplitter and of
-states stored as amplitude stacks, against the dense-matrix oracle."""
+states stored as amplitude stacks, against the dense-matrix oracle, and of
+the closed-form CHSH maximum, against the oracle's angle search."""
+
+import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from mzbell import (LocalOscillator, ModeSystem, QuantumState,
-                    apply_beamsplitter, apply_phase, expect_normal_ordered,
-                    compute_moments, expectations, fock,
-                    fringe_coefficients_at, modulation_depth_numeric,
+from mzbell import (DegenerateStateError, FringeCoefficients, LocalOscillator,
+                    ModeSystem, QuantumState, StateSpec, apply_beamsplitter,
+                    apply_phase, build_state, chsh_value, compute_moments,
+                    expect_normal_ordered, expectations, fock,
+                    fringe_coefficients_at, local_realism_verdict,
+                    maximize_chsh, modulation_depth_numeric,
                     numeric_fringe_coefficients, purity)
 from mzbell.homodyne import fringe_e
 from mzbell.fock import pad_for_beamsplitter
 
 from oracle import (bs_unitary_spectral, normal_ordered_matrix, phase_matrix,
-                    random_density, random_pure)
+                    random_density, random_pure, search_chsh)
 
 
 @given(total=st.integers(0, 80), forward=st.booleans())
@@ -164,3 +169,108 @@ def test_numeric_fringe_coefficients_on_mixed_states(case, betas, thetas,
     analytic = fringe_coefficients_at(compute_moments(state), *betas)
     assert abs(coeffs.c1 - analytic.c1) < 1e-10
     assert abs(coeffs.c2 - analytic.c2) < 1e-10
+
+
+@st.composite
+def chsh_coefficients(draw):
+    """Fringe coefficients with c1 + c2 <= 1, the degenerate cases
+    c1 = c2, c1 = 0, c2 = 0 and c1 = c2 = 0 drawn as often as generic ones."""
+    c1 = draw(st.floats(0.0, 1.0))
+    c2 = draw(st.floats(0.0, 1.0 - c1))
+    kind = draw(st.sampled_from(["generic", "equal", "c1 = 0", "c2 = 0",
+                                 "both 0"]))
+    if kind == "equal":
+        c1 = c2 = min(c1, 0.5)
+    if kind in ("c1 = 0", "both 0"):
+        c1 = 0.0
+    if kind in ("c2 = 0", "both 0"):
+        c2 = 0.0
+    phase = st.floats(-7.0, 7.0)
+    return FringeCoefficients(c1, draw(phase), c2, draw(phase))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=chsh_coefficients())
+@example(coeffs=FringeCoefficients(0.3, 0.0, 0.3, 1e-300))  # -5e-301 % 2 pi
+def test_closed_form_chsh_is_reached_at_its_angles(coeffs):
+    result = maximize_chsh(coeffs)
+    want = 2.0 * math.sqrt(2.0) * math.hypot(coeffs.c1, coeffs.c2)
+    assert abs(result.b_value - want) < 1e-12
+    assert abs(chsh_value(coeffs, result.angles) - result.b_value) < 1e-12
+    assert all(0.0 <= t < 2.0 * math.pi for t in result.angles)
+    assert result.angles[0] <= 0.5 * math.pi
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=chsh_coefficients())
+def test_search_never_exceeds_closed_form(coeffs):
+    assert search_chsh(coeffs).b_value <= maximize_chsh(coeffs).b_value + 1e-12
+
+
+def _circular_gap(a, b):
+    gap = abs(a - b) % (2.0 * math.pi)
+    return min(gap, 2.0 * math.pi - gap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c1=st.floats(1e-3, 0.6), c2=st.floats(1e-3, 0.4),
+       phis=st.tuples(st.floats(-7.0, 7.0), st.floats(-7.0, 7.0)),
+       signs=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 4))
+def test_chsh_angles_do_not_jump(c1, c2, phis, signs):
+    # the canonical set jumps only where (phi1 + phi2)/2 crosses a
+    # multiple of pi/2, so generic coefficients stay clear of that
+    sigma = 0.5 * (phis[0] + phis[1]) % (0.5 * math.pi)
+    assume(1e-6 < sigma < 0.5 * math.pi - 1e-6)
+    coeffs = FringeCoefficients(c1, phis[0], c2, phis[1])
+    nudged = FringeCoefficients(*(value + 1e-15 * sign for value, sign in
+                                  zip((c1, phis[0], c2, phis[1]), signs)))
+    for a, b in zip(maximize_chsh(coeffs).angles,
+                    maximize_chsh(nudged).angles):
+        assert _circular_gap(a, b) < 1e-9
+
+
+@st.composite
+def catalog_specs(draw):
+    unit = st.floats(0.0, 1.0)
+    amplitude = st.floats(-1.5, 1.5)
+    family = draw(st.sampled_from([
+        "split_single_photon", "split_number", "split_coherent",
+        "split_thermal", "incoherent_anticorrelated", "noisy_split_photon",
+        "pure_explicit", "mixed_ensemble"]))
+    if family == "split_number":
+        params = {"n": draw(st.integers(0, 6))}
+    elif family == "split_coherent":
+        params = {"alpha_re": draw(amplitude), "alpha_im": draw(amplitude)}
+    elif family == "split_thermal":
+        params = {"nbar": draw(st.floats(0.01, 2.0))}
+    elif family == "incoherent_anticorrelated":
+        params = {"p": draw(unit)}
+    elif family == "noisy_split_photon":
+        params = {"w": draw(unit), "alpha_re": draw(amplitude),
+                  "alpha_im": draw(amplitude)}
+    elif family == "pure_explicit":
+        params = {"amplitudes": [[draw(amplitude), draw(amplitude)]
+                                 for _ in range(9)]}
+        assume(sum(re * re + im * im for re, im in params["amplitudes"])
+               > 1e-6)
+    elif family == "mixed_ensemble":
+        w = draw(st.floats(0.05, 0.95))
+        params = {"components": [
+            {"weight": w, "family": "split_single_photon"},
+            {"weight": 1.0 - w, "family": "split_thermal",
+             "nbar": draw(st.floats(0.01, 1.0))}]}
+    else:
+        params = {}
+    return StateSpec(family, params)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=catalog_specs())
+def test_bell_violation_implies_classical_violation(spec):
+    try:
+        verdict = local_realism_verdict(compute_moments(build_state(spec)))
+    except DegenerateStateError:
+        assume(False)
+    if verdict.violates_bell:
+        assert verdict.violates_classical
+        assert maximize_chsh(verdict.coeffs).b_value > 2.0
