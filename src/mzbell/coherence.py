@@ -114,15 +114,15 @@ def fringe_scan(state: QuantumState,
     recombined on the 50:50 beamsplitter, and the output mean photon
     numbers plus the coincidence <c^dag d^dag d c> are recorded; the three
     terms of a phase go to one batched call, which lowers each once. The
-    state is padded beforehand so the recombiner acts without leakage.
+    state is padded beforehand so the recombiner acts without leakage, and
+    the recombiner's sector plan is made once per scan, not per phase.
     """
     if state.system.mode_count != 2:
         raise ValueError("fringe_scan expects a two-mode state")
     padded = fock.pad_for_beamsplitter(state, 0, 1)
     records = []
-    for phi in phases:
-        shifted = fock.apply_phase(padded, 0, float(phi))
-        out = fock.apply_beamsplitter(shifted, 0, 1)
+    for phi, out in zip(phases,
+                        fock.beamsplitter_after_phases(padded, 0, 1, phases)):
         ic, id_, cc = (value.real for value in fock.expectations(
             out, [[(1, 1), (0, 0)], [(0, 0), (1, 1)], [(1, 1), (1, 1)]]))
         records.append(FringeRecord(phase=float(phi), intensity_c=ic,

@@ -28,14 +28,17 @@ The 50:50 beamsplitter is kept as one cutoff-independent SU(2) block per
 total photon number of its mode pair (Campos, Saleh & Teich, PRA 40,
 1371 (1989)), built on first use and cached for the process. The cache
 is bounded by ``BLOCK_ENTRY_LIMIT`` entries per direction, checked before
-any block is built.
+any block is built. A transform is planned (the sectors a state occupies,
+with their rows, columns and blocks) and then applied; a phase scan
+(``beamsplitter_after_phases``) makes its plan once, as a phase shift
+never adds support.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -209,10 +212,16 @@ def make_pure(system: ModeSystem, amplitudes: Iterable[complex]) -> QuantumState
     if vec.shape != (system.dim,):
         raise ValueError(f"expected {system.dim} amplitudes, got {vec.shape}")
     norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return QuantumState(system, vector=vec / norm,
-                        renormalized=abs(norm - 1.0) > NORM_TOL)
+    renormalized = abs(norm - 1.0) > NORM_TOL
+    if norm < 1e-150:
+        # the squares underflow: rescale by the largest amplitude first,
+        # part by part (a complex quotient overflows on a subnormal peak)
+        peak = float(np.max(np.abs(vec)))
+        if peak == 0.0:
+            raise ValueError("cannot normalize the zero vector")
+        vec = vec.real / peak + 1j * (vec.imag / peak)
+        norm = float(np.linalg.norm(vec))
+    return QuantumState(system, vector=vec / norm, renormalized=renormalized)
 
 
 def make_mixed(ensemble: Sequence[tuple[float, QuantumState]]) -> QuantumState:
@@ -486,14 +495,17 @@ def _bs_block(total: int, forward: bool) -> np.ndarray:
     return _BLOCKS[(total, forward)]
 
 
-def _transform_rows(mat: np.ndarray, out: np.ndarray, dims: tuple[int, ...],
-                    mode_i: int, mode_j: int, forward: bool) -> None:
-    """Write U @ mat into the zero-filled `out`, where U is the
-    beamsplitter on modes (mode_i, mode_j) of the basis indexing the rows
-    of the 2-D array `mat` (one column per component). Sectors without a
-    nonzero row build and apply no block; within a sector only nonzero
-    columns are touched.
+def _plan(state: QuantumState, mode_i: int, mode_j: int,
+          forward: bool) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The sectors N = n_i + n_j of the beamsplitter on (mode_i, mode_j)
+    that carry support in the state, largest first, each as (rows, cols,
+    block): its basis indices as a column, the components nonzero on it,
+    and U_N cut to the cutoffs. Sectors without support build no block.
     """
+    m = state.system.mode_count
+    if mode_i == mode_j or not (0 <= mode_i < m and 0 <= mode_j < m):
+        raise ValueError(f"invalid beamsplitter modes ({mode_i}, {mode_j})")
+    mat, dims = state.amps.T, state.system.dims
     d_i, d_j = dims[mode_i], dims[mode_j]
     # flat basis index of (pair index n_i * d_j + n_j, other modes), with
     # the pair indices ordered by sector N = n_i + n_j, then by n_i
@@ -508,14 +520,31 @@ def _transform_rows(mat: np.ndarray, out: np.ndarray, dims: tuple[int, ...],
         nonzero.any(axis=1)[index].any(axis=1), starts)
     # largest sector first: its block needs every smaller one, so the cache
     # bound in _bs_block is checked before any of them is built
+    plan = []
     for total in np.flatnonzero(occupied)[::-1].tolist():
         lo, size = int(starts[total]), int(counts[total])
         k_lo = max(0, total - (d_j - 1))
         rows = index[lo:lo + size].ravel()
         cols = np.flatnonzero(nonzero[rows].any(axis=0))
         block = _bs_block(total, forward)[k_lo:k_lo + size, k_lo:k_lo + size]
-        sub = mat[rows[:, None], cols].reshape(size, -1)
-        out[rows[:, None], cols] = (block @ sub).reshape(rows.size, -1)
+        plan.append((rows[:, None], cols, block))
+    return plan
+
+
+def _apply(state: QuantumState, plan, leak_tol: float | None) -> QuantumState:
+    """Apply each planned sector's block to the state's rows, then measure
+    the probability pushed above the cutoffs and check it."""
+    amps = np.zeros_like(state.amps)
+    mat, out = state.amps.T, amps.T
+    for rows, cols, block in plan:
+        sub = mat[rows, cols].reshape(len(block), -1)
+        out[rows, cols] = (block @ sub).reshape(rows.size, -1)
+    leakage = float(np.vdot(state.amps, state.amps).real
+                    - np.vdot(amps, amps).real)
+    if leak_tol is not None and leakage > leak_tol:
+        raise TruncationLeakageError(leakage, leak_tol)
+    return QuantumState(state.system, amps=amps, leakage=leakage,
+                        validate=False)
 
 
 def apply_beamsplitter(state: QuantumState, mode_i: int, mode_j: int, *,
@@ -532,26 +561,31 @@ def apply_beamsplitter(state: QuantumState, mode_i: int, mode_j: int, *,
     records it as the returned state's ``leakage``). The output is never
     renormalized.
     """
-    m = state.system.mode_count
-    if mode_i == mode_j or not (0 <= mode_i < m and 0 <= mode_j < m):
-        raise ValueError(f"invalid beamsplitter modes ({mode_i}, {mode_j})")
-    amps = np.zeros_like(state.amps)
-    _transform_rows(state.amps.T, amps.T, state.system.dims, mode_i, mode_j,
-                    not inverse)
-    leakage = float(np.vdot(state.amps, state.amps).real
-                    - np.vdot(amps, amps).real)
-    if leak_tol is not None and leakage > leak_tol:
-        raise TruncationLeakageError(leakage, leak_tol)
-    return QuantumState(state.system, amps=amps, leakage=leakage,
-                        validate=False)
+    return _apply(state, _plan(state, mode_i, mode_j, not inverse), leak_tol)
+
+
+def beamsplitter_after_phases(state: QuantumState, mode_i: int, mode_j: int,
+                              phases: Iterable[float]) -> Iterator[QuantumState]:
+    """Yield ``apply_beamsplitter(apply_phase(state, mode_i, phi), mode_i,
+    mode_j)`` for each phi, bit for bit, with the sectors planned once.
+
+    A phase shift multiplies each amplitude by a unit-modulus factor, so
+    every shifted copy has the support of ``state`` (only an amplitude a
+    few subnormal steps from zero, about 1e-323, can round away), and the
+    plan made for it serves them all. It is made by this call, so a sector
+    past the block cache bound is refused before any phase is applied.
+    """
+    plan = _plan(state, mode_i, mode_j, True)
+    return (_apply(apply_phase(state, mode_i, phi), plan, DEFAULT_LEAK_TOL)
+            for phi in phases)
 
 
 def max_joint_occupation(state: QuantumState, mode_i: int, mode_j: int) -> int:
-    """Largest n_i + n_j carrying any population (support scan)."""
+    """Largest n_i + n_j carrying any nonzero amplitude (support scan,
+    with the test the beamsplitter plan uses)."""
     m = state.system.mode_count
     axes = (0,) + tuple(k + 1 for k in range(m) if k not in (mode_i, mode_j))
-    marg = (np.abs(state.tensorized()) ** 2).sum(axis=axes)
-    nz = np.argwhere(marg > 0.0)
+    nz = np.argwhere((state.tensorized() != 0).any(axis=axes))
     if nz.size == 0:
         return 0
     return int((nz[:, 0] + nz[:, 1]).max())

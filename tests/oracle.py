@@ -16,7 +16,8 @@ import cmath
 import numpy as np
 
 from mzbell import (ChshResult, LocalOscillator, ModeSystem, QuantumState,
-                    chsh_value, modulation_depth_analytic)
+                    apply_beamsplitter, apply_phase, chsh_value, expectations,
+                    fock, fringe_scan, modulation_depth_analytic)
 
 
 def annihilation_matrix(dims, mode) -> np.ndarray:
@@ -148,3 +149,29 @@ def validate_trig_form(moments, lo1, lo2, coeffs, samples: int = 16):
     if err > 1e-9:
         raise AssertionError(
             f"trig-form coefficients disagree with angle-scan fit by {err:.3e}")
+
+
+def assert_scan_matches_per_phase(state: QuantumState, phases,
+                                  mode_i: int = 0, mode_j: int = 1):
+    """Require the planned phase scan to equal, bit for bit, the
+    beamsplitter applied phase by phase, each planning its own sectors:
+    the output stacks on the padded state and, on a two-mode state, the
+    fringe records."""
+    phases = [float(phi) for phi in phases]
+    padded = fock.pad_for_beamsplitter(state, mode_i, mode_j)
+    want = [apply_beamsplitter(apply_phase(padded, mode_i, phi), mode_i,
+                               mode_j) for phi in phases]
+    got = list(fock.beamsplitter_after_phases(padded, mode_i, mode_j, phases))
+    assert len(got) == len(want)
+    for out, ref in zip(got, want):
+        assert np.array_equal(out.amps, ref.amps)
+        assert out.leakage == ref.leakage
+    if (state.system.mode_count, mode_i, mode_j) != (2, 0, 1):
+        return
+    records = [[phi, *(value.real for value in expectations(
+        ref, [[(1, 1), (0, 0)], [(0, 0), (1, 1)], [(1, 1), (1, 1)]]))]
+        for phi, ref in zip(phases, want)]
+    scanned = [[r.phase, r.intensity_c, r.intensity_d, r.coincidence]
+               for r in fringe_scan(state, phases)]
+    assert np.array_equal(np.reshape(scanned, (-1, 4)),
+                          np.reshape(records, (-1, 4)))

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from mzbell import (CoherenceMoments, DegenerateStateError, ModeSystem,
-                    analytic_visibility, apply_phase, basis_state,
-                    coherent_state, compute_moments, fringe_scan, g1, g2,
-                    incoherent_anticorrelated, make_mixed, make_pure,
+                    StateSpec, analytic_visibility, apply_phase, basis_state,
+                    build_state, coherent_state, compute_moments, fringe_scan,
+                    g1, g2, incoherent_anticorrelated, make_mixed, make_pure,
                     split_input, split_single_photon, thermal_state,
                     titulaer_glauber_margin, visibility)
 
-from oracle import brute_expect, random_density, random_pure
+from oracle import (assert_scan_matches_per_phase, brute_expect,
+                    random_density, random_pure)
 
 PHASES_64 = [2 * math.pi * k / 64 for k in range(64)]
 
@@ -123,6 +124,19 @@ class TestFringeScan:
     def test_two_mode_required(self):
         with pytest.raises(ValueError):
             fringe_scan(coherent_state(0.3), PHASES_64)
+
+    @pytest.mark.parametrize("family, params", [
+        ("split_thermal", {"nbar": 0.99}),
+        ("noisy_split_photon", {"w": 0.6, "alpha_re": 2.0, "alpha_im": 0.3}),
+        ("split_coherent", {"alpha_re": 3.0, "alpha_im": -0.4}),
+        ("incoherent_anticorrelated", {"p": 0.3}),
+        # support in sectors 0, 1 and 3 of the (2, 2) basis, none in 2
+        ("pure_explicit", {"cutoffs": [2, 2], "amplitudes": [
+            0.5, 0.5j, 0, -0.5, 0, 0, 0, 0.5, 0]}),
+    ])
+    def test_planned_scan_matches_per_phase_path(self, family, params):
+        state = build_state(StateSpec(family, params))
+        assert_scan_matches_per_phase(state, PHASES_64[::4] + [0.3, -2.0, 9.5])
 
 
 def _partially_coherent_state(w):

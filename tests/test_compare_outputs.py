@@ -1,0 +1,54 @@
+"""The output-comparison tool: its op list, a small record and the diff."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location(
+    "compare_outputs", ROOT / "tools" / "compare_outputs.py")
+compare_outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_outputs)
+
+
+def test_ops_cover_three_rounds_of_every_workload_and_the_probes(
+        monkeypatch):
+    monkeypatch.setattr(sys, "path", sys.path[:])   # ops() adds bench/
+    ops = compare_outputs.ops()
+    labels = [label for label, _, _ in ops]
+    assert len(set(labels)) == len(labels)
+    for workload in ("analyze-catalog", "fringe-scan", "bell-grid"):
+        assert {label.split("/")[1] for label in labels
+                if label.startswith(workload + "/")} == {"0", "1", "2"}
+    probes = [argv for label, argv, _ in ops if label.startswith("probe/")]
+    assert len(probes) == len(compare_outputs.PROBES)
+    assert all(argv[0] == "fringe" for argv in probes)
+
+
+def test_record_then_diff(tmp_path, monkeypatch, capsys):
+    # record pins the thread variables and puts src/ on the path
+    for var in compare_outputs.THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    three, big = compare_outputs.PROBES[5], compare_outputs.PROBES[6]
+    monkeypatch.setattr(compare_outputs, "ops", lambda: [
+        ("probe/5", *three), ("probe/6", *big)])
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    assert compare_outputs.main(["record", "--src", str(ROOT / "src"),
+                                 "--out", str(old)]) == 0
+    ops = json.loads(old.read_text())["ops"]
+    assert ops["probe/5"]["code"] == 0
+    assert "visibility_fit = 1" in ops["probe/5"]["stdout"]
+    assert ops["probe/6"]["code"] == 2
+    assert "2253001 amplitudes" in ops["probe/6"]["stderr"]
+    capsys.readouterr()
+    assert compare_outputs.main(["diff", str(old), str(old)]) == 0
+    assert capsys.readouterr().out == "2 ops, 0 differ\n"
+
+    ops["probe/5"]["stdout"] += "\n"
+    new.write_text(json.dumps({"src": "changed", "ops": ops}))
+    assert compare_outputs.main(["diff", str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "probe/5: fringe --state split_single_photon --phases 3: "
+        "stdout differ", "2 ops, 1 differ"]

@@ -52,6 +52,25 @@ class TestConstructors:
         with pytest.raises(ValueError, match="zero"):
             make_pure(TWO_MODE, [0, 0, 0, 0])
 
+    def test_tiny_vector_is_normalized(self):
+        # the plain norm of these underflows to 0 (or loses its digits)
+        for tiny in (2.2e-311, 5e-324, 1e-160 - 3e-161j, -4e-200j):
+            state = make_pure(ModeSystem((2, 2)), [0, 0, tiny / 2, 0, tiny,
+                                                   0, 0, 0, 0])
+            want = np.zeros(9, dtype=complex)
+            if tiny == 5e-324:      # tiny / 2 rounds to zero
+                want[4] = 1.0
+            else:
+                want[[2, 4]] = tiny / abs(tiny) * np.array([0.5, 1.0])
+                want /= np.linalg.norm(want)
+            # a subnormal input carries only about 42 of its 53 bits
+            np.testing.assert_allclose(state.vector, want, rtol=1e-9)
+            assert state.renormalized
+        # an ordinary vector keeps the plain quotient, bit for bit
+        vec = np.array([0.3, 1e-140j, -0.2 + 0.1j, 0.0])
+        assert np.array_equal(make_pure(TWO_MODE, vec).vector,
+                              vec / np.linalg.norm(vec))
+
     def test_make_mixed_single_projector(self):
         one_zero = basis_state(TWO_MODE, (1, 0))
         rho = make_mixed([(1.0, one_zero)]).rho
@@ -484,6 +503,20 @@ class TestBeamsplitter:
             apply_beamsplitter(state, 0, 1, leak_tol=None)
         assert set(fock._BLOCKS) == cached
 
+    def test_phase_scan_refused_at_plan_time(self, monkeypatch):
+        # the scan plans its sectors when called: the 470-photon sector is
+        # refused before any phase is applied or any block is built
+        shifted = []
+        monkeypatch.setattr(fock, "apply_phase",
+                            lambda *args: shifted.append(args))
+        cached = set(fock._BLOCKS)
+        state = QuantumState(ModeSystem((470, 0)),
+                             vector=np.full(471, 1 / math.sqrt(471)))
+        with pytest.raises(DimensionLimitError, match="up to 470 photons"):
+            fock.beamsplitter_after_phases(state, 0, 1, [0.0, 1.0])
+        assert shifted == []
+        assert set(fock._BLOCKS) == cached
+
     def test_invalid_modes(self):
         state = vacuum_state(TWO_MODE)
         with pytest.raises(ValueError):
@@ -516,6 +549,18 @@ class TestSupportAndPadding:
                             (0.5, basis_state(ModeSystem((3, 3)), (0, 1)))])
         assert max_joint_occupation(mixed, 0, 1) == 3
         assert max_joint_occupation(vacuum_state(TWO_MODE), 0, 1) == 0
+
+    def test_support_scan_sees_tiny_amplitudes(self):
+        # |1e-170|^2 underflows to 0, but the amplitude is support all the
+        # same: the scan and the beamsplitter plan use one test, != 0
+        vec = np.zeros(9, dtype=complex)
+        vec[0], vec[8] = 1.0, 1e-170        # |0, 0> and |2, 2>
+        state = QuantumState(ModeSystem((2, 2)), vector=vec)
+        assert max_joint_occupation(state, 0, 1) == 4
+        assert pad_for_beamsplitter(state, 0, 1).system.cutoffs == (4, 4)
+        three = tensor(state, vacuum_state(ModeSystem((0,))))
+        assert max_joint_occupation(three, 0, 1) == 4
+        assert max_joint_occupation(three, 1, 2) == 2
 
     def test_eigen_components_reconstruct(self):
         # a density operator is factored once into its eigencomponents,

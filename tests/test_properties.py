@@ -17,8 +17,9 @@ from mzbell import (DegenerateStateError, FringeCoefficients, LocalOscillator,
 from mzbell.homodyne import fringe_e
 from mzbell.fock import pad_for_beamsplitter
 
-from oracle import (bs_unitary_spectral, normal_ordered_matrix, phase_matrix,
-                    random_density, random_pure, search_chsh)
+from oracle import (assert_scan_matches_per_phase, bs_unitary_spectral,
+                    normal_ordered_matrix, phase_matrix, random_density,
+                    random_pure, search_chsh)
 
 
 @given(total=st.integers(0, 80), forward=st.booleans())
@@ -172,6 +173,30 @@ def test_numeric_fringe_coefficients_on_mixed_states(case, betas, thetas,
 
 
 @st.composite
+def sparse_stacks(draw):
+    """A mixed stack with a drawn share of its amplitudes set to zero, so
+    that whole sectors, and whole components within one, are empty."""
+    cutoffs = draw(st.lists(st.integers(0, 3), min_size=2, max_size=3))
+    mode_i, mode_j = draw(st.permutations(range(len(cutoffs))))[:2]
+    system = ModeSystem(tuple(cutoffs))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (draw(st.integers(1, 4)), system.dim)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    amps[rng.random(shape) < draw(st.floats(0.0, 0.95))] = 0.0
+    assume(np.any(amps))
+    state = QuantumState(system, amps=amps / np.linalg.norm(amps))
+    return state, mode_i, mode_j
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sparse_stacks(),
+       phases=st.lists(st.floats(-10.0, 10.0), max_size=5))
+def test_planned_scan_matches_per_phase_path(case, phases):
+    state, mode_i, mode_j = case
+    assert_scan_matches_per_phase(state, phases, mode_i, mode_j)
+
+
+@st.composite
 def chsh_coefficients(draw):
     """Fringe coefficients with c1 + c2 <= 1, the degenerate cases
     c1 = c2, c1 = 0, c2 = 0 and c1 = c2 = 0 drawn as often as generic ones."""
@@ -249,10 +274,12 @@ def catalog_specs(draw):
         params = {"w": draw(unit), "alpha_re": draw(amplitude),
                   "alpha_im": draw(amplitude)}
     elif family == "pure_explicit":
-        params = {"amplitudes": [[draw(amplitude), draw(amplitude)]
+        # down to norms whose squares underflow
+        scale = draw(st.sampled_from([1.0, 1e-6, 1e-160, 1e-300, 1e-310]))
+        params = {"amplitudes": [[draw(amplitude) * scale,
+                                  draw(amplitude) * scale]
                                  for _ in range(9)]}
-        assume(sum(re * re + im * im for re, im in params["amplitudes"])
-               > 1e-6)
+        assume(any(re or im for re, im in params["amplitudes"]))
     elif family == "mixed_ensemble":
         w = draw(st.floats(0.05, 0.95))
         params = {"components": [

@@ -1,0 +1,143 @@
+"""Record the CLI's outputs on a fixed set of ops, and compare two records.
+
+A hot-path change must leave every printed byte as it was. ``record``
+imports ``mzbell`` from the given ``src`` directory and calls
+``mzbell.cli.main`` in-process on every op of rounds 0 to 2 of each
+benchmark workload at seed 7 (drawn by ``bench/workloads.py``, which is
+only read) and on a fixed list of heavier probes. It writes each op's
+argv, exit code, stdout and stderr to a JSON file. ``diff`` lists the ops
+whose exit code, stdout or stderr differ between two such files and exits
+1 if there are any.
+
+    python3 tools/compare_outputs.py record --src OLD/src --out old.json
+    python3 tools/compare_outputs.py record --src src --out new.json
+    python3 tools/compare_outputs.py diff old.json new.json
+
+Run ``record`` once per source tree: each run imports one ``mzbell``.
+It pins the BLAS libraries to one thread before importing it, as the
+benchmark does: a threaded BLAS may round differently.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 7
+ROUNDS = range(3)
+#: Thread-count variables pinned to 1 before numpy loads.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: Spec file of ops whose state is given as a document, relative to the
+#: working directory, so the argv is the same in every run.
+SPEC_FILE = "spec.json"
+#: The |1500, 0> state: its padded fringe scan is refused before allocating.
+BIG_SPEC = {"family": "pure_explicit",
+            "params": {"cutoffs": [1500, 0], "amplitudes": [0] * 1500 + [1]}}
+PROBES = (
+    (["fringe", "--state", "split_thermal nbar=3", "--phases", "16"], None),
+    (["fringe", "--state", "split_thermal nbar=1", "--phases", "64"], None),
+    (["fringe", "--state", "split_number n=200"], None),
+    (["fringe", "--state", "split_coherent alpha_re=4 alpha_im=1",
+      "--phases", "64"], None),
+    (["fringe", "--state", "split_single_photon", "--phases", "1"], None),
+    (["fringe", "--state", "split_single_photon", "--phases", "3"], None),
+    (["fringe", "--state", SPEC_FILE], json.dumps(BIG_SPEC)),
+)
+
+
+def ops() -> list[tuple[str, list[str], str | None]]:
+    """(label, argv, spec document or None) for every recorded op."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+    out = []
+    for workload in workloads.WORKLOADS:
+        for round_no in ROUNDS:
+            for k, op in enumerate(workloads.round_ops(workload, SEED,
+                                                       round_no)):
+                out.append((f"{workload}/{round_no}/{k}", op.argv(SPEC_FILE),
+                            op.spec_document))
+    out += [(f"probe/{k}", argv, document)
+            for k, (argv, document) in enumerate(PROBES)]
+    return out
+
+
+def run(cli, argv: list[str]) -> dict:
+    """One in-process call: its exit code (or the class of the exception
+    it raised), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:       # a traceback is an outcome too
+            code = f"traceback {type(exc).__name__}"
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def record(src: Path, path: Path) -> int:
+    os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
+    sys.path.insert(0, str(src.resolve()))
+    import mzbell.cli
+    todo = ops()
+    results = {}
+    with tempfile.TemporaryDirectory() as work:
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            for label, argv, document in todo:
+                if document is not None:
+                    Path(SPEC_FILE).write_text(document, encoding="utf-8")
+                results[label] = {"argv": argv, **run(mzbell.cli, argv)}
+        finally:
+            os.chdir(cwd)
+    path.write_text(json.dumps({"src": str(src), "ops": results}, indent=1),
+                    encoding="utf-8")
+    print(f"recorded {len(results)} ops from {mzbell.cli.__file__}")
+    return 0
+
+
+def diff(old: Path, new: Path) -> int:
+    a = json.loads(old.read_text(encoding="utf-8"))["ops"]
+    b = json.loads(new.read_text(encoding="utf-8"))["ops"]
+    differ = 0
+    for label in sorted(a.keys() | b.keys()):
+        if label not in a or label not in b:
+            print(f"{label}: only in {old if label in a else new}")
+            differ += 1
+            continue
+        fields = [f for f in ("argv", "code", "stdout", "stderr")
+                  if a[label][f] != b[label][f]]
+        if fields:
+            print(f"{label}: {' '.join(a[label]['argv'])}: "
+                  f"{', '.join(fields)} differ")
+            differ += 1
+    print(f"{len(a.keys() | b.keys())} ops, {differ} differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    rec = sub.add_parser("record", help="run every op and write a record")
+    rec.add_argument("--src", type=Path, required=True,
+                     help="directory holding the mzbell package")
+    rec.add_argument("--out", type=Path, required=True)
+    cmp_ = sub.add_parser("diff", help="list the ops two records differ on")
+    cmp_.add_argument("old", type=Path)
+    cmp_.add_argument("new", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "record":
+        return record(args.src, args.out)
+    return diff(args.old, args.new)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
