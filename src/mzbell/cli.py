@@ -14,7 +14,9 @@ digits. Output is byte-identical for identical inputs. Exit codes:
 0 success, 2 input/parse error or out of memory, 3 degenerate state,
 4 truncation leakage, 5 a numeric route that is not phase-covariant
 (``bell-scan`` fills E_numeric from four route evaluations and checks a
-fifth; see ``homodyne.numeric_fringe_coefficients``).
+fifth, see ``homodyne.numeric_fringe_coefficients``; ``fringe`` fills its
+rows from five route evaluations and checks a sixth, see
+``coherence.fringe_scan``).
 """
 
 from __future__ import annotations
@@ -175,6 +177,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_fringe(args) -> int:
+    if args.phases < 3:
+        raise ValueError("--phases must be an integer of at least 3 (the "
+                         f"visibility fit needs three), got {args.phases}")
     spec, state = _build(args)
     phases = [2.0 * math.pi * k / args.phases for k in range(args.phases)]
     records = coherence.fringe_scan(state, phases)
@@ -319,7 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fringe", help="Mach-Zehnder phase scan")
     add_common(p)
     p.add_argument("--phases", type=int, default=64,
-                   help="number of evenly spaced phases in [0, 2pi)")
+                   help="number of evenly spaced phases in [0, 2pi), at "
+                        "least 3; the rows are filled from five anchor "
+                        "evaluations of the interferometer plus one "
+                        "held-out check, whatever the number")
     p.set_defaults(func=cmd_fringe)
 
     p = sub.add_parser("bell-scan", help="modulation-depth angle grid")

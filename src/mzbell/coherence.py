@@ -6,22 +6,39 @@ homodyne fringe coefficients. The Mach-Zehnder scan recombines the two
 channels on a 50:50 beamsplitter after a relative phase shift and reads
 output intensities and coincidences, which for balanced channels measures
 |g1| directly as the fringe visibility.
+
+The three fringe records are a degree-2 trig polynomial in the phase, so
+``fringe_scan`` reads them off five anchor evaluations of the
+interferometer, checks them against a sixth, held-out one, and fills any
+number of phases from them.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import fock
-from .errors import DegenerateStateError
+from .errors import DegenerateStateError, RouteResidualError
 from .fock import QuantumState
 
 #: n1*n2 below this is treated as a vacuum channel, not a tiny intensity.
 DEGENERACY_FLOOR = 1e-15
+#: Largest residual between a pointwise evaluation of a numeric route and
+#: the trig form fitted from its anchors: of E (absolute) and <S1 S2>
+#: (relative) in ``homodyne``, of the fringe records (relative to the total
+#: intensity, its square for the coincidence) here.
+ROUTE_RESIDUAL_TOL = 1e-12
+#: Phases (rad) at which a fringe scan evaluates the route: 2 pi k/5, which
+#: fix a degree-2 trig polynomial in the phase.
+FRINGE_ANCHORS = tuple(2.0 * math.pi * k / 5 for k in range(5))
+#: Phase (rad) evaluated pointwise to check a fringe scan: on no
+#: 2 pi k/P grid.
+HELD_OUT_PHASE = 1.0
 
 
 @dataclass(frozen=True)
@@ -106,28 +123,77 @@ class FringeRecord:
     coincidence: float
 
 
+def _count_moments(out: QuantumState) -> np.ndarray:
+    """<n_c>, <n_d> and <n_c n_d> of a two-mode state, the first and mixed
+    moments of its photon-count distribution P(n_c, n_d) = sum over the
+    stack of |amps|^2."""
+    flat = out.amps.view(np.float64)
+    probs = np.einsum("ij,ij->j", flat, flat).reshape(-1, 2).sum(axis=1)
+    probs = probs.reshape(out.system.dims)
+    n_c, n_d = (np.arange(d, dtype=np.float64) for d in out.system.dims)
+    return np.array([probs.sum(axis=1) @ n_c, probs.sum(axis=0) @ n_d,
+                     n_c @ probs @ n_d])
+
+
+def _harmonics(phases) -> np.ndarray:
+    """The degree-2 trig basis 1, cos, sin, cos 2phi, sin 2phi: one row
+    per phase."""
+    phases = np.asarray(phases, dtype=np.float64)
+    return np.stack([np.ones_like(phases), np.cos(phases), np.sin(phases),
+                     np.cos(2.0 * phases), np.sin(2.0 * phases)], axis=-1)
+
+
 def fringe_scan(state: QuantumState,
                 phases: Sequence[float]) -> list[FringeRecord]:
     """Scan the interferometer phase and record both output channels.
 
-    For each phase the first channel is delayed by phi, the channels are
-    recombined on the 50:50 beamsplitter, and the output mean photon
-    numbers plus the coincidence <c^dag d^dag d c> are recorded; the three
-    terms of a phase go to one batched call, which lowers each once. The
-    state is padded beforehand so the recombiner acts without leakage, and
-    the recombiner's sector plan is made once per scan, not per phase.
+    At a phase phi the first channel is delayed by phi and the channels
+    are recombined on the 50:50 beamsplitter, so the outputs are
+    c = (e^{i phi} a1 + i a2)/sqrt(2) and d = (i e^{i phi} a1 + a2)/sqrt(2).
+    Their mean photon numbers carry phase harmonics of order at most 1,
+    and the coincidence <c^dag d^dag d c> of order at most 2: all three
+    records are a degree-2 trig polynomial in phi. They are read off the
+    output's photon-count distribution at the five anchors ``FRINGE_ANCHORS``,
+    and every requested phase is filled from their five-point DFT. One
+    more pointwise evaluation at ``HELD_OUT_PHASE`` must agree with the
+    fill to ``ROUTE_RESIDUAL_TOL`` times the total intensity (its square
+    for the coincidence), and the total intensity must agree to that
+    tolerance on all six evaluations; otherwise :class:`RouteResidualError`
+    is raised. A scan costs six evaluations at any number of phases.
+
+    The state is padded beforehand so the recombiner acts without leakage
+    (exactly unitary), and its sector plan is made once per scan.
     """
     if state.system.mode_count != 2:
         raise ValueError("fringe_scan expects a two-mode state")
     padded = fock.pad_for_beamsplitter(state, 0, 1)
-    records = []
-    for phi, out in zip(phases,
-                        fock.beamsplitter_after_phases(padded, 0, 1, phases)):
-        ic, id_, cc = (value.real for value in fock.expectations(
-            out, [[(1, 1), (0, 0)], [(0, 0), (1, 1)], [(1, 1), (1, 1)]]))
-        records.append(FringeRecord(phase=float(phi), intensity_c=ic,
-                                    intensity_d=id_, coincidence=cc))
-    return records
+    evaluated = np.array([_count_moments(out) for out in
+                          fock.beamsplitter_after_phases(
+                              padded, 0, 1,
+                              FRINGE_ANCHORS + (HELD_OUT_PHASE,))])
+    anchors, held_out = evaluated[:-1], evaluated[-1]
+    totals = evaluated[:, 0] + evaluated[:, 1]
+    scale = float(totals.max())
+    if totals.max() - totals.min() > ROUTE_RESIDUAL_TOL * scale:
+        raise RouteResidualError(
+            "the fringe route's total intensity varies with the phase: "
+            f"{totals.min()!r} to {totals.max()!r}")
+    # five-point DFT of the anchors, as coefficients of the trig basis
+    weights = np.array([1.0, 2.0, 2.0, 2.0, 2.0])[:, None] / 5.0
+    coeffs = weights * (_harmonics(FRINGE_ANCHORS).T @ anchors)
+    residual = np.abs(_harmonics(HELD_OUT_PHASE) @ coeffs - held_out)
+    if np.any(residual > ROUTE_RESIDUAL_TOL
+              * np.array([scale, scale, scale * scale])):
+        raise RouteResidualError(
+            f"the fringe route at the held-out phase {HELD_OUT_PHASE} "
+            "differs from its five-anchor fill by "
+            f"{', '.join(f'{r:.3e}' for r in residual)} "
+            "(intensity_c, intensity_d, coincidence)")
+    # + 0.0 turns a signed zero into 0, so no record prints -0
+    filled = _harmonics(phases) @ coeffs + 0.0
+    return [FringeRecord(phase=float(phi), intensity_c=float(ic),
+                         intensity_d=float(id_), coincidence=float(cc))
+            for phi, (ic, id_, cc) in zip(phases, filled)]
 
 
 def visibility(records: Sequence[FringeRecord]) -> float:

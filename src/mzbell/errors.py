@@ -34,7 +34,9 @@ class TruncationLeakageError(MzBellError, RuntimeError):
 class RouteResidualError(MzBellError, RuntimeError):
     """A numeric route broke the phase covariance its trig-form
     coefficients rest on: a pointwise E, or an <S1 S2>, disagreed with
-    them beyond roundoff. The CLI exits with code 5."""
+    them beyond roundoff (``homodyne.numeric_fringe_coefficients``), or a
+    pointwise fringe record, or the total output intensity, did
+    (``coherence.fringe_scan``). The CLI exits with code 5."""
 
 
 class DimensionLimitError(MzBellError, ValueError):

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import fock
-from .coherence import DEGENERACY_FLOOR, CoherenceMoments, g1, g2
+from .coherence import (DEGENERACY_FLOOR, ROUTE_RESIDUAL_TOL,
+                        CoherenceMoments, g1, g2)
 from .errors import (DegenerateDenominatorError, DegenerateStateError,
                      RouteResidualError)
 from .fock import QuantumState
@@ -47,9 +48,6 @@ _TWO_PI = 2.0 * math.pi
 #: Angle pair (rad) evaluated pointwise to check numeric fringe
 #: coefficients: neither an anchor nor a point of any 2 pi k/grid grid.
 HELD_OUT_ANGLES = (1.0, 2.0)
-#: Largest residual of E (absolute) and of <S1 S2> (relative) between a
-#: pointwise route evaluation and the four-anchor trig form.
-ROUTE_RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)

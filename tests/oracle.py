@@ -154,9 +154,11 @@ def validate_trig_form(moments, lo1, lo2, coeffs, samples: int = 16):
 def assert_scan_matches_per_phase(state: QuantumState, phases,
                                   mode_i: int = 0, mode_j: int = 1):
     """Require the planned phase scan to equal, bit for bit, the
-    beamsplitter applied phase by phase, each planning its own sectors:
-    the output stacks on the padded state and, on a two-mode state, the
-    fringe records."""
+    beamsplitter applied phase by phase, each planning its own sectors, on
+    the output stacks of the padded state. On a two-mode state, require
+    the fringe records filled by ``fringe_scan`` to match the pointwise
+    ones to 1e-12 times the total intensity (its square for the
+    coincidence)."""
     phases = [float(phi) for phi in phases]
     padded = fock.pad_for_beamsplitter(state, mode_i, mode_j)
     want = [apply_beamsplitter(apply_phase(padded, mode_i, phi), mode_i,
@@ -171,7 +173,11 @@ def assert_scan_matches_per_phase(state: QuantumState, phases,
     records = [[phi, *(value.real for value in expectations(
         ref, [[(1, 1), (0, 0)], [(0, 0), (1, 1)], [(1, 1), (1, 1)]]))]
         for phi, ref in zip(phases, want)]
-    scanned = [[r.phase, r.intensity_c, r.intensity_d, r.coincidence]
-               for r in fringe_scan(state, phases)]
-    assert np.array_equal(np.reshape(scanned, (-1, 4)),
-                          np.reshape(records, (-1, 4)))
+    scanned = np.reshape([[r.phase, r.intensity_c, r.intensity_d,
+                           r.coincidence] for r in fringe_scan(state, phases)],
+                         (-1, 4))
+    records = np.reshape(records, (-1, 4))
+    assert np.array_equal(scanned[:, 0], records[:, 0])
+    total = np.max(records[:, 1] + records[:, 2], initial=0.0)
+    tol = 1e-12 * np.array([total, total, total * total])
+    assert np.all(np.abs(scanned[:, 1:] - records[:, 1:]) <= tol)

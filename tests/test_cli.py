@@ -237,6 +237,16 @@ class TestFringe:
         report = parse_report(out)
         assert float(report["visibility_fit"]) < 1e-12
 
+    @pytest.mark.parametrize("phases", ["2", "1", "0", "-2"])
+    def test_too_few_phases_exit_before_output(self, capsys, phases):
+        code, out, err = run_cli(capsys, "fringe", "--state",
+                                 "split_single_photon", "--phases", phases)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: ValueError: --phases must be an integer of "
+                       "at least 3 (the visibility fit needs three), got "
+                       f"{phases}\n")
+
     def test_out_file_splits_streams(self, capsys, tmp_path):
         target = tmp_path / "fringe.csv"
         code, out, _ = run_cli(capsys, "fringe", "--state",

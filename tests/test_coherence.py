@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from mzbell import (CoherenceMoments, DegenerateStateError, ModeSystem,
-                    StateSpec, analytic_visibility, apply_phase, basis_state,
-                    build_state, coherent_state, compute_moments, fringe_scan,
-                    g1, g2, incoherent_anticorrelated, make_mixed, make_pure,
+                    QuantumState, RouteResidualError, StateSpec,
+                    analytic_visibility, apply_beamsplitter, apply_phase,
+                    basis_state, build_state, cli, coherent_state,
+                    compute_moments, fock, fringe_scan, g1, g2,
+                    incoherent_anticorrelated, make_mixed, make_pure,
                     split_input, split_single_photon, thermal_state,
                     titulaer_glauber_margin, visibility)
 
@@ -137,6 +139,48 @@ class TestFringeScan:
     def test_planned_scan_matches_per_phase_path(self, family, params):
         state = build_state(StateSpec(family, params))
         assert_scan_matches_per_phase(state, PHASES_64[::4] + [0.3, -2.0, 9.5])
+
+    def test_vacuum_is_degenerate_not_a_residual(self, capsys):
+        vacuum = basis_state(ModeSystem((1, 1)), (0, 0))
+        records = fringe_scan(vacuum, PHASES_64)
+        assert all(r.intensity_c == r.intensity_d == r.coincidence == 0.0
+                   for r in records)
+        with pytest.raises(DegenerateStateError):
+            visibility(records)
+        assert cli.main(["fringe", "--state", "split_number n=0"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: DegenerateStateError")
+
+
+def _tripled_phase(state, mode_i, mode_j, phases):
+    """A route whose output carries the third harmonic of the phase."""
+    return (apply_beamsplitter(apply_phase(state, mode_i, 3.0 * phi),
+                               mode_i, mode_j) for phi in phases)
+
+
+def _phase_dependent_norm(state, mode_i, mode_j, phases):
+    """A route whose total output intensity moves with the phase."""
+    for phi in phases:
+        out = apply_beamsplitter(apply_phase(state, mode_i, phi), mode_i,
+                                 mode_j)
+        yield QuantumState(out.system, validate=False,
+                           amps=out.amps * (1.0 + 1e-9 * math.cos(phi)))
+
+
+class TestFringeRouteResidual:
+    @pytest.mark.parametrize("route, message", [
+        (_tripled_phase, "held-out phase"),
+        (_phase_dependent_norm, "total intensity varies")])
+    def test_phase_dependent_route_is_refused(self, monkeypatch, capsys,
+                                              route, message):
+        monkeypatch.setattr(fock, "beamsplitter_after_phases", route)
+        with pytest.raises(RouteResidualError, match=message):
+            fringe_scan(split_single_photon(), PHASES_64)
+        assert cli.main(["fringe", "--state", "split_single_photon",
+                         "--phases", "16"]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: RouteResidualError")
 
 
 def _partially_coherent_state(w):

@@ -52,3 +52,23 @@ def test_record_then_diff(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "probe/5: fringe --state split_single_photon --phases 3: "
         "stdout differ", "2 ops, 1 differ"]
+
+    # a numeric change is reported with its size, absolute and relative
+    ops["probe/5"]["stdout"] = ops["probe/5"]["stdout"].replace(
+        "visibility_fit = 1\n", "visibility_fit = 0.9999999999995\n")
+    new.write_text(json.dumps({"src": "changed", "ops": ops}))
+    assert compare_outputs.main(["diff", str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "probe/5: fringe --state split_single_photon --phases 3: "
+        "stdout differ; largest numeric difference 5e-13 on a value of 1 "
+        "(relative 5e-13)", "2 ops, 1 differ"]
+
+
+def test_largest_difference_pairs_fields_by_place():
+    old = "phase,intensity_c\n0,9950\n1,-2e-17\nb_max = 2.5\nflag = true\n"
+    new = "phase,intensity_c\n0,9950.00000000001\n1,3e-17\nb_max = 2.5\n"
+    gap, size = compare_outputs.largest_difference(old, new)
+    assert size == 9950.00000000001
+    assert gap == 9950.00000000001 - 9950
+    assert compare_outputs.largest_difference(old, old) is None
+    assert compare_outputs.largest_difference("x = true", "x = false") is None

@@ -11,7 +11,7 @@ from mzbell import (DegenerateStateError, FringeCoefficients, LocalOscillator,
                     ModeSystem, QuantumState, StateSpec, apply_beamsplitter,
                     apply_phase, build_state, chsh_value, compute_moments,
                     expect_normal_ordered, expectations, fock,
-                    fringe_coefficients_at, local_realism_verdict,
+                    fringe_coefficients_at, fringe_scan, local_realism_verdict,
                     maximize_chsh, modulation_depth_numeric,
                     numeric_fringe_coefficients, purity)
 from mzbell.homodyne import fringe_e
@@ -289,6 +289,24 @@ def catalog_specs(draw):
     else:
         params = {}
     return StateSpec(family, params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=catalog_specs(),
+       phases=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4))
+def test_fringe_fill_matches_pointwise_path(spec, phases):
+    state = build_state(spec)
+    records = fringe_scan(state, phases)
+    padded = pad_for_beamsplitter(state, 0, 1)
+    for phi, record in zip(phases, records):
+        out = apply_beamsplitter(apply_phase(padded, 0, phi), 0, 1)
+        ic, id_, cc = (value.real for value in expectations(
+            out, [[(1, 1), (0, 0)], [(0, 0), (1, 1)], [(1, 1), (1, 1)]]))
+        scale = ic + id_
+        assert record.phase == phi
+        assert abs(record.intensity_c - ic) <= 1e-12 * scale
+        assert abs(record.intensity_d - id_) <= 1e-12 * scale
+        assert abs(record.coincidence - cc) <= 1e-12 * scale * scale
 
 
 @settings(max_examples=80, deadline=None)

@@ -7,7 +7,9 @@ benchmark workload at seed 7 (drawn by ``bench/workloads.py``, which is
 only read) and on a fixed list of heavier probes. It writes each op's
 argv, exit code, stdout and stderr to a JSON file. ``diff`` lists the ops
 whose exit code, stdout or stderr differ between two such files and exits
-1 if there are any.
+1 if there are any. For each, it prints the largest absolute difference
+between numeric stdout fields at the same place (CSV cells and report
+values), with the size of that field and the difference relative to it.
 
     python3 tools/compare_outputs.py record --src OLD/src --out old.json
     python3 tools/compare_outputs.py record --src src --out new.json
@@ -24,7 +26,9 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -104,6 +108,29 @@ def record(src: Path, path: Path) -> int:
     return 0
 
 
+#: Separators of the fields of an output line: CSV commas and " = ".
+FIELD_SEPARATOR = re.compile(r",| = ")
+
+
+def largest_difference(old: str, new: str) -> tuple[float, float] | None:
+    """The largest absolute difference between two numeric fields at the
+    same line and position of two outputs, and the larger magnitude of
+    the two; None when no numeric field differs."""
+    best = None
+    for line_a, line_b in zip(old.splitlines(), new.splitlines()):
+        for x, y in zip(FIELD_SEPARATOR.split(line_a),
+                        FIELD_SEPARATOR.split(line_b)):
+            try:
+                a, b = float(x), float(y)
+            except ValueError:
+                continue
+            gap = abs(a - b)
+            if a != b and math.isfinite(gap) and (best is None
+                                                  or gap > best[0]):
+                best = (gap, max(abs(a), abs(b)))
+    return best
+
+
 def diff(old: Path, new: Path) -> int:
     a = json.loads(old.read_text(encoding="utf-8"))["ops"]
     b = json.loads(new.read_text(encoding="utf-8"))["ops"]
@@ -116,8 +143,13 @@ def diff(old: Path, new: Path) -> int:
         fields = [f for f in ("argv", "code", "stdout", "stderr")
                   if a[label][f] != b[label][f]]
         if fields:
+            size = largest_difference(a[label]["stdout"], b[label]["stdout"])
             print(f"{label}: {' '.join(a[label]['argv'])}: "
-                  f"{', '.join(fields)} differ")
+                  f"{', '.join(fields)} differ" + (
+                      "" if size is None else
+                      f"; largest numeric difference {size[0]:.3g} on a "
+                      f"value of {size[1]:.6g} (relative "
+                      f"{size[0] / size[1]:.3g})"))
             differ += 1
     print(f"{len(a.keys() | b.keys())} ops, {differ} differ")
     return 1 if differ else 0
