@@ -9,8 +9,7 @@ from .coherence import (CoherenceMoments, FringeRecord, analytic_visibility,
                         compute_moments, fringe_scan, g1, g2,
                         titulaer_glauber_margin, visibility)
 from .errors import (DegenerateDenominatorError, DegenerateStateError,
-                     DimensionLimitError, MzBellError, RouteResidualError,
-                     TruncationLeakageError)
+                     DimensionLimitError, MzBellError, RouteResidualError)
 from .fock import (ModeSystem, QuantumState, apply_beamsplitter, apply_phase,
                    basis_state, coherent_state, expect_normal_ordered,
                    expectations, make_mixed, make_pure, number_state,
@@ -42,5 +41,5 @@ __all__ = [
     "StateSpec", "build_state", "split_single_photon", "split_input",
     "incoherent_anticorrelated", "noisy_split_photon", "mixed_ensemble",
     "MzBellError", "DegenerateStateError", "DegenerateDenominatorError",
-    "TruncationLeakageError", "DimensionLimitError", "RouteResidualError",
+    "DimensionLimitError", "RouteResidualError",
 ]

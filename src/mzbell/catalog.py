@@ -60,8 +60,8 @@ def split_input(input_state: QuantumState) -> QuantumState:
     """Send a single-mode state through the splitting beamsplitter: adjoin
     a vacuum mode of equal cutoff and apply the 50:50 transform.
 
-    The equal cutoff guarantees every occupied photon-number block fits,
-    so the transform is leakage-free.
+    The equal cutoff already holds every occupied photon-number sector,
+    so the beamsplitter needs no padding.
     """
     if input_state.system.mode_count != 1:
         raise ValueError("split_input expects a single-mode state")

@@ -12,11 +12,12 @@ thresholds  the minimal requirements for any Bell violation
 Reports are stable ``key = value`` lines; CSV fields carry 15 significant
 digits. Output is byte-identical for identical inputs. Exit codes:
 0 success, 2 input/parse error or out of memory, 3 degenerate state,
-4 truncation leakage, 5 a numeric route that is not phase-covariant
+5 a numeric route that is not phase-covariant
 (``bell-scan`` fills E_numeric from four route evaluations and checks a
 fifth, see ``homodyne.numeric_fringe_coefficients``; ``fringe`` fills its
 rows from five route evaluations and checks a sixth, see
-``coherence.fringe_scan``).
+``coherence.fringe_scan``). Code 4, once truncation leakage, is retired:
+the beamsplitter pads its modes until it is exactly unitary.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Sequence
 from . import catalog, coherence, fock, homodyne
 from .catalog import StateSpec
 from .errors import (DegenerateDenominatorError, DegenerateStateError,
-                     RouteResidualError, TruncationLeakageError)
+                     RouteResidualError)
 
 SWEEP_CSV_HEADER = ("state_id,g1,g2,c1,c2,thw_sum,b_max,"
                     "violates_bell,violates_classical")
@@ -378,9 +379,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DegenerateStateError, DegenerateDenominatorError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except TruncationLeakageError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
     except RouteResidualError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5

@@ -161,15 +161,14 @@ def fringe_scan(state: QuantumState,
     tolerance on all six evaluations; otherwise :class:`RouteResidualError`
     is raised. A scan costs six evaluations at any number of phases.
 
-    The state is padded beforehand so the recombiner acts without leakage
-    (exactly unitary), and its sector plan is made once per scan.
+    The recombiner pads the state to its largest occupied sector, so it
+    is exactly unitary, and makes its sector plan once per scan.
     """
     if state.system.mode_count != 2:
         raise ValueError("fringe_scan expects a two-mode state")
-    padded = fock.pad_for_beamsplitter(state, 0, 1)
     evaluated = np.array([_count_moments(out) for out in
                           fock.beamsplitter_after_phases(
-                              padded, 0, 1,
+                              state, 0, 1,
                               FRINGE_ANCHORS + (HELD_OUT_PHASE,))])
     anchors, held_out = evaluated[:-1], evaluated[-1]
     totals = evaluated[:, 0] + evaluated[:, 1]

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps them to exit codes: 2 for ``DimensionLimitError`` (and any
-input error), 3 for the two degeneracy errors, 4 for
-``TruncationLeakageError`` and 5 for ``RouteResidualError``.
+input error), 3 for the two degeneracy errors and 5 for
+``RouteResidualError``. Code 4, once truncation leakage, is retired: the
+beamsplitter pads its modes until it is exactly unitary.
 """
 
 
@@ -18,17 +19,6 @@ class DegenerateStateError(MzBellError, ValueError):
 class DegenerateDenominatorError(MzBellError, ValueError):
     """The sum-correlation denominator of the modulation depth vanished:
     there is no signal, which is distinct from zero correlation."""
-
-
-class TruncationLeakageError(MzBellError, RuntimeError):
-    """A transform pushed probability above the retained Fock cutoffs."""
-
-    def __init__(self, leakage: float, threshold: float):
-        super().__init__(
-            f"truncation leakage {leakage:.3e} exceeds threshold {threshold:.3e}"
-        )
-        self.leakage = leakage
-        self.threshold = threshold
 
 
 class RouteResidualError(MzBellError, RuntimeError):

@@ -21,15 +21,17 @@ Normal-ordered expectations are batched: ``expectations`` takes all terms
 a caller needs on one state and makes each lowering once per slice.
 
 Transforms return new states and never mutate or implicitly renormalize
-their inputs: a norm deficit after a transform is a bug (or measured
-truncation leakage), not something to hide.
+their inputs: a norm deficit after a transform is a bug, not something to
+hide.
 
 The 50:50 beamsplitter is kept as one cutoff-independent SU(2) block per
 total photon number of its mode pair (Campos, Saleh & Teich, PRA 40,
 1371 (1989)), built on first use and cached for the process. The cache
 is bounded by ``BLOCK_ENTRY_LIMIT`` entries per direction, checked before
 any block is built. A transform is planned (the sectors a state occupies,
-with their rows, columns and blocks) and then applied; a phase scan
+with their rows, columns and blocks) and then applied. The plan grows
+both cutoffs of the pair to the largest occupied sector, so every block
+acts whole and the transform is exactly unitary. A phase scan
 (``beamsplitter_after_phases``) makes its plan once, as a phase shift
 never adds support.
 """
@@ -42,12 +44,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionLimitError, TruncationLeakageError
+from .errors import DimensionLimitError
 
 DEFAULT_TAIL_EPS = 1e-12
 #: Most complex amplitudes (rank x dim) one state may store: 32 MiB.
 AMPLITUDE_LIMIT = 1 << 21
-DEFAULT_LEAK_TOL = 1e-9
 NORM_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
 
@@ -101,21 +102,17 @@ class QuantumState:
         Read-only ``(rank, dim)`` stack with rho = amps.T @ amps.conj().
     renormalized : bool
         True when construction had to rescale by more than ``NORM_TOL``.
-    leakage : float
-        Probability lost to truncation by the transform that produced this
-        state (0.0 for freshly constructed states).
     """
 
-    __slots__ = ("system", "amps", "renormalized", "leakage")
+    __slots__ = ("system", "amps", "renormalized")
 
     def __init__(self, system: ModeSystem, *, vector=None, amps=None,
-                 rho=None, renormalized: bool = False, leakage: float = 0.0,
+                 rho=None, renormalized: bool = False,
                  validate: bool = True):
         if sum(x is not None for x in (vector, amps, rho)) != 1:
             raise ValueError("exactly one of vector/amps/rho must be given")
         self.system = system
         self.renormalized = bool(renormalized)
-        self.leakage = float(leakage)
         if vector is not None:
             vector = np.asarray(vector, dtype=np.complex128)
             if vector.shape != (system.dim,):
@@ -150,7 +147,7 @@ class QuantumState:
             if not np.all(np.isfinite(amps.view(np.float64))):
                 raise ValueError("amplitudes must be finite")
             norm2 = float(np.vdot(amps, amps).real)
-            if abs(norm2 - 1.0) > NORM_TOL + self.leakage:
+            if abs(norm2 - 1.0) > NORM_TOL:
                 raise ValueError(f"state norm^2 = {norm2!r}, expected 1")
 
     @property
@@ -352,7 +349,7 @@ def pad_cutoffs(state: QuantumState, cutoffs: Sequence[int]) -> QuantumState:
     out[(slice(None),) + tuple(slice(0, d) for d in state.system.dims)] = \
         state.tensorized()
     return QuantumState(system, amps=out.reshape(rank, system.dim),
-                        leakage=state.leakage, validate=False)
+                        validate=False)
 
 
 def _lower(stack: np.ndarray, powers: Sequence[int]) -> np.ndarray:
@@ -438,7 +435,7 @@ def apply_phase(state: QuantumState, mode: int, phi: float) -> QuantumState:
              for k in range(state.system.mode_count + 1)]
     t = state.tensorized() * phases.reshape(shape)
     return QuantumState(state.system, amps=t.reshape(len(state.amps), -1),
-                        leakage=state.leakage, validate=False)
+                        validate=False)
 
 
 #: Most entries the cached blocks U_0..U_N of one direction may hold,
@@ -495,12 +492,14 @@ def _bs_block(total: int, forward: bool) -> np.ndarray:
     return _BLOCKS[(total, forward)]
 
 
-def _plan(state: QuantumState, mode_i: int, mode_j: int,
-          forward: bool) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The sectors N = n_i + n_j of the beamsplitter on (mode_i, mode_j)
-    that carry support in the state, largest first, each as (rows, cols,
-    block): its basis indices as a column, the components nonzero on it,
-    and U_N cut to the cutoffs. Sectors without support build no block.
+def _plan(state: QuantumState, mode_i: int, mode_j: int, forward: bool
+          ) -> tuple[QuantumState, list[tuple[np.ndarray, np.ndarray,
+                                              np.ndarray]]]:
+    """The state, padded so every sector N = n_i + n_j of the beamsplitter
+    on (mode_i, mode_j) that carries support fits under both cutoffs, and
+    those sectors, largest first, each as (rows, cols, block): its basis
+    indices as a column, the components nonzero on it, and U_N. Sectors
+    without support build no block.
     """
     m = state.system.mode_count
     if mode_i == mode_j or not (0 <= mode_i < m and 0 <= mode_j < m):
@@ -516,52 +515,46 @@ def _plan(state: QuantumState, mode_i: int, mode_j: int,
     counts = np.bincount(totals)
     starts = np.cumsum(counts) - counts
     nonzero = mat != 0
-    occupied = np.logical_or.reduceat(
-        nonzero.any(axis=1)[index].any(axis=1), starts)
+    occupied = np.flatnonzero(np.logical_or.reduceat(
+        nonzero.any(axis=1)[index].any(axis=1), starts))[::-1].tolist()
+    if occupied and occupied[0] >= min(d_i, d_j):
+        cutoffs = list(state.system.cutoffs)
+        for mode in (mode_i, mode_j):
+            cutoffs[mode] = max(cutoffs[mode], occupied[0])
+        return _plan(pad_cutoffs(state, cutoffs), mode_i, mode_j, forward)
     # largest sector first: its block needs every smaller one, so the cache
     # bound in _bs_block is checked before any of them is built
     plan = []
-    for total in np.flatnonzero(occupied)[::-1].tolist():
-        lo, size = int(starts[total]), int(counts[total])
-        k_lo = max(0, total - (d_j - 1))
-        rows = index[lo:lo + size].ravel()
+    for total in occupied:
+        rows = index[starts[total]:starts[total] + counts[total]].ravel()
         cols = np.flatnonzero(nonzero[rows].any(axis=0))
-        block = _bs_block(total, forward)[k_lo:k_lo + size, k_lo:k_lo + size]
-        plan.append((rows[:, None], cols, block))
-    return plan
+        plan.append((rows[:, None], cols, _bs_block(total, forward)))
+    return state, plan
 
 
-def _apply(state: QuantumState, plan, leak_tol: float | None) -> QuantumState:
-    """Apply each planned sector's block to the state's rows, then measure
-    the probability pushed above the cutoffs and check it."""
+def _apply(state: QuantumState, plan) -> QuantumState:
+    """Apply each planned sector's block to the state's rows."""
     amps = np.zeros_like(state.amps)
     mat, out = state.amps.T, amps.T
     for rows, cols, block in plan:
         sub = mat[rows, cols].reshape(len(block), -1)
         out[rows, cols] = (block @ sub).reshape(rows.size, -1)
-    leakage = float(np.vdot(state.amps, state.amps).real
-                    - np.vdot(amps, amps).real)
-    if leak_tol is not None and leakage > leak_tol:
-        raise TruncationLeakageError(leakage, leak_tol)
-    return QuantumState(state.system, amps=amps, leakage=leakage,
-                        validate=False)
+    return QuantumState(state.system, amps=amps, validate=False)
 
 
 def apply_beamsplitter(state: QuantumState, mode_i: int, mode_j: int, *,
-                       inverse: bool = False,
-                       leak_tol: float | None = DEFAULT_LEAK_TOL) -> QuantumState:
+                       inverse: bool = False) -> QuantumState:
     """50:50 beamsplitter on two modes: mode_i -> (mode_i + i mode_j)/sqrt(2),
     mode_j -> (i mode_i + mode_j)/sqrt(2) (inverse flips the sign of i).
 
     Each sector N = n_i + n_j of every component goes through its SU(2)
-    block U_N. A sector that does not fit under the cutoffs gets the
-    retained rows and columns of U_N; the probability so pushed above the
-    cutoffs is measured, and above ``leak_tol`` a
-    :class:`TruncationLeakageError` is raised (``leak_tol=None`` only
-    records it as the returned state's ``leakage``). The output is never
-    renormalized.
+    block U_N. Both cutoffs of the pair are first grown to the largest
+    occupied N (the output's system shows them), so every block acts whole
+    and the transform is exactly unitary. A state that would pass
+    ``AMPLITUDE_LIMIT`` once padded, or a sector whose blocks would pass
+    ``BLOCK_ENTRY_LIMIT``, is refused before either is allocated.
     """
-    return _apply(state, _plan(state, mode_i, mode_j, not inverse), leak_tol)
+    return _apply(*_plan(state, mode_i, mode_j, not inverse))
 
 
 def beamsplitter_after_phases(state: QuantumState, mode_i: int, mode_j: int,
@@ -572,41 +565,12 @@ def beamsplitter_after_phases(state: QuantumState, mode_i: int, mode_j: int,
     A phase shift multiplies each amplitude by a unit-modulus factor, so
     every shifted copy has the support of ``state`` (only an amplitude a
     few subnormal steps from zero, about 1e-323, can round away), and the
-    plan made for it serves them all. It is made by this call, so a sector
-    past the block cache bound is refused before any phase is applied.
+    plan made for it, with its padding, serves them all. It is made by
+    this call, so a sector past the block cache bound is refused before
+    any phase is applied.
     """
-    plan = _plan(state, mode_i, mode_j, True)
-    return (_apply(apply_phase(state, mode_i, phi), plan, DEFAULT_LEAK_TOL)
-            for phi in phases)
-
-
-def max_joint_occupation(state: QuantumState, mode_i: int, mode_j: int) -> int:
-    """Largest n_i + n_j carrying any nonzero amplitude (support scan,
-    with the test the beamsplitter plan uses)."""
-    m = state.system.mode_count
-    axes = (0,) + tuple(k + 1 for k in range(m) if k not in (mode_i, mode_j))
-    nz = np.argwhere((state.tensorized() != 0).any(axis=axes))
-    if nz.size == 0:
-        return 0
-    return int((nz[:, 0] + nz[:, 1]).max())
-
-
-def pad_for_beamsplitter(state: QuantumState, mode_i: int,
-                         mode_j: int) -> QuantumState:
-    """Pad the two modes so a 50:50 beamsplitter acts without leakage.
-
-    Each total-photon-number block N needs both cutoffs >= N; padding to
-    the largest occupied N makes the transform exactly unitary. A sector
-    whose blocks would pass the cache bound is refused here, before the
-    padded state is transformed.
-    """
-    n_max = max_joint_occupation(state, mode_i, mode_j)
-    cutoffs = list(state.system.cutoffs)
-    cutoffs[mode_i] = max(cutoffs[mode_i], n_max)
-    cutoffs[mode_j] = max(cutoffs[mode_j], n_max)
-    padded = pad_cutoffs(state, cutoffs)
-    _check_blocks(n_max)
-    return padded
+    state, plan = _plan(state, mode_i, mode_j, True)
+    return (_apply(apply_phase(state, mode_i, phi), plan) for phi in phases)
 
 
 def purity(state: QuantumState) -> float:

@@ -134,12 +134,11 @@ def _dd_ss_unitary(four: QuantumState) -> tuple[float, float]:
     """<D1 D2>, <S1 S2> after physically applying the two beamsplitters.
 
     Modes are (a1, a2, b1, b2); detectors c_k/d_k land on the a_k/b_k
-    slots. Pads each pair first so the transforms are exactly unitary.
-    The four number pairs go to one batched call, which lowers each once.
+    slots. Each beamsplitter pads its pair before it acts, so the
+    transforms are exactly unitary. The four number pairs go to one
+    batched call, which lowers each once.
     """
-    s = fock.pad_for_beamsplitter(four, 0, 2)
-    s = fock.pad_for_beamsplitter(s, 1, 3)
-    s = fock.apply_beamsplitter(s, 0, 2)
+    s = fock.apply_beamsplitter(four, 0, 2)
     s = fock.apply_beamsplitter(s, 1, 3)
     num, none = (1, 1), (0, 0)
     n01, n03, n21, n23 = (value.real for value in fock.expectations(s, [

@@ -23,7 +23,10 @@ def test_ops_cover_three_rounds_of_every_workload_and_the_probes(
                 if label.startswith(workload + "/")} == {"0", "1", "2"}
     probes = [argv for label, argv, _ in ops if label.startswith("probe/")]
     assert len(probes) == len(compare_outputs.PROBES)
-    assert all(argv[0] == "fringe" for argv in probes)
+    # fringe scans, then bell-scans on the unitary route (two beamsplitters)
+    assert [argv[0] for argv in probes] == ["fringe"] * 7 + ["bell-scan"] * 2
+    assert all(argv[argv.index("--route") + 1] == "unitary"
+               for argv in probes[7:])
 
 
 def test_record_then_diff(tmp_path, monkeypatch, capsys):

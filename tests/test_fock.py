@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from mzbell import (DimensionLimitError, ModeSystem, QuantumState,
-                    TruncationLeakageError, apply_beamsplitter, apply_phase,
-                    basis_state, coherent_state, coherence,
-                    expect_normal_ordered, expectations, fock, homodyne,
-                    make_mixed, make_pure, number_state, pad_cutoffs, purity,
-                    tensor, thermal_state, vacuum_state)
-from mzbell.fock import max_joint_occupation, pad_for_beamsplitter
+                    apply_beamsplitter, apply_phase, basis_state,
+                    coherent_state, coherence, expect_normal_ordered,
+                    expectations, fock, homodyne, make_mixed, make_pure,
+                    number_state, pad_cutoffs, purity, tensor, thermal_state,
+                    vacuum_state)
 
 from oracle import (annihilation_matrix, brute_expect, bs_unitary_spectral,
                     random_density, random_pure, random_state)
@@ -291,7 +290,7 @@ class TestBatchedExpectations:
         state = self.stack_state(rng, (1, 2), 2)
         four = tensor(tensor(state, coherent_state(0.3)), coherent_state(0.4))
         # one slice, also after the unitary route pads its two pairs
-        padded = pad_for_beamsplitter(pad_for_beamsplitter(four, 0, 2), 1, 3)
+        padded = apply_beamsplitter(apply_beamsplitter(four, 0, 2), 1, 3)
         assert padded.amps.size <= 1 << 15
         assert lowerings(lambda: coherence.compute_moments(state)) == (3, 3)
         assert lowerings(
@@ -338,7 +337,7 @@ class TestBeamsplitter:
     def test_vacuum_untouched(self):
         out = apply_beamsplitter(vacuum_state(TWO_MODE), 0, 1)
         assert abs(out.vector[0] - 1.0) < 1e-14
-        assert out.leakage < 1e-14
+        assert out.system == TWO_MODE
 
     def test_coherent_split_closed_form(self):
         alpha = 0.4
@@ -367,12 +366,11 @@ class TestBeamsplitter:
         rng = np.random.default_rng(11)
         for _ in range(5):
             state = random_state(rng, (2, 3, 2))
-            padded = state
-            # pad so no leakage, then forward followed by inverse
-            from mzbell.fock import pad_for_beamsplitter
-            padded = pad_for_beamsplitter(state, 0, 2)
-            there = apply_beamsplitter(padded, 0, 2)
+            # the forward transform pads the pair; the inverse needs no more
+            there = apply_beamsplitter(state, 0, 2)
             back = apply_beamsplitter(there, 0, 2, inverse=True)
+            padded = pad_cutoffs(state, there.system.cutoffs)
+            assert back.system == there.system
             if padded.is_pure:
                 np.testing.assert_allclose(back.vector, padded.vector,
                                            atol=1e-10)
@@ -381,9 +379,8 @@ class TestBeamsplitter:
 
     def test_photon_number_conserved(self):
         rng = np.random.default_rng(12)
-        from mzbell.fock import pad_for_beamsplitter
         for _ in range(5):
-            state = pad_for_beamsplitter(random_state(rng, (2, 2)), 0, 1)
+            state = random_state(rng, (2, 2))
             out = apply_beamsplitter(state, 0, 1)
             n_in = expect_normal_ordered(state, [(1, 1), (0, 0)]).real \
                 + expect_normal_ordered(state, [(0, 0), (1, 1)]).real
@@ -391,12 +388,16 @@ class TestBeamsplitter:
                 + expect_normal_ordered(out, [(0, 0), (1, 1)]).real
             assert abs(n_in - n_out) < 1e-10
 
-    def test_leakage_detected(self):
+    def test_sector_above_cutoffs_is_padded(self):
+        # |11> maps entirely onto |20> and |02>, above cutoff 1: the
+        # transform grows both cutoffs to 2 and keeps the norm
         state = basis_state(TWO_MODE, (1, 1))
-        with pytest.raises(TruncationLeakageError):
-            apply_beamsplitter(state, 0, 1)
-        out = apply_beamsplitter(state, 0, 1, leak_tol=None)
-        assert abs(out.leakage - 1.0) < 1e-12  # |11> maps entirely above cutoff 1
+        out = apply_beamsplitter(state, 0, 1)
+        assert out.system.cutoffs == (2, 2)
+        assert abs(np.vdot(out.vector, out.vector).real - 1.0) < 1e-14
+        want = (bs_unitary_spectral(out.system.dims, 0, 1)
+                @ pad_cutoffs(state, out.system.cutoffs).vector)
+        np.testing.assert_allclose(out.vector, want, atol=1e-12)
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 4), (5, 3)])
     def test_matches_spectral_oracle_on_complete_blocks(self, dims):
@@ -424,9 +425,8 @@ class TestBeamsplitter:
     def test_mixed_matches_pure_conjugation(self):
         rng = np.random.default_rng(14)
         state = random_density(rng, (2, 2), rank=2)
-        from mzbell.fock import pad_for_beamsplitter
-        padded = pad_for_beamsplitter(state, 0, 1)
-        out = apply_beamsplitter(padded, 0, 1)
+        out = apply_beamsplitter(state, 0, 1)
+        padded = pad_cutoffs(state, out.system.cutoffs)
         u = bs_unitary_spectral(padded.system.dims, 0, 1)
         # all occupied blocks fit after padding, so the oracle applies
         want = u @ padded.rho @ u.conj().T
@@ -442,31 +442,25 @@ class TestBeamsplitter:
     ])
     def test_truncation_matches_padded_oracle(self, mixed, cutoffs, modes,
                                               inverse):
-        # pad until every block fits, transform with the spectral oracle,
-        # then keep only the original cutoffs: that is the truncated map
+        # the transform pads the truncated state until every block fits;
+        # the spectral oracle on that padded state is the exact map
         rng = np.random.default_rng(17)
         state = (random_density(rng, cutoffs, rank=3) if mixed
                  else random_pure(rng, cutoffs))
-        padded = pad_for_beamsplitter(state, *modes)
+        out = apply_beamsplitter(state, *modes, inverse=inverse)
+        padded = pad_cutoffs(state, out.system.cutoffs)
         u = bs_unitary_spectral(padded.system.dims, *modes, inverse=inverse)
-        keep = tuple(slice(0, c + 1) for c in cutoffs)
-        out = apply_beamsplitter(state, *modes, inverse=inverse,
-                                 leak_tol=None)
         if mixed:
-            full = u @ padded.rho @ u.conj().T
-            want = full.reshape(padded.system.dims * 2)[keep * 2]
-            want = want.reshape(state.dim, state.dim)
+            want = u @ padded.rho @ u.conj().T
             np.testing.assert_allclose(out.rho, want, atol=1e-12)
-            retained = np.trace(want).real
         else:
-            want = (u @ padded.vector).reshape(padded.system.dims)[keep]
-            want = want.reshape(-1)
+            want = u @ padded.vector
             np.testing.assert_allclose(out.vector, want, atol=1e-12)
-            retained = np.vdot(want, want).real
-        assert out.leakage > 1e-3   # some blocks really are truncated
-        assert abs(out.leakage - (1.0 - retained)) < 1e-12
-        with pytest.raises(TruncationLeakageError):
-            apply_beamsplitter(state, *modes, inverse=inverse)
+        # the original cutoffs would have cut some blocks; none is lost
+        keep = tuple(slice(0, c + 1) for c in cutoffs)
+        probs = np.sum(np.abs(out.tensorized()) ** 2, axis=0)
+        assert 1.0 - probs[keep].sum() > 1e-3
+        assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_empty_sectors_build_no_block(self, monkeypatch):
         import mzbell.fock as fock
@@ -489,6 +483,24 @@ class TestBeamsplitter:
         assert requested == {3}
         assert abs(purity(out) - 0.5) < 1e-12
 
+    def test_support_scanned_once_when_the_cutoffs_fit(self, monkeypatch):
+        # the plan's own scan decides the padding; only a padded state is
+        # scanned again
+        plans = []
+        plan = fock._plan
+
+        def counting(state, *args):
+            plans.append(state.system.cutoffs)
+            return plan(state, *args)
+        monkeypatch.setattr(fock, "_plan", counting)
+        catalog_state = fock.tensor(coherent_state(0.8), vacuum_state(
+            ModeSystem((coherent_state(0.8).system.cutoffs[0],))))
+        apply_beamsplitter(catalog_state, 0, 1)
+        assert plans == [catalog_state.system.cutoffs]
+        plans.clear()
+        apply_beamsplitter(basis_state(TWO_MODE, (1, 1)), 0, 1)
+        assert plans == [(1, 1), (2, 2)]
+
     def test_block_cache_bound_checked_before_building(self):
         # U_0..U_463 hold 33406840 entries, U_0..U_464 33623065 > 2^25
         fock._check_blocks(463)
@@ -500,7 +512,7 @@ class TestBeamsplitter:
         state = QuantumState(ModeSystem((470, 0)),
                              vector=np.full(471, 1 / math.sqrt(471)))
         with pytest.raises(DimensionLimitError, match="up to 470 photons"):
-            apply_beamsplitter(state, 0, 1, leak_tol=None)
+            apply_beamsplitter(state, 0, 1)
         assert set(fock._BLOCKS) == cached
 
     def test_phase_scan_refused_at_plan_time(self, monkeypatch):
@@ -523,6 +535,8 @@ class TestBeamsplitter:
             apply_beamsplitter(state, 0, 0)
         with pytest.raises(ValueError):
             apply_beamsplitter(state, 0, 5)
+        with pytest.raises(ValueError):
+            fock.beamsplitter_after_phases(state, 0, 0, [0.0])
 
 
 class TestSupportAndPadding:
@@ -543,24 +557,29 @@ class TestSupportAndPadding:
             pad_cutoffs(state, (52428,))
 
     def test_max_joint_occupation(self):
-        state = basis_state(ModeSystem((3, 3)), (2, 1))
-        assert max_joint_occupation(state, 0, 1) == 3
+        # the beamsplitter grows each cutoff of its pair to the largest
+        # occupied n_i + n_j, and leaves a larger cutoff as it is
+        def cutoffs_after(state, mode_i=0, mode_j=1):
+            return apply_beamsplitter(state, mode_i, mode_j).system.cutoffs
+
+        state = basis_state(ModeSystem((2, 2)), (2, 1))
+        assert cutoffs_after(state) == (3, 3)
         mixed = make_mixed([(0.5, state),
-                            (0.5, basis_state(ModeSystem((3, 3)), (0, 1)))])
-        assert max_joint_occupation(mixed, 0, 1) == 3
-        assert max_joint_occupation(vacuum_state(TWO_MODE), 0, 1) == 0
+                            (0.5, basis_state(ModeSystem((2, 2)), (0, 1)))])
+        assert cutoffs_after(mixed) == (3, 3)
+        assert cutoffs_after(basis_state(ModeSystem((5, 1)), (2, 1))) == (5, 3)
+        assert cutoffs_after(vacuum_state(TWO_MODE)) == (1, 1)
 
     def test_support_scan_sees_tiny_amplitudes(self):
         # |1e-170|^2 underflows to 0, but the amplitude is support all the
-        # same: the scan and the beamsplitter plan use one test, != 0
+        # same: the beamsplitter plan tests != 0 and pads for it
         vec = np.zeros(9, dtype=complex)
         vec[0], vec[8] = 1.0, 1e-170        # |0, 0> and |2, 2>
         state = QuantumState(ModeSystem((2, 2)), vector=vec)
-        assert max_joint_occupation(state, 0, 1) == 4
-        assert pad_for_beamsplitter(state, 0, 1).system.cutoffs == (4, 4)
+        assert apply_beamsplitter(state, 0, 1).system.cutoffs == (4, 4)
         three = tensor(state, vacuum_state(ModeSystem((0,))))
-        assert max_joint_occupation(three, 0, 1) == 4
-        assert max_joint_occupation(three, 1, 2) == 2
+        assert apply_beamsplitter(three, 0, 1).system.cutoffs == (4, 4, 0)
+        assert apply_beamsplitter(three, 1, 2).system.cutoffs == (2, 2, 2)
 
     def test_eigen_components_reconstruct(self):
         # a density operator is factored once into its eigencomponents,

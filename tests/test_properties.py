@@ -13,9 +13,8 @@ from mzbell import (DegenerateStateError, FringeCoefficients, LocalOscillator,
                     expect_normal_ordered, expectations, fock,
                     fringe_coefficients_at, fringe_scan, local_realism_verdict,
                     maximize_chsh, modulation_depth_numeric,
-                    numeric_fringe_coefficients, purity)
+                    numeric_fringe_coefficients, pad_cutoffs, purity)
 from mzbell.homodyne import fringe_e
-from mzbell.fock import pad_for_beamsplitter
 
 from oracle import (assert_scan_matches_per_phase, bs_unitary_spectral,
                     normal_ordered_matrix, phase_matrix, random_density,
@@ -50,10 +49,10 @@ def states_and_pairs(draw):
 @given(case=states_and_pairs(), inverse=st.booleans())
 def test_forward_then_inverse_is_identity(case, inverse):
     state, mode_i, mode_j = case
-    padded = pad_for_beamsplitter(state, mode_i, mode_j)
-    there = apply_beamsplitter(padded, mode_i, mode_j, inverse=inverse)
+    there = apply_beamsplitter(state, mode_i, mode_j, inverse=inverse)
     back = apply_beamsplitter(there, mode_i, mode_j, inverse=not inverse)
-    assert abs(there.leakage) < 1e-12 and abs(back.leakage) < 1e-12
+    padded = pad_cutoffs(state, there.system.cutoffs)
+    assert back.system == there.system
     if padded.is_pure:
         np.testing.assert_allclose(back.vector, padded.vector, atol=1e-12)
     else:
@@ -62,14 +61,17 @@ def test_forward_then_inverse_is_identity(case, inverse):
 
 @settings(max_examples=60, deadline=None)
 @given(case=states_and_pairs(), inverse=st.booleans())
-def test_leakage_is_the_lost_probability(case, inverse):
+def test_padding_keeps_the_norm(case, inverse):
     state, mode_i, mode_j = case
-    out = apply_beamsplitter(state, mode_i, mode_j, inverse=inverse,
-                             leak_tol=None)
-    kept = (np.vdot(out.vector, out.vector).real if out.is_pure
-            else np.trace(out.rho).real)
-    assert out.leakage > -1e-12
-    assert abs(out.leakage - (1.0 - kept)) < 1e-12
+    out = apply_beamsplitter(state, mode_i, mode_j, inverse=inverse)
+    # the largest occupied sector n_i + n_j, read off the support
+    occupied = np.argwhere(state.tensorized() != 0)
+    n_max = (occupied[:, 1 + mode_i] + occupied[:, 1 + mode_j]).max()
+    want = list(state.system.cutoffs)
+    for mode in (mode_i, mode_j):
+        want[mode] = max(want[mode], n_max)
+    assert out.system.cutoffs == tuple(want)
+    assert abs(np.vdot(out.amps, out.amps).real - 1.0) < 1e-12
 
 
 @st.composite
@@ -131,10 +133,10 @@ def test_batched_expectations_match_dense_oracle(case, data):
 def test_ensemble_beamsplitter_matches_dense_oracle(case, inverse):
     state, rng = case
     mode_i, mode_j = rng.permutation(state.system.mode_count)[:2].tolist()
-    padded = pad_for_beamsplitter(state, mode_i, mode_j)
+    out = apply_beamsplitter(state, mode_i, mode_j, inverse=inverse)
+    padded = pad_cutoffs(state, out.system.cutoffs)
     u = bs_unitary_spectral(padded.system.dims, mode_i, mode_j,
                             inverse=inverse)
-    out = apply_beamsplitter(padded, mode_i, mode_j, inverse=inverse)
     np.testing.assert_allclose(out.rho, u @ padded.rho @ u.conj().T,
                                atol=1e-12)
 
@@ -297,9 +299,8 @@ def catalog_specs(draw):
 def test_fringe_fill_matches_pointwise_path(spec, phases):
     state = build_state(spec)
     records = fringe_scan(state, phases)
-    padded = pad_for_beamsplitter(state, 0, 1)
     for phi, record in zip(phases, records):
-        out = apply_beamsplitter(apply_phase(padded, 0, phi), 0, 1)
+        out = apply_beamsplitter(apply_phase(state, 0, phi), 0, 1)
         ic, id_, cc = (value.real for value in expectations(
             out, [[(1, 1), (0, 0)], [(0, 0), (1, 1)], [(1, 1), (1, 1)]]))
         scale = ic + id_

@@ -53,6 +53,10 @@ PROBES = (
     (["fringe", "--state", "split_single_photon", "--phases", "1"], None),
     (["fringe", "--state", "split_single_photon", "--phases", "3"], None),
     (["fringe", "--state", SPEC_FILE], json.dumps(BIG_SPEC)),
+    (["bell-scan", "--state", "split_thermal nbar=0.1", "--grid", "4",
+      "--route", "unitary"], None),
+    (["bell-scan", "--state", "noisy_split_photon w=0.5 alpha_re=0.7",
+      "--grid", "6", "--route", "unitary", "--beta", "0.3"], None),
 )
 
 
