@@ -159,7 +159,8 @@ def fringe_scan(state: QuantumState,
     fill to ``ROUTE_RESIDUAL_TOL`` times the total intensity (its square
     for the coincidence), and the total intensity must agree to that
     tolerance on all six evaluations; otherwise :class:`RouteResidualError`
-    is raised. A scan costs six evaluations at any number of phases.
+    is raised. A filled record within that tolerance of 0 is returned as
+    0. A scan costs six evaluations at any number of phases.
 
     The recombiner pads the state to its largest occupied sector, so it
     is exactly unitary, and makes its sector plan once per scan.
@@ -173,6 +174,7 @@ def fringe_scan(state: QuantumState,
     anchors, held_out = evaluated[:-1], evaluated[-1]
     totals = evaluated[:, 0] + evaluated[:, 1]
     scale = float(totals.max())
+    tol = ROUTE_RESIDUAL_TOL * np.array([scale, scale, scale * scale])
     if totals.max() - totals.min() > ROUTE_RESIDUAL_TOL * scale:
         raise RouteResidualError(
             "the fringe route's total intensity varies with the phase: "
@@ -181,15 +183,16 @@ def fringe_scan(state: QuantumState,
     weights = np.array([1.0, 2.0, 2.0, 2.0, 2.0])[:, None] / 5.0
     coeffs = weights * (_harmonics(FRINGE_ANCHORS).T @ anchors)
     residual = np.abs(_harmonics(HELD_OUT_PHASE) @ coeffs - held_out)
-    if np.any(residual > ROUTE_RESIDUAL_TOL
-              * np.array([scale, scale, scale * scale])):
+    if np.any(residual > tol):
         raise RouteResidualError(
             f"the fringe route at the held-out phase {HELD_OUT_PHASE} "
             "differs from its five-anchor fill by "
             f"{', '.join(f'{r:.3e}' for r in residual)} "
             "(intensity_c, intensity_d, coincidence)")
-    # + 0.0 turns a signed zero into 0, so no record prints -0
-    filled = _harmonics(phases) @ coeffs + 0.0
+    # a record within the tolerance of 0, such as a dark port, is 0 (not
+    # rounding noise, nor -0)
+    filled = _harmonics(phases) @ coeffs
+    filled[np.abs(filled) <= tol] = 0.0
     return [FringeRecord(phase=float(phi), intensity_c=float(ic),
                          intensity_d=float(id_), coincidence=float(cc))
             for phi, (ic, id_, cc) in zip(phases, filled)]
