@@ -16,8 +16,7 @@ digits. Output is byte-identical for identical inputs. Exit codes:
 (``bell-scan`` fills E_numeric from four route evaluations and checks a
 fifth, see ``homodyne.numeric_fringe_coefficients``; ``fringe`` fills its
 rows from five route evaluations and checks a sixth, see
-``coherence.fringe_scan``). Code 4, once truncation leakage, is retired:
-the beamsplitter pads its modes until it is exactly unitary.
+``coherence.fringe_scan``). Code 4 is retired and no longer produced.
 """
 
 from __future__ import annotations

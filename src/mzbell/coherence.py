@@ -175,7 +175,7 @@ def fringe_scan(state: QuantumState,
     totals = evaluated[:, 0] + evaluated[:, 1]
     scale = float(totals.max())
     tol = ROUTE_RESIDUAL_TOL * np.array([scale, scale, scale * scale])
-    if totals.max() - totals.min() > ROUTE_RESIDUAL_TOL * scale:
+    if totals.max() - totals.min() > tol[0]:
         raise RouteResidualError(
             "the fringe route's total intensity varies with the phase: "
             f"{totals.min()!r} to {totals.max()!r}")

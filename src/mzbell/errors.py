@@ -2,8 +2,7 @@
 
 The CLI maps them to exit codes: 2 for ``DimensionLimitError`` (and any
 input error), 3 for the two degeneracy errors and 5 for
-``RouteResidualError``. Code 4, once truncation leakage, is retired: the
-beamsplitter pads its modes until it is exactly unitary.
+``RouteResidualError``; 4 is retired.
 """
 
 

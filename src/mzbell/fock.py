@@ -492,9 +492,8 @@ def _bs_block(total: int, forward: bool) -> np.ndarray:
     return _BLOCKS[(total, forward)]
 
 
-def _plan(state: QuantumState, mode_i: int, mode_j: int, forward: bool
-          ) -> tuple[QuantumState, list[tuple[np.ndarray, np.ndarray,
-                                              np.ndarray]]]:
+def _plan(state: QuantumState, mode_i: int, mode_j: int,
+          forward: bool) -> tuple[QuantumState, list]:
     """The state, padded so every sector N = n_i + n_j of the beamsplitter
     on (mode_i, mode_j) that carries support fits under both cutoffs, and
     those sectors, largest first, each as (rows, cols, block): its basis

@@ -9,8 +9,8 @@ from mzbell import (DimensionLimitError, ModeSystem, QuantumState,
                     apply_beamsplitter, apply_phase, basis_state,
                     coherent_state, coherence, expect_normal_ordered,
                     expectations, fock, homodyne, make_mixed, make_pure,
-                    number_state, pad_cutoffs, purity, tensor, thermal_state,
-                    vacuum_state)
+                    number_state, pad_cutoffs, purity, split_input, tensor,
+                    thermal_state, vacuum_state)
 
 from oracle import (annihilation_matrix, brute_expect, bs_unitary_spectral,
                     random_density, random_pure, random_state)
@@ -493,10 +493,9 @@ class TestBeamsplitter:
             plans.append(state.system.cutoffs)
             return plan(state, *args)
         monkeypatch.setattr(fock, "_plan", counting)
-        catalog_state = fock.tensor(coherent_state(0.8), vacuum_state(
-            ModeSystem((coherent_state(0.8).system.cutoffs[0],))))
-        apply_beamsplitter(catalog_state, 0, 1)
-        assert plans == [catalog_state.system.cutoffs]
+        coherent = coherent_state(0.8)
+        split_input(coherent)
+        assert plans == [coherent.system.cutoffs * 2]
         plans.clear()
         apply_beamsplitter(basis_state(TWO_MODE, (1, 1)), 0, 1)
         assert plans == [(1, 1), (2, 2)]
