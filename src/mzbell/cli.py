@@ -17,11 +17,16 @@ digits. Output is byte-identical for identical inputs. Exit codes:
 fifth, see ``homodyne.numeric_fringe_coefficients``; ``fringe`` fills its
 rows from five route evaluations and checks a sixth, see
 ``coherence.fringe_scan``). Code 4 is retired and no longer produced.
+
+``main`` builds its parser once per process, which only callers that run
+many commands in one process notice: a one-shot ``mzbell`` spends far
+longer on its imports.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import shlex
@@ -260,7 +265,7 @@ def _sweep_values(spec_text: str) -> tuple[str, list[float]]:
 def cmd_sweep(args) -> int:
     _note_ignored_grid(args)
     spec = resolve_state_arg(args.state)
-    sweeps = [_sweep_values(s) for s in args.sweep]
+    sweeps = [_sweep_values(s) for s in args.sweep or ()]
     if not sweeps:
         raise ValueError("sweep needs at least one --sweep key=start:stop:step")
     combos: list[dict] = [{}]
@@ -292,7 +297,9 @@ def cmd_thresholds(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process, so no default may be a mutable object."""
     parser = argparse.ArgumentParser(
         prog="mzbell",
         description="Coherence, Mach-Zehnder fringes and the homodyne Bell "
@@ -348,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="verdict CSV over family parameters")
     add_common(p)
-    p.add_argument("--sweep", action="append", default=[],
+    p.add_argument("--sweep", action="append",
                    metavar="KEY=START:STOP:STEP",
                    help="parameter range (repeatable; cartesian product)")
     p.add_argument("--grid", type=int,

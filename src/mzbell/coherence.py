@@ -15,7 +15,6 @@ number of phases from them.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -107,10 +106,15 @@ def g2(moments: CoherenceMoments) -> float:
     return moments.n1n2 / (moments.n1 * moments.n2)
 
 
-def titulaer_glauber_margin(moments: CoherenceMoments) -> float:
+def classical_margin(g1_mag: float, g2_value: float) -> float:
     """g2 - |g1|^2. Negative means no classical stochastic field can
     reproduce the pair (interference plus anticorrelation)."""
-    return g2(moments) - abs(g1(moments)) ** 2
+    return g2_value - g1_mag ** 2
+
+
+def titulaer_glauber_margin(moments: CoherenceMoments) -> float:
+    """:func:`classical_margin` of the moments' g1 and g2."""
+    return classical_margin(abs(g1(moments)), g2(moments))
 
 
 @dataclass(frozen=True)
@@ -234,8 +238,3 @@ def analytic_visibility(moments: CoherenceMoments) -> float:
     if total <= DEGENERACY_FLOOR:
         raise DegenerateStateError("state carries no photons")
     return 2 * abs(moments.m12) / total
-
-
-def phase_of_coherence(moments: CoherenceMoments) -> float:
-    """arg <a1^dag a2>, the fringe phase offset."""
-    return cmath.phase(moments.m12)

@@ -31,7 +31,8 @@ is bounded by ``BLOCK_ENTRY_LIMIT`` entries per direction, checked before
 any block is built. A transform is planned (the sectors a state occupies,
 with their rows, columns and blocks) and then applied. The plan grows
 both cutoffs of the pair to the largest occupied sector, so every block
-acts whole and the transform is exactly unitary. A phase scan
+acts whole and the transform is exactly unitary, and it scans the
+support once, padded or not. A phase scan
 (``beamsplitter_after_phases``) makes its plan once, as a phase shift
 never adds support.
 """
@@ -503,31 +504,34 @@ def _plan(state: QuantumState, mode_i: int, mode_j: int,
     m = state.system.mode_count
     if mode_i == mode_j or not (0 <= mode_i < m and 0 <= mode_j < m):
         raise ValueError(f"invalid beamsplitter modes ({mode_i}, {mode_j})")
-    mat, dims = state.amps.T, state.system.dims
+    rank, dims = len(state.amps), state.system.dims
     d_i, d_j = dims[mode_i], dims[mode_j]
-    # flat basis index of (pair index n_i * d_j + n_j, other modes), with
-    # the pair indices ordered by sector N = n_i + n_j, then by n_i
-    totals = np.add.outer(np.arange(d_i), np.arange(d_j)).ravel()
-    order = np.argsort(totals, kind="stable")
-    index = np.moveaxis(np.arange(mat.shape[0]).reshape(dims),
-                        (mode_i, mode_j), (0, 1)).reshape(d_i * d_j, -1)[order]
-    counts = np.bincount(totals)
-    starts = np.cumsum(counts) - counts
-    nonzero = mat != 0
-    occupied = np.flatnonzero(np.logical_or.reduceat(
-        nonzero.any(axis=1)[index].any(axis=1), starts))[::-1].tolist()
+    # which components are nonzero on each pair (n_i, n_j), then on each
+    # sector N = n_i + n_j; padding adds only zeros, so this one scan of the
+    # state as given also serves the padded state
+    pairs = np.moveaxis((state.amps != 0).T.reshape(dims + (rank,)),
+                        (mode_i, mode_j), (0, 1)).any(axis=tuple(range(2, m)))
+    sectors = np.zeros((d_i + d_j - 1, rank), dtype=bool)
+    for n_i in range(d_i):
+        sectors[n_i:n_i + d_j] |= pairs[n_i]
+    occupied = np.flatnonzero(sectors.any(axis=1))[::-1].tolist()
     if occupied and occupied[0] >= min(d_i, d_j):
         cutoffs = list(state.system.cutoffs)
         for mode in (mode_i, mode_j):
             cutoffs[mode] = max(cutoffs[mode], occupied[0])
-        return _plan(pad_cutoffs(state, cutoffs), mode_i, mode_j, forward)
+        state = pad_cutoffs(state, cutoffs)
+    # each occupied sector now fits whole: its rows are the pairs (k, N - k),
+    # k = 0..N, each with the other modes in C order
+    grid = np.moveaxis(np.arange(state.system.dim).reshape(state.system.dims),
+                       (mode_i, mode_j), (0, 1))
     # largest sector first: its block needs every smaller one, so the cache
     # bound in _bs_block is checked before any of them is built
     plan = []
     for total in occupied:
-        rows = index[starts[total]:starts[total] + counts[total]].ravel()
-        cols = np.flatnonzero(nonzero[rows].any(axis=0))
-        plan.append((rows[:, None], cols, _bs_block(total, forward)))
+        k = np.arange(total + 1)
+        plan.append((grid[k, total - k].reshape(-1, 1),
+                     np.flatnonzero(sectors[total]),
+                     _bs_block(total, forward)))
     return state, plan
 
 

@@ -33,7 +33,7 @@ from typing import Sequence
 
 from . import fock
 from .coherence import (DEGENERACY_FLOOR, ROUTE_RESIDUAL_TOL,
-                        CoherenceMoments, g1, g2)
+                        CoherenceMoments, classical_margin, g1, g2)
 from .errors import (DegenerateDenominatorError, DegenerateStateError,
                      RouteResidualError)
 from .fock import QuantumState
@@ -406,7 +406,7 @@ def local_realism_verdict(moments: CoherenceMoments) -> Verdict:
     """
     g1_mag = abs(g1(moments))
     gg2 = g2(moments)
-    tg = gg2 - g1_mag ** 2
+    tg = classical_margin(g1_mag, gg2)
     coeffs = fringe_coefficients(moments)
     return Verdict(
         g1_mag=g1_mag,
@@ -430,7 +430,7 @@ def criterion_from_measurements(g1_mag: float, g2_value: float) -> Verdict:
     if g2_value < 0.0:
         raise ValueError(f"g2 must be non-negative, got {g2_value!r}")
     c1 = g1_mag / (1.0 + math.sqrt(g2_value))
-    tg = g2_value - g1_mag ** 2
+    tg = classical_margin(g1_mag, g2_value)
     return Verdict(
         g1_mag=float(g1_mag),
         g2=float(g2_value),

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -459,3 +463,64 @@ class TestCriterionAndThresholds:
         report = parse_report(out)
         assert abs(float(report["g1_min"]) - 1 / math.sqrt(2)) < 1e-14
         assert abs(float(report["g2_max"]) - (math.sqrt(2) - 1) ** 2) < 1e-14
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; every call must still
+    behave as if it had a parser of its own."""
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_sweep_lists_do_not_leak_between_calls(self, capsys):
+        code, first, _ = run_cli(capsys, "sweep", "--state",
+                                 "split_thermal nbar=0.5",
+                                 "--sweep", "nbar=0.5:0.7:0.1")
+        assert code == 0 and "nbar=0.7" in first
+        code, second, err = run_cli(capsys, "sweep", "--state",
+                                    "split_coherent alpha_re=1",
+                                    "--sweep", "alpha_re=0.5:0.6:0.1")
+        assert code == 0, err
+        rows = second.strip().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == [
+            "split_coherent alpha_re=0.5", "split_coherent alpha_re=0.6"]
+        assert "nbar" not in second
+        # and a call without --sweep sees none of them
+        code, out, err = run_cli(capsys, "sweep", "--state",
+                                 "split_coherent alpha_re=1")
+        assert code == 2 and out == ""
+        assert "sweep needs at least one --sweep" in err
+
+    @pytest.mark.parametrize("bad", [
+        ("analyze",),
+        ("bell-scan", "--state", "split_single_photon", "--grid", "x"),
+        ("no-such-command",),
+    ])
+    def test_parse_error_then_a_valid_call(self, capsys, bad):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(bad))
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        argv = ["analyze", "--state", "split_single_photon"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        # a fresh process builds its own parser
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        fresh = subprocess.run([sys.executable, "-m", "mzbell.cli", *argv],
+                               capture_output=True, text=True, env=env,
+                               check=True)
+        assert out == fresh.stdout
+
+    def test_help_follows_columns_of_each_call(self, capsys, monkeypatch):
+        def widest_help_line(columns):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["bell-scan", "--help"])
+            assert exc.value.code == 0
+            return max(len(line)
+                       for line in capsys.readouterr().out.splitlines())
+        narrow = widest_help_line(60)
+        assert narrow <= 60 < widest_help_line(150) <= 150
+        assert widest_help_line(60) == narrow

@@ -483,9 +483,9 @@ class TestBeamsplitter:
         assert requested == {3}
         assert abs(purity(out) - 0.5) < 1e-12
 
-    def test_support_scanned_once_when_the_cutoffs_fit(self, monkeypatch):
-        # the plan's own scan decides the padding; only a padded state is
-        # scanned again
+    def test_support_scanned_once(self, monkeypatch):
+        # the plan's own scan decides the padding, and a padded state is
+        # not planned again
         plans = []
         plan = fock._plan
 
@@ -498,7 +498,34 @@ class TestBeamsplitter:
         assert plans == [coherent.system.cutoffs * 2]
         plans.clear()
         apply_beamsplitter(basis_state(TWO_MODE, (1, 1)), 0, 1)
-        assert plans == [(1, 1), (2, 2)]
+        assert plans == [(1, 1)]
+
+    @pytest.mark.parametrize("mixed,cutoffs,modes,forward", [
+        (False, (1, 1), (0, 1), True),
+        (True, (3, 1), (0, 1), False),
+        (False, (2, 1, 3), (0, 2), False),
+        (True, (2, 1, 3), (2, 0), True),
+        (False, (1, 2, 1, 2), (3, 0), True),
+        (True, (1, 2, 1, 2), (1, 3), False),
+    ])
+    def test_padding_plan_matches_the_padded_state(self, mixed, cutoffs,
+                                                   modes, forward):
+        # the plan maps the unpadded scan into the padded layout: the same
+        # rows, components and blocks as planning the padded state itself
+        rng = np.random.default_rng(19)
+        state = (random_density(rng, cutoffs, rank=3) if mixed
+                 else random_pure(rng, cutoffs))
+        ours, plan = fock._plan(state, *modes, forward)
+        assert ours.system != state.system
+        padded = pad_cutoffs(state, ours.system.cutoffs)
+        same, want = fock._plan(padded, *modes, forward)
+        assert same is padded
+        np.testing.assert_array_equal(ours.amps, padded.amps)
+        assert len(plan) == len(want) > 0
+        for (rows, cols, block), (rows_p, cols_p, block_p) in zip(plan, want):
+            np.testing.assert_array_equal(rows, rows_p)
+            np.testing.assert_array_equal(cols, cols_p)
+            assert block is block_p
 
     def test_block_cache_bound_checked_before_building(self):
         # U_0..U_463 hold 33406840 entries, U_0..U_464 33623065 > 2^25
