@@ -132,7 +132,7 @@ def _count_moments(out: QuantumState) -> np.ndarray:
     moments of its photon-count distribution P(n_c, n_d) = sum over the
     stack of |amps|^2."""
     flat = out.amps.view(np.float64)
-    probs = np.einsum("ij,ij->j", flat, flat).reshape(-1, 2).sum(axis=1)
+    probs = (flat * flat).sum(axis=0).reshape(-1, 2).sum(axis=1)
     probs = probs.reshape(out.system.dims)
     n_c, n_d = (np.arange(d, dtype=np.float64) for d in out.system.dims)
     return np.array([probs.sum(axis=1) @ n_c, probs.sum(axis=0) @ n_d,

@@ -18,7 +18,11 @@ A state may store at most ``AMPLITUDE_LIMIT`` complex amplitudes (rank
 times dim); larger ones are refused before allocating.
 
 Normal-ordered expectations are batched: ``expectations`` takes all terms
-a caller needs on one state and makes each lowering once per slice.
+a caller needs on one state and makes each lowering once per slice. A
+lowering shifts the flat row index by sum_k p_k * stride_k and multiplies
+by one weight vector per lowered axis, built once per call and zero where
+the shift would cross a cutoff, so its loops run contiguously along the
+rows however short the last modes are.
 
 Transforms return new states and never mutate or implicitly renormalize
 their inputs: a norm deficit after a transform is a bug, not something to
@@ -28,11 +32,11 @@ The 50:50 beamsplitter is kept as one cutoff-independent SU(2) block per
 total photon number of its mode pair (Campos, Saleh & Teich, PRA 40,
 1371 (1989)), built on first use and cached for the process. The cache
 is bounded by ``BLOCK_ENTRY_LIMIT`` entries per direction, checked before
-any block is built. A transform is planned (the sectors a state occupies,
-with their rows, columns and blocks) and then applied. The plan grows
-both cutoffs of the pair to the largest occupied sector, so every block
-acts whole and the transform is exactly unitary, and it scans the
-support once, padded or not. A phase scan
+any block is built or the pair is padded. A transform is planned (the
+sectors a state occupies, with their rows, columns and blocks) and then
+applied. The plan grows both cutoffs of the pair to the largest occupied
+sector, so every block acts whole and the transform is exactly unitary,
+and it scans the support once, padded or not. A phase scan
 (``beamsplitter_after_phases``) makes its plan once, as a phase shift
 never adds support.
 """
@@ -353,33 +357,52 @@ def pad_cutoffs(state: QuantumState, cutoffs: Sequence[int]) -> QuantumState:
                         validate=False)
 
 
-def _lower(stack: np.ndarray, powers: Sequence[int]) -> np.ndarray:
+def _axis_weights(dims: tuple[int, ...], axis: int, power: int) -> np.ndarray:
+    """sqrt((n_axis+1)...(n_axis+power)) at each flat index n of a row, and
+    0 where n_axis + power passes the cutoff."""
+    n = np.arange(dims[axis] - power, dtype=np.float64)
+    f = np.ones(len(n))
+    for step in range(power):
+        f *= n + 1 + step
+    w = np.zeros(dims[axis])
+    w[:len(n)] = np.sqrt(f)
+    return np.tile(np.repeat(w, math.prod(dims[axis + 1:])),
+                   math.prod(dims[:axis]))
+
+
+def _lower(stack: np.ndarray, powers: Sequence[int],
+           weights: dict | None = None) -> np.ndarray:
     """Apply prod_k a_k^{p_k} to every row of a (rank, *dims) stack:
     out[:, n] = prod_k sqrt((n_k+1)...(n_k+p_k)) * stack[:, n + p], zero
-    where n + p lies above a cutoff. Writes one new array."""
+    where n + p lies above a cutoff. Writes one new array.
+
+    On flat row indices this is one shift by sum_k p_k * stride_k, times
+    the weights of each lowered axis in axis order (:func:`_axis_weights`,
+    kept in ``weights`` by (axis, power) for calls on the same dims), whose
+    zeros blank what the shift carries across a cutoff. So every multiply
+    is one contiguous loop along the rows.
+    """
     if not any(powers):
         return stack
-    out = np.zeros_like(stack)
     dims = stack.shape[1:]
     if any(p >= d for p, d in zip(powers, dims)):
-        return out
+        return np.zeros_like(stack)
+    weights = {} if weights is None else weights
     factors = []
-    for axis, (p, d) in enumerate(zip(powers, dims), start=1):
+    for axis, p in enumerate(powers):
         if p:
-            n = np.arange(d - p, dtype=np.float64)
-            f = np.ones(d - p)
-            for step in range(p):
-                f *= n + 1 + step
-            shape = [1] * stack.ndim
-            shape[axis] = d - p
-            factors.append(np.sqrt(f).reshape(shape))
-    src = (slice(None),) + tuple(slice(p, d) for p, d in zip(powers, dims))
-    dst = (slice(None),) + tuple(slice(0, d - p) for p, d in zip(powers, dims))
-    region = out[dst]
-    np.multiply(stack[src], factors[0], out=region)
+            if (axis, p) not in weights:
+                weights[axis, p] = _axis_weights(dims, axis, p)
+            factors.append(weights[axis, p])
+    rows = stack.reshape(len(stack), math.prod(dims))
+    size = rows.shape[1] - int(np.ravel_multi_index(powers, dims))
+    out = np.empty_like(rows)
+    region = out[:, :size]
+    np.multiply(rows[:, -size:], factors[0][:size], out=region)
     for f in factors[1:]:
-        region *= f
-    return out
+        region *= f[:size]
+    out[:, size:] = 0
+    return out.reshape(stack.shape)
 
 
 def expectations(state: QuantumState,
@@ -405,12 +428,16 @@ def expectations(state: QuantumState,
     # that list the terms sharing one next to each other hold few at once
     last = {powers: i for i, pair in enumerate(pairs) for powers in pair}
     parts = [[] for _ in pairs]
+    # the axis weights serve every slice: dim floats each, half the bytes
+    # of one lowered row
+    weights = {}
     for k in range(0, len(stack), step):
         lowered = {}
         for i, (part, pair) in enumerate(zip(parts, pairs)):
             for powers in pair:
                 if powers not in lowered:
-                    lowered[powers] = _lower(stack[k:k + step], powers)
+                    lowered[powers] = _lower(stack[k:k + step], powers,
+                                             weights)
             part.append(np.vdot(lowered[pair[0]], lowered[pair[1]]))
             lowered = {p: v for p, v in lowered.items() if last[p] > i}
     return [complex(np.sum(part)) for part in parts]
@@ -515,17 +542,19 @@ def _plan(state: QuantumState, mode_i: int, mode_j: int,
     for n_i in range(d_i):
         sectors[n_i:n_i + d_j] |= pairs[n_i]
     occupied = np.flatnonzero(sectors.any(axis=1))[::-1].tolist()
-    if occupied and occupied[0] >= min(d_i, d_j):
-        cutoffs = list(state.system.cutoffs)
-        for mode in (mode_i, mode_j):
-            cutoffs[mode] = max(cutoffs[mode], occupied[0])
-        state = pad_cutoffs(state, cutoffs)
+    top = occupied[0] if occupied else 0
+    cutoffs = list(state.system.cutoffs)
+    for mode in (mode_i, mode_j):
+        cutoffs[mode] = max(cutoffs[mode], top)
+    # refuse the padded size, then the blocks, before anything is allocated
+    _check_size(rank, ModeSystem(cutoffs).dim)
+    _check_blocks(top)
+    state = pad_cutoffs(state, cutoffs)
     # each occupied sector now fits whole: its rows are the pairs (k, N - k),
     # k = 0..N, each with the other modes in C order
     grid = np.moveaxis(np.arange(state.system.dim).reshape(state.system.dims),
                        (mode_i, mode_j), (0, 1))
-    # largest sector first: its block needs every smaller one, so the cache
-    # bound in _bs_block is checked before any of them is built
+    # largest sector first: its block builds every smaller one on the way
     plan = []
     for total in occupied:
         k = np.arange(total + 1)

@@ -42,6 +42,36 @@ def normal_ordered_matrix(dims, powers) -> np.ndarray:
     return out
 
 
+def strided_lower(stack: np.ndarray, powers) -> np.ndarray:
+    """prod_k a_k^{p_k} on every row of a (rank, *dims) stack, as the package
+    computed it before its flat-index shift: the shifted box of the tensor
+    times one broadcast factor per lowered axis, in axis order, into a
+    zero-filled output. The flat form must match it bit for bit."""
+    if not any(powers):
+        return stack
+    out = np.zeros_like(stack)
+    dims = stack.shape[1:]
+    if any(p >= d for p, d in zip(powers, dims)):
+        return out
+    factors = []
+    for axis, (p, d) in enumerate(zip(powers, dims), start=1):
+        if p:
+            n = np.arange(d - p, dtype=np.float64)
+            f = np.ones(d - p)
+            for step in range(p):
+                f *= n + 1 + step
+            shape = [1] * stack.ndim
+            shape[axis] = d - p
+            factors.append(np.sqrt(f).reshape(shape))
+    src = (slice(None),) + tuple(slice(p, d) for p, d in zip(powers, dims))
+    dst = (slice(None),) + tuple(slice(0, d - p) for p, d in zip(powers, dims))
+    region = out[dst]
+    np.multiply(stack[src], factors[0], out=region)
+    for f in factors[1:]:
+        region *= f
+    return out
+
+
 def brute_expect(state: QuantumState, powers) -> complex:
     """Expectation via the explicit operator matrix."""
     op = normal_ordered_matrix(state.system.dims, powers)

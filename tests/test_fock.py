@@ -1,6 +1,7 @@
 """Fock-core tests: constructors, expectations, transforms, invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,10 +276,10 @@ class TestBatchedExpectations:
         made = []
         lower = fock._lower
 
-        def counting(stack, powers):
+        def counting(stack, powers, weights=None):
             if any(powers):
                 made.append(tuple(powers))
-            return lower(stack, powers)
+            return lower(stack, powers, weights)
 
         def lowerings(run):
             made.clear()
@@ -540,6 +541,29 @@ class TestBeamsplitter:
         with pytest.raises(DimensionLimitError, match="up to 470 photons"):
             apply_beamsplitter(state, 0, 1)
         assert set(fock._BLOCKS) == cached
+
+    def test_block_bound_refused_before_padding(self):
+        # |1000, 0> pads to 1001^2 amplitudes (15.3 MiB, under the size
+        # bound), but its blocks U_0..U_1000 would hold 334835501 entries:
+        # refused before the padded state or its row grid exist
+        state = QuantumState(ModeSystem((1000, 0)),
+                             vector=np.eye(1, 1001, 1000)[0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionLimitError,
+                               match="334835501 entries"):
+                apply_beamsplitter(state, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_padded_size_refused_before_block_bound(self):
+        # |1500, 0> would pass both bounds; the padded size is named first
+        state = QuantumState(ModeSystem((1500, 0)),
+                             vector=np.eye(1, 1501, 1500)[0])
+        with pytest.raises(DimensionLimitError, match="2253001 amplitudes"):
+            apply_beamsplitter(state, 0, 1)
 
     def test_phase_scan_refused_at_plan_time(self, monkeypatch):
         # the scan plans its sectors when called: the 470-photon sector is

@@ -18,7 +18,7 @@ from mzbell.homodyne import fringe_e
 
 from oracle import (assert_scan_matches_per_phase, bs_unitary_spectral,
                     normal_ordered_matrix, phase_matrix, random_density,
-                    random_pure, search_chsh)
+                    random_pure, search_chsh, strided_lower)
 
 
 @given(total=st.integers(0, 80), forward=st.booleans())
@@ -72,6 +72,36 @@ def test_padding_keeps_the_norm(case, inverse):
         want[mode] = max(want[mode], n_max)
     assert out.system.cutoffs == tuple(want)
     assert abs(np.vdot(out.amps, out.amps).real - 1.0) < 1e-12
+
+
+@st.composite
+def stacks_and_powers(draw):
+    """A random (rank, *dims) stack of 1-4 modes and rank 1-5, with a few
+    power tuples of 0-3 per mode, some at or past a cutoff."""
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    rank = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = (rng.normal(size=(rank,) + dims)
+             + 1j * rng.normal(size=(rank,) + dims))
+    # some exact zeros, as the stored stacks have
+    stack[rng.random(stack.shape) < 0.3] = 0
+    powers = draw(st.lists(st.tuples(*[st.integers(0, 3) for _ in dims]),
+                           min_size=1, max_size=4))
+    return stack, powers
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=stacks_and_powers())
+@example(case=(np.arange(1, 25, dtype=complex).reshape(1, 2, 3, 4),
+               [(1, 2, 3), (0, 3, 1), (2, 0, 0), (1, 1, 1)]))
+def test_flat_lowering_equals_the_strided_oracle(case):
+    stack, powers = case
+    weights = {}
+    for p in powers:
+        want = strided_lower(stack, p)
+        for got in (fock._lower(stack, p), fock._lower(stack, p, weights)):
+            assert got.shape == stack.shape
+            assert np.array_equal(got, want)
 
 
 @st.composite
