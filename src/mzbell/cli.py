@@ -10,7 +10,8 @@ criterion   verdict from a measured (visibility, coincidence rate) pair
 thresholds  the minimal requirements for any Bell violation
 
 Reports are stable ``key = value`` lines; CSV fields carry 15 significant
-digits. Output is byte-identical for identical inputs. Exit codes:
+digits. With a single-threaded BLAS, output is byte-identical for
+identical inputs; a threaded one may round the last digits. Exit codes:
 0 success, 2 input/parse error or out of memory, 3 degenerate state,
 5 a numeric route that is not phase-covariant
 (``bell-scan`` fills E_numeric from four route evaluations and checks a

@@ -127,14 +127,10 @@ class FringeRecord:
     coincidence: float
 
 
-def _count_moments(out: QuantumState) -> np.ndarray:
-    """<n_c>, <n_d> and <n_c n_d> of a two-mode state, the first and mixed
-    moments of its photon-count distribution P(n_c, n_d) = sum over the
-    stack of |amps|^2."""
-    flat = out.amps.view(np.float64)
-    probs = (flat * flat).sum(axis=0).reshape(-1, 2).sum(axis=1)
-    probs = probs.reshape(out.system.dims)
-    n_c, n_d = (np.arange(d, dtype=np.float64) for d in out.system.dims)
+def _count_moments(probs: np.ndarray) -> np.ndarray:
+    """<n_c>, <n_d> and <n_c n_d>, the first and mixed moments of a
+    two-mode photon-count distribution P(n_c, n_d)."""
+    n_c, n_d = (np.arange(d, dtype=np.float64) for d in probs.shape)
     return np.array([probs.sum(axis=1) @ n_c, probs.sum(axis=0) @ n_d,
                      n_c @ probs @ n_d])
 
@@ -167,12 +163,13 @@ def fringe_scan(state: QuantumState,
     0. A scan costs six evaluations at any number of phases.
 
     The recombiner pads the state to its largest occupied sector, so it
-    is exactly unitary, and makes its sector plan once per scan.
+    is exactly unitary, and the six photon-count grids are read sector by
+    sector from one plan (``fock.photon_counts_after_phases``).
     """
     if state.system.mode_count != 2:
         raise ValueError("fringe_scan expects a two-mode state")
-    evaluated = np.array([_count_moments(out) for out in
-                          fock.beamsplitter_after_phases(
+    evaluated = np.array([_count_moments(probs) for probs in
+                          fock.photon_counts_after_phases(
                               state, 0, 1,
                               FRINGE_ANCHORS + (HELD_OUT_PHASE,))])
     anchors, held_out = evaluated[:-1], evaluated[-1]

@@ -37,15 +37,16 @@ sectors a state occupies, with their rows, columns and blocks) and then
 applied. The plan grows both cutoffs of the pair to the largest occupied
 sector, so every block acts whole and the transform is exactly unitary,
 and it scans the support once, padded or not. A phase scan
-(``beamsplitter_after_phases``) makes its plan once, as a phase shift
-never adds support.
+(``photon_counts_after_phases``) makes its plan once, as a phase shift
+never adds support, and reads only photon counts, sector by sector, with
+no output stack per phase.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -589,20 +590,40 @@ def apply_beamsplitter(state: QuantumState, mode_i: int, mode_j: int, *,
     return _apply(*_plan(state, mode_i, mode_j, not inverse))
 
 
-def beamsplitter_after_phases(state: QuantumState, mode_i: int, mode_j: int,
-                              phases: Iterable[float]) -> Iterator[QuantumState]:
-    """Yield ``apply_beamsplitter(apply_phase(state, mode_i, phi), mode_i,
-    mode_j)`` for each phi, bit for bit, with the sectors planned once.
+def photon_counts_after_phases(state: QuantumState, mode_i: int, mode_j: int,
+                               phases: Iterable[float]) -> np.ndarray:
+    """The photon counts P(n) = sum over the stack of |amps|^2 of
+    ``apply_beamsplitter(apply_phase(state, mode_i, phi), mode_i, mode_j)``
+    for each phi, bit for bit, as a ``(len(phases), *dims)`` grid over the
+    padded basis.
 
     A phase shift multiplies each amplitude by a unit-modulus factor, so
     every shifted copy has the support of ``state`` (only an amplitude a
     few subnormal steps from zero, about 1e-323, can round away), and the
     plan made for it, with its padding, serves them all. It is made by
     this call, so a sector past the block cache bound is refused before
-    any phase is applied.
+    any phase is applied. Each occupied sector's nonzero components are
+    gathered once; per phase, row k is multiplied by e^{i k phi}, U_N is
+    applied, and the squared real and imaginary parts are each summed over
+    the components in stack order: no phased or output stack is formed.
     """
     state, plan = _plan(state, mode_i, mode_j, True)
-    return (_apply(apply_phase(state, mode_i, phi), plan) for phi in phases)
+    d = state.system.dims[mode_i]
+    # the factors of apply_phase, made as it makes them
+    factors = np.array([np.exp(1j * float(phi) * np.arange(d))
+                        for phi in phases]).reshape(-1, d, 1)
+    counts = np.zeros((len(factors), state.dim))
+    mat = state.amps.T
+    for rows, cols, block in plan:
+        n = len(block)
+        out = block @ (mat[rows, cols].reshape(n, -1) * factors[:, :n])
+        parts = out.view(np.float64).reshape(len(factors), rows.size,
+                                             cols.size, 2)
+        # components outermost, so each sum runs over them in stack order
+        squares = np.square(parts.transpose(2, 0, 1, 3), order="C")
+        sums = np.add.reduce(squares, axis=0)
+        counts[:, rows[:, 0]] = sums[..., 0] + sums[..., 1]
+    return counts.reshape((len(factors),) + state.system.dims)
 
 
 def purity(state: QuantumState) -> float:

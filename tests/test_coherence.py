@@ -1,6 +1,7 @@
 """Coherence functions and Mach-Zehnder fringe tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from mzbell import (CoherenceMoments, DegenerateStateError, ModeSystem,
                     titulaer_glauber_margin, visibility)
 
 from oracle import (assert_scan_matches_per_phase, brute_expect,
-                    random_density, random_pure)
+                    count_grid, random_density, random_pure)
 
 PHASES_64 = [2 * math.pi * k / 64 for k in range(64)]
 
@@ -134,13 +135,45 @@ class TestFringeScan:
         ("noisy_split_photon", {"w": 0.6, "alpha_re": 2.0, "alpha_im": 0.3}),
         ("split_coherent", {"alpha_re": 3.0, "alpha_im": -0.4}),
         ("incoherent_anticorrelated", {"p": 0.3}),
-        # support in sectors 0, 1 and 3 of the (2, 2) basis, none in 2
+        # support in sectors 0, 1 and 3 of the (2, 2) basis, none in 2, so
+        # the scan pads both cutoffs to 3
         ("pure_explicit", {"cutoffs": [2, 2], "amplitudes": [
             0.5, 0.5j, 0, -0.5, 0, 0, 0, 0.5, 0]}),
+        # sector 2 is shared by three components: the coherent one, the
+        # thermal n = 2 one and the number state
+        ("mixed_ensemble", {"components": [
+            {"weight": 0.5, "family": "split_coherent", "alpha_re": 0.8,
+             "alpha_im": 0.5},
+            {"weight": 0.3, "family": "split_thermal", "nbar": 0.4},
+            {"weight": 0.2, "family": "split_number", "n": 2}]}),
     ])
     def test_planned_scan_matches_per_phase_path(self, family, params):
         state = build_state(StateSpec(family, params))
         assert_scan_matches_per_phase(state, PHASES_64[::4] + [0.3, -2.0, 9.5])
+
+    def test_planned_scan_on_outer_modes_of_three(self):
+        # a rank-2 mixture times a coherent third mode, scanned on the
+        # pair (0, 2), whose sectors pass both cutoffs, so both are padded
+        noisy = build_state(StateSpec("noisy_split_photon",
+                                      {"w": 0.7, "alpha_re": 0.4}))
+        state = fock.tensor(noisy, coherent_state(0.5 - 0.3j))
+        assert state.amps.shape[0] == 2
+        assert_scan_matches_per_phase(state, PHASES_64[::8] + [9.5], 0, 2)
+
+    def test_scan_memory_stays_per_sector(self):
+        # a 16-phase scan of a rank-83 mixture over 83 x 83 levels holds
+        # no output stack per phase, nor a float copy of one; measured
+        # after a first scan, which builds the cached blocks
+        state = build_state(StateSpec("split_thermal", {"nbar": 2.5}))
+        assert state.amps.shape == (83, 83 * 83)
+        fringe_scan(state, PHASES_64[::4])
+        tracemalloc.start()
+        try:
+            fringe_scan(state, PHASES_64[::4])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_vacuum_is_degenerate_not_a_residual(self, capsys):
         vacuum = basis_state(ModeSystem((1, 1)), (0, 0))
@@ -156,17 +189,21 @@ class TestFringeScan:
 
 def _tripled_phase(state, mode_i, mode_j, phases):
     """A route whose output carries the third harmonic of the phase."""
-    return (apply_beamsplitter(apply_phase(state, mode_i, 3.0 * phi),
-                               mode_i, mode_j) for phi in phases)
+    return np.array([count_grid(apply_beamsplitter(
+        apply_phase(state, mode_i, 3.0 * phi), mode_i, mode_j))
+        for phi in phases])
 
 
 def _phase_dependent_norm(state, mode_i, mode_j, phases):
     """A route whose total output intensity moves with the phase."""
+    grids = []
     for phi in phases:
         out = apply_beamsplitter(apply_phase(state, mode_i, phi), mode_i,
                                  mode_j)
-        yield QuantumState(out.system, validate=False,
-                           amps=out.amps * (1.0 + 1e-9 * math.cos(phi)))
+        grids.append(count_grid(QuantumState(
+            out.system, validate=False,
+            amps=out.amps * (1.0 + 1e-9 * math.cos(phi)))))
+    return np.array(grids)
 
 
 class TestFringeRouteResidual:
@@ -175,7 +212,7 @@ class TestFringeRouteResidual:
         (_phase_dependent_norm, "total intensity varies")])
     def test_phase_dependent_route_is_refused(self, monkeypatch, capsys,
                                               route, message):
-        monkeypatch.setattr(fock, "beamsplitter_after_phases", route)
+        monkeypatch.setattr(fock, "photon_counts_after_phases", route)
         with pytest.raises(RouteResidualError, match=message):
             fringe_scan(split_single_photon(), PHASES_64)
         assert cli.main(["fringe", "--state", "split_single_photon",

@@ -575,7 +575,7 @@ class TestBeamsplitter:
         state = QuantumState(ModeSystem((470, 0)),
                              vector=np.full(471, 1 / math.sqrt(471)))
         with pytest.raises(DimensionLimitError, match="up to 470 photons"):
-            fock.beamsplitter_after_phases(state, 0, 1, [0.0, 1.0])
+            fock.photon_counts_after_phases(state, 0, 1, [0.0, 1.0])
         assert shifted == []
         assert set(fock._BLOCKS) == cached
 
@@ -586,7 +586,7 @@ class TestBeamsplitter:
         with pytest.raises(ValueError):
             apply_beamsplitter(state, 0, 5)
         with pytest.raises(ValueError):
-            fock.beamsplitter_after_phases(state, 0, 0, [0.0])
+            fock.photon_counts_after_phases(state, 0, 0, [0.0])
 
 
 class TestSupportAndPadding:
