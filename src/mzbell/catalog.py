@@ -57,17 +57,15 @@ def split_single_photon() -> QuantumState:
 
 
 def split_input(input_state: QuantumState) -> QuantumState:
-    """Send a single-mode state through the splitting beamsplitter: adjoin
-    a vacuum mode of equal cutoff and apply the 50:50 transform.
-
-    The equal cutoff already holds every occupied photon-number sector,
-    so the beamsplitter needs no padding.
+    """Send a single-mode state through the splitting beamsplitter with a
+    vacuum mode of equal cutoff: each input |n, 0> is written from its
+    cached block's edge column (``fock._split``), with no tensor or plan
+    but the refusals of ``apply_beamsplitter(tensor(input_state, vacuum),
+    0, 1)``.
     """
     if input_state.system.mode_count != 1:
         raise ValueError("split_input expects a single-mode state")
-    cutoff = input_state.system.cutoffs[0]
-    vac = fock.vacuum_state(ModeSystem((cutoff,)))
-    return fock.apply_beamsplitter(fock.tensor(input_state, vac), 0, 1)
+    return fock._split(input_state)
 
 
 def incoherent_anticorrelated(p: float) -> QuantumState:

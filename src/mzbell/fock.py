@@ -39,7 +39,8 @@ sector, so every block acts whole and the transform is exactly unitary,
 and it scans the support once, padded or not. A phase scan
 (``photon_counts_after_phases``) makes its plan once, as a phase shift
 never adds support, and reads only photon counts, sector by sector, with
-no output stack per phase.
+no output stack per phase. A single-mode input split against vacuum
+(``_split``) is not planned: |n, 0> is written from U_n's edge column.
 """
 
 from __future__ import annotations
@@ -573,6 +574,29 @@ def _apply(state: QuantumState, plan) -> QuantumState:
         sub = mat[rows, cols].reshape(len(block), -1)
         out[rows, cols] = (block @ sub).reshape(rows.size, -1)
     return QuantumState(state.system, amps=amps, validate=False)
+
+
+def _split(state: QuantumState) -> QuantumState:
+    """``apply_beamsplitter(tensor(state, vacuum), 0, 1)`` for a single-mode
+    state, refused alike before allocating: |n, 0> is column n of U_n, so
+    component r has amps[r, n] * U_n[m, n] on |m, n - m>. The bits match,
+    save the sign of a zero where a mixed input has a lone zero part."""
+    rank, d = state.amps.shape
+    comps, ns = np.nonzero(state.amps)
+    _check_size(rank, d * d)
+    top = int(ns.max(initial=0))
+    _bs_block(top, True)      # checks the block bound before building
+    # U_n[m, n] at n (n + 1) / 2 + m, for every n up to the top sector
+    edges = np.concatenate([_BLOCKS[(n, True)][:, n] for n in range(top + 1)])
+    # one entry per nonzero (r, n) and m = 0..n
+    which = np.repeat(np.arange(ns.size), ns + 1)
+    n = ns[which]
+    m = np.arange(which.size) - np.repeat(np.cumsum(ns + 1) - ns - 1, ns + 1)
+    amps = np.zeros((rank, d * d), dtype=np.complex128)
+    # + 0 makes a -0 part +0, as the block product does on a pure state
+    amps[comps[which], m * d + n - m] = \
+        state.amps[comps, ns][which] * edges[n * (n + 1) // 2 + m] + 0
+    return QuantumState(ModeSystem((d - 1, d - 1)), amps=amps, validate=False)
 
 
 def apply_beamsplitter(state: QuantumState, mode_i: int, mode_j: int, *,

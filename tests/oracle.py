@@ -17,7 +17,8 @@ import numpy as np
 
 from mzbell import (ChshResult, LocalOscillator, ModeSystem, QuantumState,
                     apply_beamsplitter, apply_phase, chsh_value, expectations,
-                    fock, fringe_scan, modulation_depth_analytic)
+                    fock, fringe_scan, modulation_depth_analytic, tensor,
+                    vacuum_state)
 
 
 def annihilation_matrix(dims, mode) -> np.ndarray:
@@ -179,6 +180,15 @@ def validate_trig_form(moments, lo1, lo2, coeffs, samples: int = 16):
     if err > 1e-9:
         raise AssertionError(
             f"trig-form coefficients disagree with angle-scan fit by {err:.3e}")
+
+
+def split_via_beamsplitter(state: QuantumState) -> QuantumState:
+    """A single-mode state split on the 50:50 beamsplitter as the package
+    split it before writing the edge columns directly: tensored with a
+    vacuum mode of equal cutoff, then planned and applied sector by
+    sector."""
+    vacuum = vacuum_state(ModeSystem(state.system.cutoffs))
+    return apply_beamsplitter(tensor(state, vacuum), 0, 1)
 
 
 def count_grid(state: QuantumState) -> np.ndarray:

@@ -1,20 +1,22 @@
 """Catalog state families: construction, physics, and spec handling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mzbell import (DegenerateStateError, StateSpec, build_state,
-                    coherent_state, compute_moments, fringe_scan, g1, g2,
-                    incoherent_anticorrelated, local_realism_verdict,
-                    make_mixed, mixed_ensemble, noisy_split_photon,
-                    number_state, purity, split_input, split_single_photon,
-                    thermal_state, titulaer_glauber_margin)
+from mzbell import (DegenerateStateError, DimensionLimitError, ModeSystem,
+                    StateSpec, build_state, coherent_state, compute_moments,
+                    fock, fringe_scan, g1, g2, incoherent_anticorrelated,
+                    local_realism_verdict, make_mixed, make_pure,
+                    mixed_ensemble, noisy_split_photon, number_state, purity,
+                    split_input, split_single_photon, thermal_state,
+                    titulaer_glauber_margin)
 from mzbell.catalog import spec_label, state_to_spec
 from mzbell.fock import expect_normal_ordered
 
-from oracle import brute_expect
+from oracle import brute_expect, split_via_beamsplitter
 
 
 class TestSplitSinglePhoton:
@@ -60,6 +62,48 @@ class TestSplitInput:
     def test_single_mode_required(self):
         with pytest.raises(ValueError):
             split_input(split_single_photon())
+
+    @pytest.mark.parametrize("make", [
+        lambda: coherent_state(-1.3),
+        lambda: coherent_state(0.9j),
+        lambda: number_state(3, 10),
+        # a negative real amplitude: its product's -0 part is written +0
+        lambda: make_pure(ModeSystem((2,)), [0.6, -0.8, 0.0]),
+    ], ids=["negative_real_alpha", "imaginary_alpha", "number_3_of_10",
+            "negative_real_amplitude"])
+    def test_equals_the_beamsplitter_bit_for_bit(self, make):
+        state = make()
+        got, want = split_input(state), split_via_beamsplitter(state)
+        assert got.system == want.system
+        assert np.array_equal(got.amps.view(np.uint64),
+                              want.amps.view(np.uint64))
+
+    def test_size_refused_as_the_beamsplitter_refuses(self):
+        # rank 130 times dimension 130^2 passes the amplitude bound
+        state = thermal_state(4.2)
+        for split in (split_input, split_via_beamsplitter):
+            with pytest.raises(DimensionLimitError,
+                               match="2197000 amplitudes"):
+                split(state)
+
+    def test_block_bound_refused_before_allocating(self):
+        # |464, 0> fits under the size bound, but its blocks U_0..U_464
+        # would pass the block bound: refused with no block built and no
+        # output stack (3.3 MiB) allocated
+        state = number_state(464, 464)
+        cached = set(fock._BLOCKS)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionLimitError,
+                               match="33623065 entries"):
+                split_input(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert set(fock._BLOCKS) == cached
+        with pytest.raises(DimensionLimitError, match="33623065 entries"):
+            split_via_beamsplitter(state)
 
 
 class TestIncoherentAnticorrelated:

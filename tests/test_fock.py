@@ -495,11 +495,24 @@ class TestBeamsplitter:
             return plan(state, *args)
         monkeypatch.setattr(fock, "_plan", counting)
         coherent = coherent_state(0.8)
-        split_input(coherent)
+        apply_beamsplitter(tensor(coherent, vacuum_state(coherent.system)),
+                           0, 1)
         assert plans == [coherent.system.cutoffs * 2]
         plans.clear()
         apply_beamsplitter(basis_state(TWO_MODE, (1, 1)), 0, 1)
         assert plans == [(1, 1)]
+
+    def test_split_input_makes_no_plan(self, monkeypatch):
+        # the split writes each input amplitude from its block's edge column:
+        # no tensor with vacuum, no plan, no block product
+        calls = []
+        for name in ("_plan", "_apply", "tensor"):
+            monkeypatch.setattr(fock, name,
+                                lambda *args, name=name: calls.append(name))
+        for state in (coherent_state(0.8), thermal_state(0.5),
+                      number_state(4, 6)):
+            split_input(state)
+        assert calls == []
 
     @pytest.mark.parametrize("mixed,cutoffs,modes,forward", [
         (False, (1, 1), (0, 1), True),
@@ -565,18 +578,22 @@ class TestBeamsplitter:
         with pytest.raises(DimensionLimitError, match="2253001 amplitudes"):
             apply_beamsplitter(state, 0, 1)
 
-    def test_phase_scan_refused_at_plan_time(self, monkeypatch):
+    def test_phase_scan_refused_at_plan_time(self):
         # the scan plans its sectors when called: the 470-photon sector is
-        # refused before any phase is applied or any block is built
-        shifted = []
-        monkeypatch.setattr(fock, "apply_phase",
-                            lambda *args: shifted.append(args))
+        # refused before any block is built or the count grid over the
+        # padded basis (2 x 471^2 floats, 3.4 MiB) is allocated
         cached = set(fock._BLOCKS)
         state = QuantumState(ModeSystem((470, 0)),
                              vector=np.full(471, 1 / math.sqrt(471)))
-        with pytest.raises(DimensionLimitError, match="up to 470 photons"):
-            fock.photon_counts_after_phases(state, 0, 1, [0.0, 1.0])
-        assert shifted == []
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionLimitError,
+                               match="up to 470 photons"):
+                fock.photon_counts_after_phases(state, 0, 1, [0.0, 1.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
         assert set(fock._BLOCKS) == cached
 
     def test_invalid_modes(self):

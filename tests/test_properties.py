@@ -13,12 +13,14 @@ from mzbell import (DegenerateStateError, FringeCoefficients, LocalOscillator,
                     expect_normal_ordered, expectations, fock,
                     fringe_coefficients_at, fringe_scan, local_realism_verdict,
                     maximize_chsh, modulation_depth_numeric,
-                    numeric_fringe_coefficients, pad_cutoffs, purity)
+                    numeric_fringe_coefficients, pad_cutoffs, purity,
+                    split_input)
 from mzbell.homodyne import fringe_e
 
 from oracle import (assert_scan_matches_per_phase, bs_unitary_spectral,
                     normal_ordered_matrix, phase_matrix, random_density,
-                    random_pure, search_chsh, strided_lower)
+                    random_pure, search_chsh, split_via_beamsplitter,
+                    strided_lower)
 
 
 @given(total=st.integers(0, 80), forward=st.booleans())
@@ -226,6 +228,33 @@ def sparse_stacks(draw):
 def test_planned_scan_matches_per_phase_path(case, phases):
     state, mode_i, mode_j = case
     assert_scan_matches_per_phase(state, phases, mode_i, mode_j)
+
+
+@st.composite
+def single_mode_stacks(draw):
+    """A single-mode stack of rank 1-4 and cutoff 0-30, not normalized: a
+    drawn share of exact zeros, nothing above a drawn top sector, some rows
+    real and non-negative (as number, thermal and real-alpha inputs are),
+    all scaled by 1, 1e-160 or 1e-310."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(0, 30)) + 1)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    real = rng.random(shape[0]) < draw(st.floats(0.0, 1.0))
+    amps[real] = np.abs(amps[real].real)
+    amps[rng.random(shape) < draw(st.floats(0.0, 0.9))] = 0.0
+    amps[:, draw(st.integers(0, shape[1] - 1)) + 1:] = 0.0
+    amps *= draw(st.sampled_from([1.0, 1e-160, 1e-310]))
+    return QuantumState(ModeSystem((shape[1] - 1,)), amps=amps,
+                        validate=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=single_mode_stacks())
+def test_split_equals_the_beamsplitter_oracle(state):
+    # bit for bit, compared as integers so the sign of every zero counts
+    got, want = split_input(state), split_via_beamsplitter(state)
+    assert got.system == want.system
+    assert np.array_equal(got.amps.view(np.uint64), want.amps.view(np.uint64))
 
 
 @st.composite
