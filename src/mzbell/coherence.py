@@ -68,8 +68,8 @@ class CoherenceMoments:
 
 def compute_moments(state: QuantumState, mode1: int = 0,
                     mode2: int = 1) -> CoherenceMoments:
-    """All five moments of two channels of a state, by ladder arithmetic;
-    the five terms go to one batched call and share three lowerings."""
+    """All five moments of two channels of a state, by ladder arithmetic
+    in one batched call."""
     m = state.system.mode_count
     if m < 2 or mode1 == mode2:
         raise ValueError("need two distinct modes of a multi-mode state")

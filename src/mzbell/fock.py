@@ -18,11 +18,11 @@ A state may store at most ``AMPLITUDE_LIMIT`` complex amplitudes (rank
 times dim); larger ones are refused before allocating.
 
 Normal-ordered expectations are batched: ``expectations`` takes all terms
-a caller needs on one state and makes each lowering once per slice. A
-lowering shifts the flat row index by sum_k p_k * stride_k and multiplies
-by one weight vector per lowered axis, built once per call and zero where
-the shift would cross a cutoff, so its loops run contiguously along the
-rows however short the last modes are.
+a caller needs on one state and reads the stack once, in chunks, over its
+stored nonzeros only. A term pairs each nonzero with the amplitude one
+flat-index shift away, sum_k (q_k - p_k) * stride_k, weighted by small
+cached per-mode tables that are zero where the pair would cross a cutoff;
+no lowered copy of a row is made.
 
 Transforms return new states and never mutate or implicitly renormalize
 their inputs: a norm deficit after a transform is a bug, not something to
@@ -45,6 +45,7 @@ no output stack per phase. A single-mode input split against vacuum
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -359,90 +360,73 @@ def pad_cutoffs(state: QuantumState, cutoffs: Sequence[int]) -> QuantumState:
                         validate=False)
 
 
-def _axis_weights(dims: tuple[int, ...], axis: int, power: int) -> np.ndarray:
-    """sqrt((n_axis+1)...(n_axis+power)) at each flat index n of a row, and
-    0 where n_axis + power passes the cutoff."""
-    n = np.arange(dims[axis] - power, dtype=np.float64)
-    f = np.ones(len(n))
-    for step in range(power):
-        f *= n + 1 + step
-    w = np.zeros(dims[axis])
-    w[:len(n)] = np.sqrt(f)
-    return np.tile(np.repeat(w, math.prod(dims[axis + 1:])),
-                   math.prod(dims[:axis]))
+#: Amplitudes of the flat stack that :func:`expectations` reads at once
+#: (512 KiB): temporaries much larger than that get fresh pages from the
+#: OS on every call.
+CHUNK = 1 << 15
 
 
-def _lower(stack: np.ndarray, powers: Sequence[int],
-           weights: dict | None = None) -> np.ndarray:
-    """Apply prod_k a_k^{p_k} to every row of a (rank, *dims) stack:
-    out[:, n] = prod_k sqrt((n_k+1)...(n_k+p_k)) * stack[:, n + p], zero
-    where n + p lies above a cutoff. Writes one new array.
-
-    On flat row indices this is one shift by sum_k p_k * stride_k, times
-    the weights of each lowered axis in axis order (:func:`_axis_weights`,
-    kept in ``weights`` by (axis, power) for calls on the same dims), whose
-    zeros blank what the shift carries across a cutoff. So every multiply
-    is one contiguous loop along the rows.
-    """
-    if not any(powers):
-        return stack
-    dims = stack.shape[1:]
-    if any(p >= d for p, d in zip(powers, dims)):
-        return np.zeros_like(stack)
-    weights = {} if weights is None else weights
-    factors = []
-    for axis, p in enumerate(powers):
-        if p:
-            if (axis, p) not in weights:
-                weights[axis, p] = _axis_weights(dims, axis, p)
-            factors.append(weights[axis, p])
-    rows = stack.reshape(len(stack), math.prod(dims))
-    size = rows.shape[1] - int(np.ravel_multi_index(powers, dims))
-    out = np.empty_like(rows)
-    region = out[:, :size]
-    np.multiply(rows[:, -size:], factors[0][:size], out=region)
-    for f in factors[1:]:
-        region *= f[:size]
-    out[:, size:] = 0
-    return out.reshape(stack.shape)
+# Ladder tables, cutoff + 1 floats each, for the last 256 (cutoff, p, q):
+# an analyze-catalog round uses 162 of them.
+@functools.lru_cache(maxsize=256)
+def _ladder_table(cutoff: int, p: int, q: int) -> np.ndarray:
+    """Read-only <m| (a^dag)^p a^q |m - p + q> over m = 0..cutoff of one
+    mode, sqrt(m!/(m-p)!) * sqrt((m-p+q)!/(m-p)!), and 0 where m < p or
+    m - p + q passes the cutoff."""
+    table = np.zeros(cutoff + 1)
+    if max(p, q) <= cutoff:
+        n = np.arange(cutoff + 1 - max(p, q), dtype=np.float64)   # m - p
+        up, down = np.ones(len(n)), np.ones(len(n))
+        for step in range(1, p + 1):
+            up *= n + step
+        for step in range(1, q + 1):
+            down *= n + step
+        table[p:p + len(n)] = np.sqrt(up) * np.sqrt(down)
+    table.setflags(write=False)
+    return table
 
 
 def expectations(state: QuantumState,
                  terms: Sequence[Sequence[tuple[int, int]]]) -> list[complex]:
     """Expectations of normal-ordered products, one per term (each given as
-    for :func:`expect_normal_ordered`). Per slice of the stack, each
-    distinct creation or annihilation power tuple is lowered once and
-    shared by every term that uses it."""
-    pairs = []
+    for :func:`expect_normal_ordered`).
+
+    Tr[rho A^dag B], A = prod a^p and B = prod a^q, is the sum over the
+    stored nonzeros phi[m] of conj(phi[m]) W(m) phi[m + shift], shift =
+    sum_k (q_k - p_k) * stride_k and W the product of the per-axis tables
+    of :func:`_ladder_table`, whose zeros drop every m whose partner leaves
+    the row (any amplitude serves it there). The flat stack is read in
+    chunks of ``CHUNK`` amplitudes, each scanned for its nonzeros once; the
+    terms are evaluated one by one, so no value depends on the others.
+    """
+    dims = state.system.dims
+    strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
+    plans = []
     for powers in terms:
         powers = [(int(p), int(q)) for p, q in powers]
-        if len(powers) != state.system.mode_count:
+        if len(powers) != len(dims):
             raise ValueError("powers list length does not match mode count")
         if any(p < 0 or q < 0 for p, q in powers):
             raise ValueError("operator powers must be non-negative")
-        pairs.append(tuple(zip(*powers)))
-    # Tr[rho A^dag B] = sum_k <A phi_k | B phi_k>, A = prod a^p, B = prod a^q,
-    # over slices of about 2^15 amplitudes (512 KiB): temporaries much larger
-    # than that get fresh pages from the OS on every call
-    stack = state.tensorized()
-    step = max(1, (1 << 15) // state.dim)
-    # a lowering is dropped after the last term that uses it, so callers
-    # that list the terms sharing one next to each other hold few at once
-    last = {powers: i for i, pair in enumerate(pairs) for powers in pair}
-    parts = [[] for _ in pairs]
-    # the axis weights serve every slice: dim floats each, half the bytes
-    # of one lowered row
-    weights = {}
-    for k in range(0, len(stack), step):
-        lowered = {}
-        for i, (part, pair) in enumerate(zip(parts, pairs)):
-            for powers in pair:
-                if powers not in lowered:
-                    lowered[powers] = _lower(stack[k:k + step], powers,
-                                             weights)
-            part.append(np.vdot(lowered[pair[0]], lowered[pair[1]]))
-            lowered = {p: v for p, v in lowered.items() if last[p] > i}
-    return [complex(np.sum(part)) for part in parts]
+        plans.append(([(k + 1, _ladder_table(dims[k] - 1, p, q))
+                       for k, (p, q) in enumerate(powers) if p or q],
+                      sum((q - p) * s for (p, q), s in zip(powers, strides))))
+    flat = state.amps.reshape(-1)
+    sums = [0j] * len(plans)
+    for start in range(0, flat.size, CHUNK):
+        # an amplitude is stored when either part is != 0 (so a subnormal
+        # is and a -0 is not): its two flags, read as one uint16, are not 0
+        parts = flat[start:start + CHUNK].view(np.float64) != 0
+        at = np.flatnonzero(parts.view(np.uint16) != 0) + start
+        found = flat[at]
+        digits = np.unravel_index(at, (len(state.amps),) + dims)
+        for i, (tables, shift) in enumerate(plans):
+            left = found.conj()
+            for axis, table in tables:
+                left *= table[digits[axis]]
+            right = found if shift == 0 else flat.take(at + shift, mode="clip")
+            sums[i] += np.dot(left, right)
+    return [complex(value) for value in sums]
 
 
 def expect_normal_ordered(state: QuantumState,

@@ -136,7 +136,7 @@ def _dd_ss_unitary(four: QuantumState) -> tuple[float, float]:
     Modes are (a1, a2, b1, b2); detectors c_k/d_k land on the a_k/b_k
     slots. Each beamsplitter pads its pair before it acts, so the
     transforms are exactly unitary. The four number pairs go to one
-    batched call, which lowers each once.
+    batched call.
     """
     s = fock.apply_beamsplitter(four, 0, 2)
     s = fock.apply_beamsplitter(s, 1, 3)
@@ -150,8 +150,7 @@ def _dd_ss_unitary(four: QuantumState) -> tuple[float, float]:
 def _dd_ss_input_operator(four: QuantumState) -> tuple[float, float]:
     """Same two correlators evaluated directly on the input state via
     D_k = i(a_k^dag b_k - a_k b_k^dag) and S_k = a_k^dag a_k + b_k^dag b_k.
-    The eight correlators (modes a1, a2, b1, b2) go to one batched call and
-    share four lowerings; terms sharing one are listed next to each other."""
+    The eight correlators (modes a1, a2, b1, b2) go to one batched call."""
     up, down, num, none = (1, 0), (0, 1), (1, 1), (0, 0)
     s1, d1, d4, s4, s2, d2, d3, s3 = fock.expectations(four, [
         [num, num, none, none], [up, up, down, down],

@@ -12,6 +12,8 @@ formula. Slow and obvious by design.
 from __future__ import annotations
 
 import cmath
+import math
+from typing import Sequence
 
 import numpy as np
 
@@ -71,6 +73,92 @@ def strided_lower(stack: np.ndarray, powers) -> np.ndarray:
     for f in factors[1:]:
         region *= f
     return out
+
+
+def _axis_weights(dims: tuple[int, ...], axis: int, power: int) -> np.ndarray:
+    """sqrt((n_axis+1)...(n_axis+power)) at each flat index n of a row, and
+    0 where n_axis + power passes the cutoff."""
+    n = np.arange(dims[axis] - power, dtype=np.float64)
+    f = np.ones(len(n))
+    for step in range(power):
+        f *= n + 1 + step
+    w = np.zeros(dims[axis])
+    w[:len(n)] = np.sqrt(f)
+    return np.tile(np.repeat(w, math.prod(dims[axis + 1:])),
+                   math.prod(dims[:axis]))
+
+
+def flat_lower(stack: np.ndarray, powers: Sequence[int],
+               weights: dict | None = None) -> np.ndarray:
+    """Apply prod_k a_k^{p_k} to every row of a (rank, *dims) stack:
+    out[:, n] = prod_k sqrt((n_k+1)...(n_k+p_k)) * stack[:, n + p], zero
+    where n + p lies above a cutoff. Writes one new array.
+
+    On flat row indices this is one shift by sum_k p_k * stride_k, times
+    the weights of each lowered axis in axis order (:func:`_axis_weights`,
+    kept in ``weights`` by (axis, power) for calls on the same dims), whose
+    zeros blank what the shift carries across a cutoff. So every multiply
+    is one contiguous loop along the rows. The package lowered whole rows
+    this way before it read the stored nonzeros only.
+    """
+    if not any(powers):
+        return stack
+    dims = stack.shape[1:]
+    if any(p >= d for p, d in zip(powers, dims)):
+        return np.zeros_like(stack)
+    weights = {} if weights is None else weights
+    factors = []
+    for axis, p in enumerate(powers):
+        if p:
+            if (axis, p) not in weights:
+                weights[axis, p] = _axis_weights(dims, axis, p)
+            factors.append(weights[axis, p])
+    rows = stack.reshape(len(stack), math.prod(dims))
+    size = rows.shape[1] - int(np.ravel_multi_index(powers, dims))
+    out = np.empty_like(rows)
+    region = out[:, :size]
+    np.multiply(rows[:, -size:], factors[0][:size], out=region)
+    for f in factors[1:]:
+        region *= f[:size]
+    out[:, size:] = 0
+    return out.reshape(stack.shape)
+
+
+def lowered_expectations(state: QuantumState, terms) -> list[complex]:
+    """``fock.expectations`` as the package computed it before it read the
+    stored nonzeros only: per slice of the stack, each distinct creation or
+    annihilation power tuple is lowered whole (:func:`flat_lower`) and
+    shared by every term that uses it, and each term is one ``vdot``."""
+    pairs = []
+    for powers in terms:
+        powers = [(int(p), int(q)) for p, q in powers]
+        if len(powers) != state.system.mode_count:
+            raise ValueError("powers list length does not match mode count")
+        if any(p < 0 or q < 0 for p, q in powers):
+            raise ValueError("operator powers must be non-negative")
+        pairs.append(tuple(zip(*powers)))
+    # Tr[rho A^dag B] = sum_k <A phi_k | B phi_k>, A = prod a^p, B = prod a^q,
+    # over slices of about 2^15 amplitudes (512 KiB): temporaries much larger
+    # than that get fresh pages from the OS on every call
+    stack = state.tensorized()
+    step = max(1, (1 << 15) // state.dim)
+    # a lowering is dropped after the last term that uses it, so callers
+    # that list the terms sharing one next to each other hold few at once
+    last = {powers: i for i, pair in enumerate(pairs) for powers in pair}
+    parts = [[] for _ in pairs]
+    # the axis weights serve every slice: dim floats each, half the bytes
+    # of one lowered row
+    weights = {}
+    for k in range(0, len(stack), step):
+        lowered = {}
+        for i, (part, pair) in enumerate(zip(parts, pairs)):
+            for powers in pair:
+                if powers not in lowered:
+                    lowered[powers] = flat_lower(stack[k:k + step], powers,
+                                                 weights)
+            part.append(np.vdot(lowered[pair[0]], lowered[pair[1]]))
+            lowered = {p: v for p, v in lowered.items() if last[p] > i}
+    return [complex(np.sum(part)) for part in parts]
 
 
 def brute_expect(state: QuantumState, powers) -> complex:

@@ -24,13 +24,16 @@ def test_ops_cover_three_rounds_of_every_workload_and_the_probes(
     probes = [argv for label, argv, _ in ops if label.startswith("probe/")]
     assert len(probes) == len(compare_outputs.PROBES)
     # fringe scans, bell-scans on the unitary route (two beamsplitters),
-    # then analyze on split inputs: one that runs and two that are refused
+    # then analyze on split inputs: one that runs, two that are refused and
+    # three real-alpha coherent ones
     assert [argv[0] for argv in probes] == (["fringe"] * 7 + ["bell-scan"] * 2
-                                            + ["analyze"] * 3)
+                                            + ["analyze"] * 6)
     assert all(argv[argv.index("--route") + 1] == "unitary"
                for argv in probes[7:9])
     assert [argv[2] for argv in probes[9:]] == [
-        "split_number n=200", "split_thermal nbar=4.2", "split_number n=464"]
+        "split_number n=200", "split_thermal nbar=4.2", "split_number n=464",
+        "split_coherent alpha_re=0.7", "split_coherent alpha_re=1.5",
+        "split_coherent alpha_re=3"]
 
 
 def test_record_then_diff(tmp_path, monkeypatch, capsys):

@@ -8,13 +8,14 @@ import pytest
 
 from mzbell import (DimensionLimitError, ModeSystem, QuantumState,
                     apply_beamsplitter, apply_phase, basis_state,
-                    coherent_state, coherence, expect_normal_ordered,
-                    expectations, fock, homodyne, make_mixed, make_pure,
-                    number_state, pad_cutoffs, purity, split_input, tensor,
-                    thermal_state, vacuum_state)
+                    coherence, coherent_state, expect_normal_ordered,
+                    expectations, fock, make_mixed, make_pure, number_state,
+                    pad_cutoffs, purity, split_input, tensor, thermal_state,
+                    vacuum_state)
 
 from oracle import (annihilation_matrix, brute_expect, bs_unitary_spectral,
-                    random_density, random_pure, random_state)
+                    lowered_expectations, random_density, random_pure,
+                    random_state)
 
 TWO_MODE = ModeSystem((1, 1))
 
@@ -247,58 +248,62 @@ class TestBatchedExpectations:
                 + 1j * rng.normal(size=(rank, system.dim)))
         return QuantumState(system, amps=amps / np.linalg.norm(amps))
 
-    # (cutoffs, rank): 19 rows of dim 1681, or 52 of dim 625, per slice
+    # (cutoffs, rank): 84050 or 75000 amplitudes, three chunks each
     @pytest.mark.parametrize("cutoffs, rank", [((40, 40), 50),
                                                ((4, 4, 4, 4), 120)])
     def test_batch_equals_single_terms_bit_for_bit(self, cutoffs, rank):
         rng = np.random.default_rng(rank)
         state = self.stack_state(rng, cutoffs, rank)
-        step = (1 << 15) // state.dim
-        assert len(state.amps) > 2 * step
+        assert state.amps.size > 2 * fock.CHUNK
         terms = [[(int(rng.integers(0, 3)), int(rng.integers(0, 3)))
                   for _ in cutoffs] for _ in range(6)]
         terms += [terms[0], [(0, 0)] * len(cutoffs),
                   [(cutoffs[0] + 1, 0)] + [(1, 1)] * (len(cutoffs) - 1)]
         got = expectations(state, terms)
         assert got == [expect_normal_ordered(state, t) for t in terms]
-        # the same sums, slice by slice in order, as two separate lowerings
-        stack = state.tensorized()
-        for value, term in zip(got, terms):
-            creation, annihilation = zip(*term)
-            want = complex(np.sum([
-                np.vdot(fock._lower(stack[k:k + step], creation),
-                        fock._lower(stack[k:k + step], annihilation))
-                for k in range(0, len(stack), step)]))
-            assert value == want
+        # the whole-row lowering the package used before, to rounding
+        for value, want in zip(got, lowered_expectations(state, terms)):
+            assert abs(value - want) <= 1e-13 * max(1.0, abs(want))
         assert expectations(state, []) == []
 
-    def test_each_lowering_made_once_per_slice(self, monkeypatch):
-        made = []
-        lower = fock._lower
+    def test_values_bit_identical_under_any_order_of_terms(self):
+        rng = np.random.default_rng(18)
+        for cutoffs, rank in [((40, 40), 50), ((4, 4, 4, 4), 120),
+                              ((1, 2), 2)]:
+            state = self.stack_state(rng, cutoffs, rank)
+            terms = [[(int(rng.integers(0, 3)), int(rng.integers(0, 3)))
+                      for _ in cutoffs] for _ in range(6)]
+            terms += [[(0, 0)] * len(cutoffs),
+                      [(cutoffs[0] + 1, 0)] + [(1, 1)] * (len(cutoffs) - 1)]
+            want = np.array(expectations(state, terms))
+            for _ in range(4):
+                # a permutation of the terms, then some of them again
+                pick = np.concatenate([rng.permutation(len(terms)),
+                                       rng.integers(0, len(terms), 3)])
+                got = np.array(expectations(state, [terms[i] for i in pick]))
+                assert np.array_equal(got.view(np.uint64),
+                                      want[pick].view(np.uint64))
 
-        def counting(stack, powers, weights=None):
-            if any(powers):
-                made.append(tuple(powers))
-            return lower(stack, powers, weights)
-
-        def lowerings(run):
-            made.clear()
-            run()
-            return len(made), len(set(made))
-
-        monkeypatch.setattr(fock, "_lower", counting)
-        rng = np.random.default_rng(17)
-        state = self.stack_state(rng, (1, 2), 2)
-        four = tensor(tensor(state, coherent_state(0.3)), coherent_state(0.4))
-        # one slice, also after the unitary route pads its two pairs
-        padded = apply_beamsplitter(apply_beamsplitter(four, 0, 2), 1, 3)
-        assert padded.amps.size <= 1 << 15
-        assert lowerings(lambda: coherence.compute_moments(state)) == (3, 3)
-        assert lowerings(
-            lambda: homodyne._dd_ss_input_operator(four)) == (4, 4)
-        assert lowerings(lambda: homodyne._dd_ss_unitary(four)) == (4, 4)
-        assert lowerings(
-            lambda: coherence.fringe_scan(state, [0.0, 1.0, 2.0])) == (0, 0)
+    @pytest.mark.parametrize("case, bound", [("dense", 4 << 20),
+                                             ("split thermal", 1 << 19)])
+    def test_moments_peak_memory(self, case, bound):
+        # a dense rank-1 state of 1448^2 = 2096704 amplitudes (32 MiB),
+        # and a split thermal state of rank 83 and dim 6889, 0.5 % nonzero:
+        # the five moments read them chunk by chunk, with no lowered row
+        if case == "dense":
+            dim = 1448 ** 2
+            state = QuantumState(ModeSystem((1447, 1447)),
+                                 vector=np.full(dim, dim ** -0.5))
+        else:
+            state = split_input(thermal_state(2.5))
+        coherence.compute_moments(state)    # the ladder tables are cached
+        tracemalloc.start()
+        try:
+            coherence.compute_moments(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestPhase:

@@ -3,6 +3,7 @@ states stored as amplitude stacks, against the dense-matrix oracle, and of
 the closed-form CHSH maximum, against the oracle's angle search."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
@@ -18,9 +19,9 @@ from mzbell import (DegenerateStateError, FringeCoefficients, LocalOscillator,
 from mzbell.homodyne import fringe_e
 
 from oracle import (assert_scan_matches_per_phase, bs_unitary_spectral,
-                    normal_ordered_matrix, phase_matrix, random_density,
-                    random_pure, search_chsh, split_via_beamsplitter,
-                    strided_lower)
+                    flat_lower, lowered_expectations, normal_ordered_matrix,
+                    phase_matrix, random_density, random_pure, search_chsh,
+                    split_via_beamsplitter, strided_lower)
 
 
 @given(total=st.integers(0, 80), forward=st.booleans())
@@ -101,7 +102,7 @@ def test_flat_lowering_equals_the_strided_oracle(case):
     weights = {}
     for p in powers:
         want = strided_lower(stack, p)
-        for got in (fock._lower(stack, p), fock._lower(stack, p, weights)):
+        for got in (flat_lower(stack, p), flat_lower(stack, p, weights)):
             assert got.shape == stack.shape
             assert np.array_equal(got, want)
 
@@ -158,6 +159,62 @@ def test_batched_expectations_match_dense_oracle(case, data):
     for value, powers in zip(got, terms):
         want = np.trace(rho @ normal_ordered_matrix(dims, powers))
         assert abs(value - want) < 1e-12
+
+
+@st.composite
+def sparse_stacks(draw):
+    """A stack of 1-4 modes and rank 1-4 with a drawn share of exact zeros
+    and of -0 parts, some single amplitudes scaled by 1e-310 (subnormal
+    beside normal partners) and some rows by 1e-160 or 1e-310; terms with
+    powers up to two past a cutoff, plus the all-zero term, one above a
+    cutoff and a repeat; and the chunk length to read it in, small ones
+    putting chunk boundaries inside the rows."""
+    cutoffs = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    rank = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    system = ModeSystem(tuple(cutoffs))
+    amps = (rng.normal(size=(rank, system.dim))
+            + 1j * rng.normal(size=(rank, system.dim)))
+    amps /= np.linalg.norm(amps)
+    amps[rng.random(amps.shape) < draw(st.floats(0, 1))] = 0
+    signed = amps.view(np.float64)
+    signed[rng.random(signed.shape) < draw(st.floats(0, 0.5))] = -0.0
+    amps[rng.random(amps.shape) < draw(st.floats(0, 0.5))] *= 1e-310
+    amps *= rng.choice([1.0, 1.0, 1e-160, 1e-310], size=(rank, 1))
+    state = QuantumState(system, amps=amps, validate=False)
+    dims = system.dims
+    term = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                    min_size=len(dims), max_size=len(dims)).map(
+        lambda powers: [(min(p, d + 1), min(q, d + 1))
+                        for (p, q), d in zip(powers, dims)])
+    terms = draw(st.lists(term, max_size=5))
+    above = [(0, 0)] * len(dims)
+    above[draw(st.integers(0, len(dims) - 1))] = (0, max(dims))
+    terms += [[(0, 0)] * len(dims), above]
+    terms += [draw(st.sampled_from(terms))]
+    chunk = draw(st.sampled_from([1, 2, 5, 16, fock.CHUNK]))
+    return state, draw(st.permutations(terms)), chunk
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=sparse_stacks())
+@example(case=(QuantumState(ModeSystem((1,)), amps=[[1e-310, 1.0]],
+                            validate=False), [[(0, 1)], [(1, 0)]], fock.CHUNK))
+def test_stored_support_matches_both_oracles(case):
+    state, terms, chunk = case
+    with mock.patch.object(fock, "CHUNK", chunk):
+        got = expectations(state, terms)
+    rho, dims = state.rho, state.system.dims
+    lowered = lowered_expectations(state, terms)
+    # the same sums over |amps|: a scale no cancellation can shrink
+    sizes = lowered_expectations(
+        QuantumState(state.system, amps=np.abs(state.amps), validate=False),
+        terms)
+    for value, powers, want, size in zip(got, terms, lowered, sizes):
+        dense = np.trace(rho @ normal_ordered_matrix(dims, powers))
+        assert abs(value - dense) < 1e-12
+        # relative to the scale, and a few thousand subnormal steps
+        assert abs(value - want) <= 1e-13 * size.real + 1e-320
 
 
 @settings(max_examples=60, deadline=None)

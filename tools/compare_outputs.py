@@ -62,6 +62,11 @@ PROBES = (
     (["analyze", "--state", "split_number n=200"], None),
     (["analyze", "--state", "split_thermal nbar=4.2"], None),
     (["analyze", "--state", "split_number n=464"], None),
+    # real alpha: m12 and anom are exactly imaginary, so m12_re, anom_re
+    # and theta1 print 0; a rounding-level real part would move theta1
+    (["analyze", "--state", "split_coherent alpha_re=0.7"], None),
+    (["analyze", "--state", "split_coherent alpha_re=1.5"], None),
+    (["analyze", "--state", "split_coherent alpha_re=3"], None),
 )
 
 
