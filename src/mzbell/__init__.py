@@ -10,10 +10,10 @@ from .coherence import (CoherenceMoments, FringeRecord, analytic_visibility,
                         titulaer_glauber_margin, visibility)
 from .errors import (DegenerateDenominatorError, DegenerateStateError,
                      DimensionLimitError, MzBellError, RouteResidualError)
-from .fock import (ModeSystem, QuantumState, apply_beamsplitter, apply_phase,
-                   basis_state, coherent_state, expect_normal_ordered,
-                   expectations, make_mixed, make_pure, number_state,
-                   pad_cutoffs, purity, tensor, thermal_state, vacuum_state)
+from .fock import (ModeSystem, QuantumState, basis_state, coherent_state,
+                   expect_normal_ordered, expectations, make_mixed, make_pure,
+                   number_state, pad_cutoffs, purity, tensor, thermal_state,
+                   vacuum_state)
 from .homodyne import (ChshResult, DegenerateLimit, FringeCoefficients,
                        LocalOscillator, Verdict, chsh_value,
                        criterion_from_measurements, fringe_coefficients,
@@ -28,7 +28,7 @@ __all__ = [
     "ModeSystem", "QuantumState", "make_pure", "make_mixed", "tensor",
     "basis_state", "vacuum_state", "coherent_state", "number_state",
     "thermal_state", "pad_cutoffs", "purity", "expect_normal_ordered",
-    "expectations", "apply_beamsplitter", "apply_phase",
+    "expectations",
     "CoherenceMoments", "compute_moments", "g1", "g2",
     "titulaer_glauber_margin", "FringeRecord", "fringe_scan", "visibility",
     "analytic_visibility",

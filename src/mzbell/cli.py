@@ -145,13 +145,7 @@ def _verdict_csv_row(state_id: str, verdict: homodyne.Verdict,
     ])
 
 
-def _note_ignored_grid(args):
-    if args.grid is not None:
-        print("note: --grid is deprecated and ignored", file=sys.stderr)
-
-
 def cmd_analyze(args) -> int:
-    _note_ignored_grid(args)
     spec, state = _build(args)
     moments = coherence.compute_moments(state)
     verdict = homodyne.local_realism_verdict(moments)
@@ -264,7 +258,6 @@ def _sweep_values(spec_text: str) -> tuple[str, list[float]]:
 
 
 def cmd_sweep(args) -> int:
-    _note_ignored_grid(args)
     spec = resolve_state_arg(args.state)
     sweeps = [_sweep_values(s) for s in args.sweep or ()]
     if not sweeps:
@@ -323,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full coherence/Bell report")
     add_common(p)
-    p.add_argument("--grid", type=int,
-                   help="deprecated and ignored: the CHSH maximum is exact")
     p.add_argument("--format", choices=("report", "csv"), default="report",
                    help="csv appends a machine-readable block")
     p.set_defaults(func=cmd_analyze)
@@ -359,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", action="append",
                    metavar="KEY=START:STOP:STEP",
                    help="parameter range (repeatable; cartesian product)")
-    p.add_argument("--grid", type=int,
-                   help="deprecated and ignored: the CHSH maximum is exact")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("criterion",

@@ -31,16 +31,16 @@ hide.
 The 50:50 beamsplitter is kept as one cutoff-independent SU(2) block per
 total photon number of its mode pair (Campos, Saleh & Teich, PRA 40,
 1371 (1989)), built on first use and cached for the process. The cache
-is bounded by ``BLOCK_ENTRY_LIMIT`` entries per direction, checked before
-any block is built or the pair is padded. A transform is planned (the
-sectors a state occupies, with their rows, columns and blocks) and then
-applied. The plan grows both cutoffs of the pair to the largest occupied
-sector, so every block acts whole and the transform is exactly unitary,
-and it scans the support once, padded or not. A phase scan
-(``photon_counts_after_phases``) makes its plan once, as a phase shift
-never adds support, and reads only photon counts, sector by sector, with
-no output stack per phase. A single-mode input split against vacuum
-(``_split``) is not planned: |n, 0> is written from U_n's edge column.
+is bounded by ``BLOCK_ENTRY_LIMIT`` entries, checked before any block is
+built or a pair is padded. Three product paths read the blocks:
+- a phase scan (``photon_counts_after_phases``) plans the sectors a state
+  occupies once, growing both cutoffs of the pair to the largest of them
+  so every block acts whole, and reads only photon counts, sector by
+  sector, with no output stack per phase;
+- a single-mode input split against vacuum (``_split``) writes |n, 0>
+  from U_n's edge column;
+- a mode mixed with a pure partner mode (``output_number_grams``) is
+  reduced to two small Gram matrices of the output photon numbers.
 """
 
 from __future__ import annotations
@@ -440,25 +440,12 @@ def expect_normal_ordered(state: QuantumState,
     return expectations(state, [powers])[0]
 
 
-def apply_phase(state: QuantumState, mode: int, phi: float) -> QuantumState:
-    """Phase shifter: occupation n on `mode` gains e^{i n phi}. Exactly
-    unitary on the truncated space."""
-    d = state.system.dims[mode]
-    phases = np.exp(1j * float(phi) * np.arange(d))
-    shape = [d if k == mode + 1 else 1
-             for k in range(state.system.mode_count + 1)]
-    t = state.tensorized() * phases.reshape(shape)
-    return QuantumState(state.system, amps=t.reshape(len(state.amps), -1),
-                        validate=False)
-
-
-#: Most entries the cached blocks U_0..U_N of one direction may hold,
-#: sum of (n + 1)^2 up to N: 16 times the largest state, 512 MiB, which
-#: admits sectors up to N = 463.
+#: Most entries the cached blocks U_0..U_N may hold, sum of (n + 1)^2 up
+#: to N: 16 times the largest state, 512 MiB, which admits sectors up to
+#: N = 463.
 BLOCK_ENTRY_LIMIT = 16 * AMPLITUDE_LIMIT
-#: Read-only beamsplitter blocks U_N keyed by (N, forward), from U_0 = [[1]].
-_BLOCKS = {(0, forward): np.broadcast_to(np.complex128(1), (1, 1))
-           for forward in (True, False)}
+#: Read-only beamsplitter blocks U_N keyed by N, from U_0 = [[1]].
+_BLOCKS = {0: np.broadcast_to(np.complex128(1), (1, 1))}
 
 
 def _check_blocks(total: int) -> None:
@@ -471,30 +458,30 @@ def _check_blocks(total: int) -> None:
             f"{entries} entries, above the limit of {BLOCK_ENTRY_LIMIT}")
 
 
-def _bs_block(total: int, forward: bool) -> np.ndarray:
+def _bs_block(total: int) -> np.ndarray:
     """Read-only block U_N[k, m] = <k, N-k| U |m, N-m> of the 50:50
-    beamsplitter on the sector with N = ``total`` photons in its two modes.
+    beamsplitter on the sector with N = ``total`` photons in its two modes,
+    building (and checking the bound of) every smaller missing block first.
 
     U_N is built from U_{N-1} by the SU(2) action on creation operators,
-    A^dag = U a^dag U^dag = (a^dag + s b^dag)/sqrt(2) and B^dag = U b^dag
-    U^dag = (s a^dag + b^dag)/sqrt(2), s = +i forward and -i inverse (so the
-    inverse block is the conjugate). As a^dag a + b^dag b = N on the sector,
-    U_N = (A^dag U_{N-1} a + B^dag U_{N-1} b) / N, a non-expansive map:
-    rounding errors add up (about N ulp) instead of compounding.
+    A^dag = U a^dag U^dag = (a^dag + i b^dag)/sqrt(2) and B^dag = U b^dag
+    U^dag = (i a^dag + b^dag)/sqrt(2). As a^dag a + b^dag b = N on the
+    sector, U_N = (A^dag U_{N-1} a + B^dag U_{N-1} b) / N, a non-expansive
+    map: rounding errors add up (about N ulp) instead of compounding. U_N
+    is symmetric, so the inverse block is its conjugate.
     """
     start = total
-    while (start, forward) not in _BLOCKS:
+    while start not in _BLOCKS:
         start -= 1
     if start < total:
         _check_blocks(total)
-    s = 1j if forward else -1j
     for n in range(start + 1, total + 1):
-        parent = _BLOCKS[(n - 1, forward)]
+        parent = _BLOCKS[n - 1]
         root = np.sqrt(np.arange(n + 1.0))
         a_dag = root[:, None] * np.pad(parent, ((1, 0), (0, 0)))
         b_dag = root[::-1, None] * np.pad(parent, ((0, 1), (0, 0)))
-        up = a_dag + s * b_dag          # sqrt(2) A^dag U_{N-1}
-        down = s * a_dag + b_dag        # sqrt(2) B^dag U_{N-1}
+        up = a_dag + 1j * b_dag         # sqrt(2) A^dag U_{N-1}
+        down = 1j * a_dag + b_dag       # sqrt(2) B^dag U_{N-1}
         # a |m, n-m> = sqrt(m) |m-1, n-m>, b |m, n-m> = sqrt(n-m) |m, n-m-1>
         block = np.empty((n + 1, n + 1), dtype=np.complex128)
         block[:, 0] = down[:, 0] / math.sqrt(2 * n)
@@ -502,12 +489,12 @@ def _bs_block(total: int, forward: bool) -> np.ndarray:
         block[:, 1:n] = (up[:, :-1] * root[1:n]
                          + down[:, 1:] * root[n - 1:0:-1]) / (n * math.sqrt(2))
         block.setflags(write=False)
-        _BLOCKS.setdefault((n, forward), block)
-    return _BLOCKS[(total, forward)]
+        _BLOCKS.setdefault(n, block)
+    return _BLOCKS[total]
 
 
-def _plan(state: QuantumState, mode_i: int, mode_j: int,
-          forward: bool) -> tuple[QuantumState, list]:
+def _plan(state: QuantumState, mode_i: int,
+          mode_j: int) -> tuple[QuantumState, list]:
     """The state, padded so every sector N = n_i + n_j of the beamsplitter
     on (mode_i, mode_j) that carries support fits under both cutoffs, and
     those sectors, largest first, each as (rows, cols, block): its basis
@@ -545,33 +532,23 @@ def _plan(state: QuantumState, mode_i: int, mode_j: int,
     for total in occupied:
         k = np.arange(total + 1)
         plan.append((grid[k, total - k].reshape(-1, 1),
-                     np.flatnonzero(sectors[total]),
-                     _bs_block(total, forward)))
+                     np.flatnonzero(sectors[total]), _bs_block(total)))
     return state, plan
 
 
-def _apply(state: QuantumState, plan) -> QuantumState:
-    """Apply each planned sector's block to the state's rows."""
-    amps = np.zeros_like(state.amps)
-    mat, out = state.amps.T, amps.T
-    for rows, cols, block in plan:
-        sub = mat[rows, cols].reshape(len(block), -1)
-        out[rows, cols] = (block @ sub).reshape(rows.size, -1)
-    return QuantumState(state.system, amps=amps, validate=False)
-
-
 def _split(state: QuantumState) -> QuantumState:
-    """``apply_beamsplitter(tensor(state, vacuum), 0, 1)`` for a single-mode
-    state, refused alike before allocating: |n, 0> is column n of U_n, so
-    component r has amps[r, n] * U_n[m, n] on |m, n - m>. The bits match,
-    save the sign of a zero where a mixed input has a lone zero part."""
+    """The beamsplitter on ``state`` x vacuum (modes 0, 1) for a
+    single-mode state, with the refusals of planning that product: |n, 0>
+    is column n of U_n, so component r has amps[r, n] * U_n[m, n] on
+    |m, n - m>. The bits match the planned block product, save the sign of
+    a zero where a mixed input has a lone zero part."""
     rank, d = state.amps.shape
     comps, ns = np.nonzero(state.amps)
     _check_size(rank, d * d)
     top = int(ns.max(initial=0))
-    _bs_block(top, True)      # checks the block bound before building
+    _bs_block(top)      # checks the block bound before building
     # U_n[m, n] at n (n + 1) / 2 + m, for every n up to the top sector
-    edges = np.concatenate([_BLOCKS[(n, True)][:, n] for n in range(top + 1)])
+    edges = np.concatenate([_BLOCKS[n][:, n] for n in range(top + 1)])
     # one entry per nonzero (r, n) and m = 0..n
     which = np.repeat(np.arange(ns.size), ns + 1)
     n = ns[which]
@@ -583,27 +560,47 @@ def _split(state: QuantumState) -> QuantumState:
     return QuantumState(ModeSystem((d - 1, d - 1)), amps=amps, validate=False)
 
 
-def apply_beamsplitter(state: QuantumState, mode_i: int, mode_j: int, *,
-                       inverse: bool = False) -> QuantumState:
-    """50:50 beamsplitter on two modes: mode_i -> (mode_i + i mode_j)/sqrt(2),
-    mode_j -> (i mode_i + mode_j)/sqrt(2) (inverse flips the sign of i).
+def output_number_grams(state: QuantumState, partners: Sequence[np.ndarray]
+                        ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Output photon numbers of one beamsplitter per mode, as Gram matrices
+    on that mode: (G_D, G_S) per mode k of ``state``, for mode k mixed with
+    a pure single-mode partner of amplitudes ``partners[k]``.
 
-    Each sector N = n_i + n_j of every component goes through its SU(2)
-    block U_N. Both cutoffs of the pair are first grown to the largest
-    occupied N (the output's system shows them), so every block acts whole
-    and the transform is exactly unitary. A state that would pass
-    ``AMPLITUDE_LIMIT`` once padded, or a sector whose blocks would pass
-    ``BLOCK_ENTRY_LIMIT``, is refused before either is allocated.
+    On sector N of the pair (mode, partner), input |m, N - m> carries
+    partner[N - m], so a mode amplitude vector x leaves as U_N D_N x, with
+    D_N[m, m] = partner[N - m]. Weighting the output |k, N - k> by the
+    photon difference 2k - N, or by the sum N, gives
+    G_D = sum_N (U_N D_N)^dag diag(2k - N) U_N D_N and
+    G_S = sum_N N (U_N D_N)^dag U_N D_N, each (cutoff + 1)-square. The top
+    sector of every pair is checked against ``BLOCK_ENTRY_LIMIT`` before
+    any block is built.
     """
-    return _apply(*_plan(state, mode_i, mode_j, not inverse))
+    cutoffs = state.system.cutoffs
+    tops = [c + len(partner) - 1
+            for c, partner in zip(cutoffs, partners, strict=True)]
+    _bs_block(max(tops))    # largest first: refused before any is built
+    grams = []
+    for c, partner, top in zip(cutoffs, partners, tops):
+        g_d = np.zeros((c + 1, c + 1), dtype=np.complex128)
+        g_s = np.zeros_like(g_d)
+        for total in range(top + 1):
+            # the mode's occupations m that the partner reaches on sector N
+            lo, hi = max(0, total - len(partner) + 1), min(total, c) + 1
+            a = _BLOCKS[total][:, lo:hi] * partner[total - np.arange(lo, hi)]
+            at = a.conj().T
+            # the photon difference 2k - N of the outputs k = 0..N
+            diff = np.arange(-total, total + 1, 2.0)[:, None]
+            g_d[lo:hi, lo:hi] += at @ (diff * a)
+            g_s[lo:hi, lo:hi] += total * (at @ a)
+        grams.append((g_d, g_s))
+    return grams
 
 
 def photon_counts_after_phases(state: QuantumState, mode_i: int, mode_j: int,
                                phases: Iterable[float]) -> np.ndarray:
-    """The photon counts P(n) = sum over the stack of |amps|^2 of
-    ``apply_beamsplitter(apply_phase(state, mode_i, phi), mode_i, mode_j)``
-    for each phi, bit for bit, as a ``(len(phases), *dims)`` grid over the
-    padded basis.
+    """The photon counts P(n), summed over the stack, after mode_i gains
+    e^{i n_i phi} and the beamsplitter acts on (mode_i, mode_j), for each
+    phi, as a ``(len(phases), *dims)`` grid over the padded basis.
 
     A phase shift multiplies each amplitude by a unit-modulus factor, so
     every shifted copy has the support of ``state`` (only an amplitude a
@@ -615,9 +612,8 @@ def photon_counts_after_phases(state: QuantumState, mode_i: int, mode_j: int,
     applied, and the squared real and imaginary parts are each summed over
     the components in stack order: no phased or output stack is formed.
     """
-    state, plan = _plan(state, mode_i, mode_j, True)
+    state, plan = _plan(state, mode_i, mode_j)
     d = state.system.dims[mode_i]
-    # the factors of apply_phase, made as it makes them
     factors = np.array([np.exp(1j * float(phi) * np.arange(d))
                         for phi in phases]).reshape(-1, d, 1)
     counts = np.zeros((len(factors), state.dim))

@@ -10,9 +10,14 @@ four E values by 2, which C1^2 + C2^2 <= 1/2 guarantees; C1 > 1/sqrt(2)
 therefore certifies a violation from interference visibility and
 coincidence rate alone.
 
-Three independent computation routes for E (beamsplitter unitaries,
-input-operator forms, and the analytic moment formula) cross-validate one
-another and are kept deliberately separate.
+Three independent computation routes for E cross-validate one another and
+are kept deliberately separate:
+- ``unitary`` applies each pair's beamsplitter blocks and weights the
+  output photon numbers, reduced to two small Gram matrices per pair, so
+  no four-mode state is formed;
+- ``input_operator`` evaluates the equivalent input-side operator forms
+  on the four-mode state a1 x a2 x b1 x b2, with no transform;
+- the analytic moment formula needs only the five channel moments.
 
 On both numeric routes an oscillator phase is an exact rotation, so E at
 fixed oscillator amplitudes is a two-frequency fringe in the phases:
@@ -30,6 +35,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from . import fock
 from .coherence import (DEGENERACY_FLOOR, ROUTE_RESIDUAL_TOL,
@@ -130,67 +137,61 @@ def _lo_state(lo: LocalOscillator, tail_eps: float) -> QuantumState:
     return fock.coherent_state(lo.alpha, tail_eps)
 
 
-def _dd_ss_unitary(four: QuantumState) -> tuple[float, float]:
-    """<D1 D2>, <S1 S2> after physically applying the two beamsplitters.
+def _dd_ss_unitary(state_a: QuantumState, b1: QuantumState,
+                   b2: QuantumState) -> tuple[float, float]:
+    """<D1 D2>, <S1 S2> from the output photon numbers of the two
+    beamsplitters, pair (a_k, b_k) at a time.
 
-    Modes are (a1, a2, b1, b2); detectors c_k/d_k land on the a_k/b_k
-    slots. Each beamsplitter pads its pair before it acts, so the
-    transforms are exactly unitary. The four number pairs go to one
-    batched call.
+    Detectors c_k/d_k are the a_k/b_k outputs of pair k. Each pair's
+    output weights (difference or sum) reduce to Gram matrices G_k on a_k
+    (``fock.output_number_grams``), so for each signal component S, a
+    matrix over (n1, n2), a correlator is Tr[G_1 S conj(G_2) S^dag]. No
+    four-mode state is formed.
     """
-    s = fock.apply_beamsplitter(four, 0, 2)
-    s = fock.apply_beamsplitter(s, 1, 3)
-    num, none = (1, 1), (0, 0)
-    n01, n03, n21, n23 = (value.real for value in fock.expectations(s, [
-        [num, num, none, none], [num, none, none, num],
-        [none, num, num, none], [none, none, num, num]]))
-    return n01 - n03 - n21 + n23, n01 + n03 + n21 + n23
+    (d1, s1), (d2, s2) = fock.output_number_grams(
+        state_a, (b1.vector, b2.vector))
+    comps = state_a.tensorized()
+    return (float(np.vdot(comps, d1 @ comps @ d2.conj()).real),
+            float(np.vdot(comps, s1 @ comps @ s2.conj()).real))
 
 
-def _dd_ss_input_operator(four: QuantumState) -> tuple[float, float]:
-    """Same two correlators evaluated directly on the input state via
-    D_k = i(a_k^dag b_k - a_k b_k^dag) and S_k = a_k^dag a_k + b_k^dag b_k.
-    The eight correlators (modes a1, a2, b1, b2) go to one batched call."""
+def _dd_ss_input_operator(state_a: QuantumState, b1: QuantumState,
+                          b2: QuantumState) -> tuple[float, float]:
+    """Same two correlators evaluated directly on the input state
+    a1 x a2 x b1 x b2 via D_k = i(a_k^dag b_k - a_k b_k^dag) and
+    S_k = a_k^dag a_k + b_k^dag b_k. The signal's components are tensored
+    with the two oscillators all at once, unless the four-mode stack would
+    exceed the amplitude bound: then in as few slices of components as fit
+    under it. The eight correlators go to one batched call per slice."""
     up, down, num, none = (1, 0), (0, 1), (1, 1), (0, 0)
-    s1, d1, d4, s4, s2, d2, d3, s3 = fock.expectations(four, [
-        [num, num, none, none], [up, up, down, down],
-        [down, down, up, up], [none, none, num, num],
-        [num, none, none, num], [up, down, down, up],
-        [down, up, up, down], [none, num, num, none]])
-    dd = -(d1 - d2 - d3 + d4)
-    ss = s1 + s2 + s3 + s4
-    return dd.real, ss.real
-
-
-def _dd_ss(state_a: QuantumState, lo1: LocalOscillator, lo2: LocalOscillator,
-           route: str, tail_eps: float) -> tuple[float, float]:
-    """<D1 D2> and <S1 S2> by one route on the four-mode state
-    a1 x a2 x b1 x b2.
-
-    The signal's components are tensored with the two oscillators all at
-    once, so the route runs once for any state within the bound.
-    """
-    if state_a.system.mode_count != 2:
-        raise ValueError("state_a must be a two-mode (signal-channel) state")
-    if route not in ("unitary", "input_operator"):
-        raise ValueError(f"unknown route {route!r}")
-    b1 = _lo_state(lo1, tail_eps)
-    b2 = _lo_state(lo2, tail_eps)
-    evaluate = _dd_ss_unitary if route == "unitary" else _dd_ss_input_operator
-    # all components at once, unless the four-mode stack would exceed the
-    # amplitude bound: then in as few slices of components as fit under it
-    dims = state_a.system.dims + (b1.dim, b2.dim)
-    if route == "unitary":  # pair (a_k, b_k) is padded to at most n_a + n_b
-        dims = (dims[0] + dims[2] - 1, dims[1] + dims[3] - 1) * 2
-    step = max(1, fock.AMPLITUDE_LIMIT // math.prod(dims))
+    terms = [[num, num, none, none], [up, up, down, down],
+             [down, down, up, up], [none, none, num, num],
+             [num, none, none, num], [up, down, down, up],
+             [down, up, up, down], [none, num, num, none]]
+    step = max(1, fock.AMPLITUDE_LIMIT // (state_a.dim * b1.dim * b2.dim))
     dd = ss = 0.0
     for start in range(0, len(state_a.amps), step):
         part = QuantumState(state_a.system,
                             amps=state_a.amps[start:start + step],
                             validate=False)
-        d, s = evaluate(fock.tensor(fock.tensor(part, b1), b2))
-        dd += d
-        ss += s
+        s1, d1, d4, s4, s2, d2, d3, s3 = fock.expectations(
+            fock.tensor(fock.tensor(part, b1), b2), terms)
+        dd -= (d1 - d2 - d3 + d4).real
+        ss += (s1 + s2 + s3 + s4).real
+    return dd, ss
+
+
+def _dd_ss(state_a: QuantumState, lo1: LocalOscillator, lo2: LocalOscillator,
+           route: str, tail_eps: float) -> tuple[float, float]:
+    """<D1 D2> and <S1 S2> by one route, for the signal state a1 x a2 with
+    oscillator b_k in front of detector pair k."""
+    if state_a.system.mode_count != 2:
+        raise ValueError("state_a must be a two-mode (signal-channel) state")
+    if route not in ("unitary", "input_operator"):
+        raise ValueError(f"unknown route {route!r}")
+    evaluate = _dd_ss_unitary if route == "unitary" else _dd_ss_input_operator
+    dd, ss = evaluate(state_a, _lo_state(lo1, tail_eps),
+                      _lo_state(lo2, tail_eps))
     if ss <= 1e-15:
         raise DegenerateDenominatorError(
             f"<S1 S2> = {ss:.3e}: no joint signal, modulation depth undefined")

@@ -7,6 +7,12 @@ generator, and expectations are literal <psi|M|psi> / Tr[rho M] products.
 The CHSH maximum is found by grid search plus coordinate descent, and the
 trig-form fringe coefficients are fitted from angle scans of the moment
 formula. Slow and obvious by design.
+
+The whole-stack phase shifter and beamsplitter are the exceptions: they
+are the transforms the package applied before its phase scan read photon
+counts sector by sector and its unitary E route reduced each pair's
+outputs to Gram matrices. They reuse its sector plan and cached blocks,
+which the spectral unitary checks.
 """
 
 from __future__ import annotations
@@ -18,9 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from mzbell import (ChshResult, LocalOscillator, ModeSystem, QuantumState,
-                    apply_beamsplitter, apply_phase, chsh_value, expectations,
-                    fock, fringe_scan, modulation_depth_analytic, tensor,
-                    vacuum_state)
+                    chsh_value, expectations, fock, fringe_scan,
+                    modulation_depth_analytic, tensor, vacuum_state)
 
 
 def annihilation_matrix(dims, mode) -> np.ndarray:
@@ -173,6 +178,58 @@ def phase_matrix(dims, mode, phi) -> np.ndarray:
     """Dense phase shifter exp(i phi a^dag a) on one mode."""
     a = annihilation_matrix(dims, mode)
     return np.diag(np.exp(1j * phi * np.diag(a.conj().T @ a).real))
+
+
+def apply_phase(state: QuantumState, mode: int, phi: float) -> QuantumState:
+    """Phase shifter: occupation n on `mode` gains e^{i n phi}. Exactly
+    unitary on the truncated space."""
+    d = state.system.dims[mode]
+    phases = np.exp(1j * float(phi) * np.arange(d))
+    shape = [d if k == mode + 1 else 1
+             for k in range(state.system.mode_count + 1)]
+    t = state.tensorized() * phases.reshape(shape)
+    return QuantumState(state.system, amps=t.reshape(len(state.amps), -1),
+                        validate=False)
+
+
+def apply_beamsplitter(state: QuantumState, mode_i: int, mode_j: int, *,
+                       inverse: bool = False) -> QuantumState:
+    """50:50 beamsplitter on two modes: mode_i -> (mode_i + i mode_j)/sqrt(2),
+    mode_j -> (i mode_i + mode_j)/sqrt(2) (inverse flips the sign of i),
+    as a whole output stack from the package's sector plan.
+
+    Each occupied sector N = n_i + n_j of every component goes through its
+    block U_N (its conjugate, the inverse block, if ``inverse``). The plan
+    first grows both cutoffs of the pair to the largest occupied N (the
+    output's system shows them), so every block acts whole and the
+    transform is exactly unitary; it refuses a padded state past
+    ``AMPLITUDE_LIMIT`` or a sector past ``BLOCK_ENTRY_LIMIT`` before
+    allocating either.
+    """
+    state, plan = fock._plan(state, mode_i, mode_j)
+    amps = np.zeros_like(state.amps)
+    mat, out = state.amps.T, amps.T
+    for rows, cols, block in plan:
+        if inverse:
+            block = block.conj()
+        sub = mat[rows, cols].reshape(len(block), -1)
+        out[rows, cols] = (block @ sub).reshape(rows.size, -1)
+    return QuantumState(state.system, amps=amps, validate=False)
+
+
+def dd_ss_after_beamsplitters(state_a: QuantumState, b1: QuantumState,
+                              b2: QuantumState) -> tuple[float, float]:
+    """<D1 D2>, <S1 S2> of the homodyne test on the four-mode stack: the
+    signal tensored with both oscillators, modes (a1, a2, b1, b2),
+    transformed by :func:`apply_beamsplitter` on (0, 2) and (1, 3), and the
+    four output number pairs read by ``expectations``."""
+    four = apply_beamsplitter(apply_beamsplitter(
+        tensor(tensor(state_a, b1), b2), 0, 2), 1, 3)
+    num, none = (1, 1), (0, 0)
+    n01, n03, n21, n23 = (value.real for value in expectations(four, [
+        [num, num, none, none], [num, none, none, num],
+        [none, num, num, none], [none, none, num, num]]))
+    return n01 - n03 - n21 + n23, n01 + n03 + n21 + n23
 
 
 def bs_unitary_spectral(dims, mode_i, mode_j, inverse=False) -> np.ndarray:

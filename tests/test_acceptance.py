@@ -252,7 +252,7 @@ def test_criterion_10_mixed_state_violation(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = cli.main(["sweep", "--state",
                      "noisy_split_photon w=0.8 alpha_re=0.2 alpha_im=0",
-                     "--sweep", "w=0.8:1.0:0.01", "--grid", "12",
+                     "--sweep", "w=0.8:1.0:0.01",
                      "--out", str(out)])
     capsys.readouterr()
     rows = out.read_text().strip().splitlines()

@@ -177,12 +177,16 @@ class TestAnalyze:
         ("analyze", "--state", "split_thermal nbar=0.5"),
         ("sweep", "--state", "split_thermal nbar=0.5",
          "--sweep", "nbar=0.5:0.7:0.1")])
-    def test_grid_is_ignored_with_a_note(self, capsys, command):
-        code, plain, err = run_cli(capsys, *command)
+    def test_grid_is_rejected(self, capsys, command):
+        # the CHSH maximum is exact, so only bell-scan takes a --grid
+        code, _, err = run_cli(capsys, *command)
         assert code == 0 and err == ""
-        code, out, err = run_cli(capsys, *command, "--grid", "4")
-        assert code == 0 and out == plain
-        assert err == "note: --grid is deprecated and ignored\n"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command, "--grid", "4"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --grid 4" in captured.err
 
     def test_degenerate_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--state",
@@ -316,6 +320,17 @@ class TestBellScan:
         rows = [l.split(",") for l in out.strip().splitlines()[1:17]]
         assert [r[3] for r in rows] == ["0"] * 16
 
+    @pytest.mark.parametrize("nbar", ["0.6", "2"])
+    def test_unitary_route_on_split_thermal(self, capsys, nbar):
+        # states whose padded four-mode stack would pass the amplitude
+        # bound: the route never forms it
+        code, out, err = run_cli(capsys, "bell-scan", "--state",
+                                 f"split_thermal nbar={nbar}", "--grid", "4",
+                                 "--route", "unitary")
+        assert code == 0, err
+        rows = [l.split(",") for l in out.strip().splitlines()[1:17]]
+        assert max(abs(float(r[2]) - float(r[3])) for r in rows) < 1e-10
+
     @pytest.mark.parametrize("grid", ["4", "12"])
     @pytest.mark.parametrize("route", ["input_operator", "unitary"])
     def test_five_route_evaluations_per_scan(self, capsys, monkeypatch,
@@ -325,9 +340,9 @@ class TestBellScan:
         for name in calls:
             real = getattr(homodyne, f"_dd_ss_{name}")
 
-            def counted(four, real=real, name=name):
+            def counted(*args, real=real, name=name):
                 calls[name] += 1
-                return real(four)
+                return real(*args)
             monkeypatch.setattr(homodyne, f"_dd_ss_{name}", counted)
         code, out, err = run_cli(
             capsys, "bell-scan", "--state",
@@ -374,7 +389,7 @@ class TestSweep:
         code, out, _ = run_cli(
             capsys, "sweep", "--state",
             "noisy_split_photon w=0.8 alpha_re=0.2 alpha_im=0",
-            "--sweep", "w=0.8:1.0:0.05", "--grid", "12")
+            "--sweep", "w=0.8:1.0:0.05")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == cli.SWEEP_CSV_HEADER
@@ -407,7 +422,7 @@ class TestSweep:
     def test_incoherent_sweep_no_coherence(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--state",
                                "incoherent_anticorrelated p=0.5",
-                               "--sweep", "p=0.2:0.8:0.2", "--grid", "8")
+                               "--sweep", "p=0.2:0.8:0.2")
         assert code == 0
         rows = [l.split(",") for l in out.strip().splitlines()[1:]]
         assert len(rows) == 4
@@ -427,7 +442,7 @@ class TestSweep:
 
     def test_deterministic(self, capsys):
         args = ("sweep", "--state", "split_coherent alpha_re=0.3 alpha_im=0",
-                "--sweep", "alpha_re=0.1:0.5:0.2", "--grid", "8")
+                "--sweep", "alpha_re=0.1:0.5:0.2")
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second

@@ -8,15 +8,15 @@ import pytest
 
 from mzbell import (CoherenceMoments, DegenerateStateError, ModeSystem,
                     QuantumState, RouteResidualError, StateSpec,
-                    analytic_visibility, apply_beamsplitter, apply_phase,
-                    basis_state, build_state, cli, coherent_state,
-                    compute_moments, fock, fringe_scan, g1, g2,
-                    incoherent_anticorrelated, make_mixed, make_pure,
+                    analytic_visibility, basis_state, build_state, cli,
+                    coherent_state, compute_moments, fock, fringe_scan, g1,
+                    g2, incoherent_anticorrelated, make_mixed, make_pure,
                     split_input, split_single_photon, thermal_state,
                     titulaer_glauber_margin, visibility)
 
-from oracle import (assert_scan_matches_per_phase, brute_expect,
-                    count_grid, random_density, random_pure)
+from oracle import (apply_beamsplitter, apply_phase,
+                    assert_scan_matches_per_phase, brute_expect, count_grid,
+                    random_density, random_pure)
 
 PHASES_64 = [2 * math.pi * k / 64 for k in range(64)]
 

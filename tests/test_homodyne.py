@@ -1,16 +1,18 @@
 """Homodyne Bell tests: modulation depth routes, CHSH, verdicts."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mzbell import (ChshResult, CoherenceMoments, DegenerateDenominatorError,
-                    DegenerateLimit, DegenerateStateError, FringeCoefficients,
-                    LocalOscillator, ModeSystem, RouteResidualError,
-                    basis_state, chsh_value, coherent_state, compute_moments,
-                    criterion_from_measurements, fringe_coefficients,
+                    DegenerateLimit, DegenerateStateError, DimensionLimitError,
+                    FringeCoefficients, LocalOscillator, ModeSystem,
+                    RouteResidualError, basis_state, chsh_value,
+                    coherent_state, compute_moments,
+                    criterion_from_measurements, fock, fringe_coefficients,
                     fringe_coefficients_at, homodyne, local_realism_verdict,
                     maximize_chsh, modulation_depth_analytic,
                     modulation_depth_numeric, numeric_fringe_coefficients,
@@ -82,6 +84,42 @@ class TestModulationDepthNumeric:
         lo = LocalOscillator(0.1, 0.0)
         with pytest.raises(ValueError):
             modulation_depth_numeric(split_single_photon(), lo, lo, "magic")
+
+    def test_unitary_route_forms_no_four_mode_state(self, monkeypatch):
+        # each pair's outputs are weighted through its Gram matrices: no
+        # tensor product and no ladder expectation on the unitary route
+        state = random_density(np.random.default_rng(37), (2, 3), rank=3)
+        want = numeric_fringe_coefficients(state, 0.4, 0.3, "input_operator")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the unitary route called a four-mode step")
+        monkeypatch.setattr(fock, "expectations", refuse)
+        monkeypatch.setattr(fock, "tensor", refuse)
+        got = numeric_fringe_coefficients(state, 0.4, 0.3, "unitary")
+        assert abs(got.c1 - want.c1) < 1e-12
+        assert abs(got.c2 - want.c2) < 1e-12
+        with pytest.raises(AssertionError, match="four-mode step"):
+            numeric_fringe_coefficients(state, 0.4, 0.3, "input_operator")
+
+    def test_block_bound_refused_before_building(self):
+        # a 400-photon signal mode beside an oscillator of cutoff c_l needs
+        # the blocks up to sector 400 + c_l, past the 463 the block bound
+        # admits: refused with no block built and no Gram matrix allocated
+        state = basis_state(ModeSystem((400, 1)), (400, 1))
+        lo = LocalOscillator(8.0, 0.0)
+        top = 400 + coherent_state(lo.alpha).system.cutoffs[0]
+        assert top > 463
+        cached = set(fock._BLOCKS)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionLimitError,
+                               match=f"up to {top} photons"):
+                modulation_depth_numeric(state, lo, lo, "unitary")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert set(fock._BLOCKS) == cached
 
 
 class TestNumericFringeCoefficients:

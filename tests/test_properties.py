@@ -9,31 +9,32 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mzbell import (DegenerateStateError, FringeCoefficients, LocalOscillator,
-                    ModeSystem, QuantumState, StateSpec, apply_beamsplitter,
-                    apply_phase, build_state, chsh_value, compute_moments,
+                    ModeSystem, QuantumState, StateSpec, build_state,
+                    chsh_value, coherent_state, compute_moments,
                     expect_normal_ordered, expectations, fock,
-                    fringe_coefficients_at, fringe_scan, local_realism_verdict,
-                    maximize_chsh, modulation_depth_numeric,
-                    numeric_fringe_coefficients, pad_cutoffs, purity,
-                    split_input)
+                    fringe_coefficients_at, fringe_scan, homodyne,
+                    local_realism_verdict, maximize_chsh,
+                    modulation_depth_numeric, numeric_fringe_coefficients,
+                    pad_cutoffs, purity, split_input)
 from mzbell.homodyne import fringe_e
 
-from oracle import (assert_scan_matches_per_phase, bs_unitary_spectral,
-                    flat_lower, lowered_expectations, normal_ordered_matrix,
+from oracle import (apply_beamsplitter, apply_phase,
+                    assert_scan_matches_per_phase, bs_unitary_spectral,
+                    dd_ss_after_beamsplitters, flat_lower, lowered_expectations, normal_ordered_matrix,
                     phase_matrix, random_density, random_pure, search_chsh,
                     split_via_beamsplitter, strided_lower)
 
 
-@given(total=st.integers(0, 80), forward=st.booleans())
-def test_blocks_are_unitary(total, forward):
-    block = fock._bs_block(total, forward)
+@given(total=st.integers(0, 80))
+def test_blocks_are_unitary(total):
+    block = fock._bs_block(total)
     assert block.shape == (total + 1, total + 1)
     eye = np.eye(total + 1)
     assert np.abs(block @ block.conj().T - eye).max() < 1e-12
     assert np.abs(block.conj().T @ block - eye).max() < 1e-12
-    # the inverse block is the complex conjugate of the forward one
-    np.testing.assert_array_equal(fock._bs_block(total, not forward),
-                                  block.conj())
+    # U_N is symmetric, so its conjugate, the oracle's inverse block, is
+    # U_N^dag
+    assert np.abs(block - block.T).max() < 1e-12
 
 
 @st.composite
@@ -159,6 +160,33 @@ def test_batched_expectations_match_dense_oracle(case, data):
     for value, powers in zip(got, terms):
         want = np.trace(rho @ normal_ordered_matrix(dims, powers))
         assert abs(value - want) < 1e-12
+
+
+@st.composite
+def mixed_signals(draw):
+    """A random two-mode signal of rank 2-4, cutoffs 1-3 per mode."""
+    system = ModeSystem(tuple(draw(st.lists(st.integers(1, 3), min_size=2,
+                                            max_size=2))))
+    rank = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    amps = (rng.normal(size=(rank, system.dim))
+            + 1j * rng.normal(size=(rank, system.dim)))
+    return QuantumState(system, amps=amps / np.linalg.norm(amps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(state=mixed_signals(),
+       betas=st.tuples(st.floats(0, 1.5), st.floats(0, 1.5)),
+       thetas=st.tuples(st.floats(0, 6.3), st.floats(0, 6.3)))
+def test_unitary_route_matches_the_four_mode_oracle(state, betas, thetas):
+    # the Gram form against both beamsplitters applied to the tensored
+    # four-mode stack and its output photon numbers read by expectations
+    lo1, lo2 = (LocalOscillator(b, t) for b, t in zip(betas, thetas))
+    got = homodyne._dd_ss(state, lo1, lo2, "unitary", fock.DEFAULT_TAIL_EPS)
+    want = dd_ss_after_beamsplitters(state, coherent_state(lo1.alpha),
+                                     coherent_state(lo2.alpha))
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
 
 
 @st.composite
