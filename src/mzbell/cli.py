@@ -250,6 +250,9 @@ def _sweep_values(spec_text: str) -> tuple[str, list[float]]:
     except ValueError as exc:
         raise ValueError(
             f"--sweep expects key=start:stop:step, got {spec_text!r}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"--sweep needs a finite start, stop and step, "
+                         f"got {spec_text!r}")
     if step <= 0 or stop < start:
         raise ValueError(f"bad sweep range {spec_text!r}")
     count = int(round((stop - start) / step)) + 1

@@ -22,7 +22,9 @@ a caller needs on one state and reads the stack once, in chunks, over its
 stored nonzeros only. A term pairs each nonzero with the amplitude one
 flat-index shift away, sum_k (q_k - p_k) * stride_k, weighted by small
 cached per-mode tables that are zero where the pair would cross a cutoff;
-no lowered copy of a row is made.
+no lowered copy of a row is made. Given a batch of pure single-mode
+partners, it evaluates the terms on the state x each partner set without
+storing that product: its amplitudes are formed a chunk at a time.
 
 Transforms return new states and never mutate or implicitly renormalize
 their inputs: a norm deficit after a transform is a bug, not something to
@@ -39,8 +41,9 @@ built or a pair is padded. Three product paths read the blocks:
   sector, with no output stack per phase;
 - a single-mode input split against vacuum (``_split``) writes |n, 0>
   from U_n's edge column;
-- a mode mixed with a pure partner mode (``output_number_grams``) is
-  reduced to two small Gram matrices of the output photon numbers.
+- a mode mixed with each of a batch of pure partner modes
+  (``output_number_grams``) is reduced to two small Gram matrices of the
+  output photon numbers per partner.
 """
 
 from __future__ import annotations
@@ -386,8 +389,64 @@ def _ladder_table(cutoff: int, p: int, q: int) -> np.ndarray:
     return table
 
 
+def _product(values: np.ndarray, batches: list) -> np.ndarray:
+    """(values[j] b_1[p, n_1]) b_2[p, n_2] ... as a (P, len(values), d_1,
+    d_2, ...) array for ``(P, d_k)`` batches b_k."""
+    values = values[None]
+    for rows in batches:
+        values = values[..., None] * rows.reshape(
+            (len(rows),) + (1,) * (values.ndim - 1) + (-1,))
+    return values
+
+
+def _partner_sums(flat: np.ndarray, at: np.ndarray, shape: tuple[int, ...],
+                  plans: list, partners: list) -> np.ndarray:
+    """Each planned term's sum over the product of the stored nonzeros
+    ``at`` of the flat stack (of (rank, *dims) ``shape``) with every index
+    of the partner batches, as a (terms, P) array. Its amplitudes are
+    formed for as many nonzeros as keep each array within a quarter of
+    ``CHUNK`` values, cutting the first partner's index range where one
+    nonzero has more: four such arrays are alive at once (the amplitudes,
+    their conjugates, a weighted term and its ladder partners)."""
+    batch, widths = len(partners[0]), [len(rows[0]) for rows in partners]
+    budget, per = max(1, CHUNK // 4), batch * math.prod(widths)
+    group = max(1, budget // per)
+    slab = widths[0] if per <= budget else max(1, budget * widths[0] // per)
+    # per term: the partners' tables as one grid over (n_1, n_2, ...), and
+    # each partner's rows at n + q - p, clipped where its table is 0
+    factors = [(functools.reduce(np.multiply.outer, [
+        _ladder_table(w - 1, p, q) for w, (p, q) in zip(widths, powers)]),
+        [rows[:, np.clip(np.arange(w) + q - p, 0, w - 1)]
+         for rows, w, (p, q) in zip(partners, widths, powers)])
+        for _, _, powers in plans]
+    sums = np.zeros((len(plans), batch), dtype=np.complex128)
+    for j in range(0, at.size, group):
+        here = at[j:j + group]
+        digits = np.unravel_index(here, shape)
+        for lo in range(0, widths[0], slab):
+            cut = (slice(lo, lo + slab),) + (slice(None),) * (len(widths) - 1)
+            amp = _product(flat[here], [rows[:, c] for rows, c in
+                                        zip(partners, cut)])
+            left = amp.conj()
+            for i, ((tables, shift, powers), (grid, moved)) in enumerate(
+                    zip(plans, factors)):
+                weight = np.prod([table[digits[axis]] for axis, table in
+                                  tables] + [np.ones(len(here))], axis=0)
+                right = amp if shift == 0 and all(
+                    p == q for p, q in powers) else _product(
+                    flat.take(here + shift, mode="clip"),
+                    [rows[:, c] for rows, c in zip(moved, cut)])
+                term = left * np.multiply.outer(weight, grid[cut])
+                # row by row, the dot product of the term and right
+                sums[i] += (term.reshape(batch, 1, -1)
+                            @ right.reshape(batch, -1, 1)).reshape(batch)
+                del term, right     # before the next term's are formed
+    return sums
+
+
 def expectations(state: QuantumState,
-                 terms: Sequence[Sequence[tuple[int, int]]]) -> list[complex]:
+                 terms: Sequence[Sequence[tuple[int, int]]],
+                 partners: Sequence[np.ndarray] = ()) -> list:
     """Expectations of normal-ordered products, one per term (each given as
     for :func:`expect_normal_ordered`).
 
@@ -398,19 +457,29 @@ def expectations(state: QuantumState,
     the row (any amplitude serves it there). The flat stack is read in
     chunks of ``CHUNK`` amplitudes, each scanned for its nonzeros once; the
     terms are evaluated one by one, so no value depends on the others.
+
+    ``partners`` lists ``(P, d_k)`` batches of pure single-mode amplitude
+    rows, whose modes follow the state's in each term. Each value is then
+    a (P,) array over state x partners[0][p] x partners[1][p] ..., still
+    one sum over that product's support, which is not stored: every stored
+    nonzero meets every partner index, and the amplitude (phi[m] b_1[n_1])
+    b_2[n_2] ... is formed at that point and at its ladder partner, with
+    at most ``CHUNK`` values held at a time (:func:`_partner_sums`).
     """
     dims = state.system.dims
     strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
     plans = []
     for powers in terms:
         powers = [(int(p), int(q)) for p, q in powers]
-        if len(powers) != len(dims):
+        if len(powers) != len(dims) + len(partners):
             raise ValueError("powers list length does not match mode count")
         if any(p < 0 or q < 0 for p, q in powers):
             raise ValueError("operator powers must be non-negative")
         plans.append(([(k + 1, _ladder_table(dims[k] - 1, p, q))
-                       for k, (p, q) in enumerate(powers) if p or q],
-                      sum((q - p) * s for (p, q), s in zip(powers, strides))))
+                       for k, (p, q) in enumerate(powers[:len(dims)])
+                       if p or q],
+                      sum((q - p) * s for (p, q), s in zip(powers, strides)),
+                      powers[len(dims):]))
     flat = state.amps.reshape(-1)
     sums = [0j] * len(plans)
     for start in range(0, flat.size, CHUNK):
@@ -418,15 +487,19 @@ def expectations(state: QuantumState,
         # is and a -0 is not): its two flags, read as one uint16, are not 0
         parts = flat[start:start + CHUNK].view(np.float64) != 0
         at = np.flatnonzero(parts.view(np.uint16) != 0) + start
+        if partners:
+            sums = [total + value for total, value in zip(sums, _partner_sums(
+                flat, at, (len(state.amps),) + dims, plans, partners))]
+            continue
         found = flat[at]
         digits = np.unravel_index(at, (len(state.amps),) + dims)
-        for i, (tables, shift) in enumerate(plans):
+        for i, (tables, shift, _) in enumerate(plans):
             left = found.conj()
             for axis, table in tables:
                 left *= table[digits[axis]]
             right = found if shift == 0 else flat.take(at + shift, mode="clip")
             sums[i] += np.dot(left, right)
-    return [complex(value) for value in sums]
+    return sums if partners else [complex(value) for value in sums]
 
 
 def expect_normal_ordered(state: QuantumState,
@@ -564,34 +637,42 @@ def output_number_grams(state: QuantumState, partners: Sequence[np.ndarray]
                         ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Output photon numbers of one beamsplitter per mode, as Gram matrices
     on that mode: (G_D, G_S) per mode k of ``state``, for mode k mixed with
-    a pure single-mode partner of amplitudes ``partners[k]``.
+    each pure single-mode partner of the ``(P, d_k)`` batch of amplitude
+    rows ``partners[k]``, as two ``(P, cutoff + 1, cutoff + 1)`` stacks.
 
     On sector N of the pair (mode, partner), input |m, N - m> carries
     partner[N - m], so a mode amplitude vector x leaves as U_N D_N x, with
     D_N[m, m] = partner[N - m]. Weighting the output |k, N - k> by the
     photon difference 2k - N, or by the sum N, gives
     G_D = sum_N (U_N D_N)^dag diag(2k - N) U_N D_N and
-    G_S = sum_N N (U_N D_N)^dag U_N D_N, each (cutoff + 1)-square. The top
-    sector of every pair is checked against ``BLOCK_ENTRY_LIMIT`` before
-    any block is built.
+    G_S = sum_N N (U_N D_N)^dag U_N D_N. D_N is diagonal, so one loop over
+    the sectors serves the whole batch: each sector's two block products
+    U_N^dag diag(2k - N) U_N and N U_N^dag U_N are formed once, and every
+    partner's D_N scales their rows and columns. The top sector of every
+    pair is checked against ``BLOCK_ENTRY_LIMIT`` before any block is
+    built.
     """
     cutoffs = state.system.cutoffs
-    tops = [c + len(partner) - 1
+    tops = [c + partner.shape[-1] - 1
             for c, partner in zip(cutoffs, partners, strict=True)]
     _bs_block(max(tops))    # largest first: refused before any is built
     grams = []
     for c, partner, top in zip(cutoffs, partners, tops):
-        g_d = np.zeros((c + 1, c + 1), dtype=np.complex128)
+        width = partner.shape[-1]
+        g_d = np.zeros((len(partner), c + 1, c + 1), dtype=np.complex128)
         g_s = np.zeros_like(g_d)
         for total in range(top + 1):
             # the mode's occupations m that the partner reaches on sector N
-            lo, hi = max(0, total - len(partner) + 1), min(total, c) + 1
-            a = _BLOCKS[total][:, lo:hi] * partner[total - np.arange(lo, hi)]
-            at = a.conj().T
+            lo, hi = max(0, total - width + 1), min(total, c) + 1
+            block = _BLOCKS[total][:, lo:hi]
+            adjoint = block.conj().T
+            # conj(D_N[m, m]) D_N[m', m'] for every partner of the batch
+            d = partner[:, total - np.arange(lo, hi)]
+            scale = d.conj()[:, :, None] * d[:, None, :]
             # the photon difference 2k - N of the outputs k = 0..N
             diff = np.arange(-total, total + 1, 2.0)[:, None]
-            g_d[lo:hi, lo:hi] += at @ (diff * a)
-            g_s[lo:hi, lo:hi] += total * (at @ a)
+            g_d[:, lo:hi, lo:hi] += scale * (adjoint @ (diff * block))
+            g_s[:, lo:hi, lo:hi] += scale * (total * (adjoint @ block))
         grams.append((g_d, g_s))
     return grams
 

@@ -16,14 +16,17 @@ are kept deliberately separate:
   output photon numbers, reduced to two small Gram matrices per pair, so
   no four-mode state is formed;
 - ``input_operator`` evaluates the equivalent input-side operator forms
-  on the four-mode state a1 x a2 x b1 x b2, with no transform;
+  on the four-mode state a1 x a2 x b1 x b2, with no transform, as sums
+  over its support that form its amplitudes on the fly;
 - the analytic moment formula needs only the five channel moments.
 
 On both numeric routes an oscillator phase is an exact rotation, so E at
 fixed oscillator amplitudes is a two-frequency fringe in the phases:
 ``numeric_fringe_coefficients`` reads its coefficients off four route
 evaluations and checks them against a fifth, pointwise one. A whole E grid
-then costs five route evaluations, not one per grid point.
+then costs five route evaluations, not one per grid point, and all five
+go to the route in one call: each oscillator is built once and rotated
+to every phase.
 
 The CHSH maximum of the fringe, 2 sqrt(2) sqrt(c1^2 + c2^2), and its
 angles come in closed form from a 2x2 singular value decomposition.
@@ -133,14 +136,11 @@ class Verdict:
     coeffs: FringeCoefficients | None
 
 
-def _lo_state(lo: LocalOscillator, tail_eps: float) -> QuantumState:
-    return fock.coherent_state(lo.alpha, tail_eps)
-
-
-def _dd_ss_unitary(state_a: QuantumState, b1: QuantumState,
-                   b2: QuantumState) -> tuple[float, float]:
+def _dd_ss_unitary(state_a: QuantumState, b1: np.ndarray,
+                   b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """<D1 D2>, <S1 S2> from the output photon numbers of the two
-    beamsplitters, pair (a_k, b_k) at a time.
+    beamsplitters, pair (a_k, b_k) at a time, for each row p of the
+    oscillator batches b1, b2.
 
     Detectors c_k/d_k are the a_k/b_k outputs of pair k. Each pair's
     output weights (difference or sum) reduce to Gram matrices G_k on a_k
@@ -148,53 +148,57 @@ def _dd_ss_unitary(state_a: QuantumState, b1: QuantumState,
     matrix over (n1, n2), a correlator is Tr[G_1 S conj(G_2) S^dag]. No
     four-mode state is formed.
     """
-    (d1, s1), (d2, s2) = fock.output_number_grams(
-        state_a, (b1.vector, b2.vector))
     comps = state_a.tensorized()
-    return (float(np.vdot(comps, d1 @ comps @ d2.conj()).real),
-            float(np.vdot(comps, s1 @ comps @ s2.conj()).real))
+    # (G_D, G_S) of pair 1, then of pair 2, each a stack over the rows p
+    return tuple(np.array([np.vdot(comps, g1 @ comps @ g2.conj()).real
+                           for g1, g2 in zip(*grams)])
+                 for grams in zip(*fock.output_number_grams(state_a,
+                                                            (b1, b2))))
 
 
-def _dd_ss_input_operator(state_a: QuantumState, b1: QuantumState,
-                          b2: QuantumState) -> tuple[float, float]:
+def _dd_ss_input_operator(state_a: QuantumState, b1: np.ndarray,
+                          b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Same two correlators evaluated directly on the input state
     a1 x a2 x b1 x b2 via D_k = i(a_k^dag b_k - a_k b_k^dag) and
-    S_k = a_k^dag a_k + b_k^dag b_k. The signal's components are tensored
-    with the two oscillators all at once, unless the four-mode stack would
-    exceed the amplitude bound: then in as few slices of components as fit
-    under it. The eight correlators go to one batched call per slice."""
+    S_k = a_k^dag a_k + b_k^dag b_k, for each row p of the oscillator
+    batches. The eight correlators go to one ``fock.expectations`` call
+    with the oscillators as partners: each is one sum over the four-mode
+    support, and no four-mode state is stored."""
     up, down, num, none = (1, 0), (0, 1), (1, 1), (0, 0)
     terms = [[num, num, none, none], [up, up, down, down],
              [down, down, up, up], [none, none, num, num],
              [num, none, none, num], [up, down, down, up],
              [down, up, up, down], [none, num, num, none]]
-    step = max(1, fock.AMPLITUDE_LIMIT // (state_a.dim * b1.dim * b2.dim))
-    dd = ss = 0.0
-    for start in range(0, len(state_a.amps), step):
-        part = QuantumState(state_a.system,
-                            amps=state_a.amps[start:start + step],
-                            validate=False)
-        s1, d1, d4, s4, s2, d2, d3, s3 = fock.expectations(
-            fock.tensor(fock.tensor(part, b1), b2), terms)
-        dd -= (d1 - d2 - d3 + d4).real
-        ss += (s1 + s2 + s3 + s4).real
-    return dd, ss
+    s1, d1, d4, s4, s2, d2, d3, s3 = fock.expectations(state_a, terms,
+                                                       (b1, b2))
+    return -(d1 - d2 - d3 + d4).real, (s1 + s2 + s3 + s4).real
 
 
-def _dd_ss(state_a: QuantumState, lo1: LocalOscillator, lo2: LocalOscillator,
-           route: str, tail_eps: float) -> tuple[float, float]:
+def _dd_ss(state_a: QuantumState, beta1: float, beta2: float,
+           angles: Sequence[tuple[float, float]], route: str,
+           tail_eps: float) -> tuple[np.ndarray, np.ndarray]:
     """<D1 D2> and <S1 S2> by one route, for the signal state a1 x a2 with
-    oscillator b_k in front of detector pair k."""
+    oscillator b_k of amplitude beta_k in front of detector pair k, at
+    each (theta1, theta2) of ``angles``, as two arrays over the pairs.
+
+    Each oscillator is built once, as ``fock.coherent_state(beta_k)``, and
+    explicitly rotated to every theta_k: row p is b_k[n] e^{i n theta_k}.
+    The route takes both batches in one call.
+    """
     if state_a.system.mode_count != 2:
         raise ValueError("state_a must be a two-mode (signal-channel) state")
     if route not in ("unitary", "input_operator"):
         raise ValueError(f"unknown route {route!r}")
     evaluate = _dd_ss_unitary if route == "unitary" else _dd_ss_input_operator
-    dd, ss = evaluate(state_a, _lo_state(lo1, tail_eps),
-                      _lo_state(lo2, tail_eps))
-    if ss <= 1e-15:
-        raise DegenerateDenominatorError(
-            f"<S1 S2> = {ss:.3e}: no joint signal, modulation depth undefined")
+    rows = []
+    for beta, thetas in zip((beta1, beta2), np.transpose(angles)):
+        b = fock.coherent_state(LocalOscillator(beta, 0.0).alpha,
+                                tail_eps).vector
+        rows.append(b * np.exp(1j * np.outer(thetas, np.arange(len(b)))))
+    dd, ss = evaluate(state_a, *rows)
+    if ss.min() <= 1e-15:
+        raise DegenerateDenominatorError(f"<S1 S2> = {ss.min():.3e}: no joint "
+                                         "signal, modulation depth undefined")
     return dd, ss
 
 
@@ -207,8 +211,9 @@ def modulation_depth_numeric(state_a: QuantumState, lo1: LocalOscillator,
     numbers; route="input_operator" evaluates the equivalent input-side
     operator forms without any transform. The two must agree to roundoff.
     """
-    dd, ss = _dd_ss(state_a, lo1, lo2, route, tail_eps)
-    return dd / ss
+    dd, ss = _dd_ss(state_a, lo1.beta, lo2.beta, [(lo1.theta, lo2.theta)],
+                    route, tail_eps)
+    return float(dd[0] / ss[0])
 
 
 def numeric_fringe_coefficients(state_a: QuantumState, beta1: float,
@@ -216,7 +221,7 @@ def numeric_fringe_coefficients(state_a: QuantumState, beta1: float,
                                 tail_eps: float = fock.DEFAULT_TAIL_EPS
                                 ) -> FringeCoefficients:
     """Trig-form coefficients of the numeric E at the given oscillator
-    amplitudes, from four route evaluations.
+    amplitudes, from four route evaluations, checked against a fifth.
 
     Each term of <D1 D2> holds one b1 or b1^dag and one b2 or b2^dag, and
     an oscillator phase is a rotation diagonal in photon number (exact on
@@ -226,15 +231,15 @@ def numeric_fringe_coefficients(state_a: QuantumState, beta1: float,
     One more pointwise evaluation at the held-out pair ``HELD_OUT_ANGLES``
     must then agree with the trig form to ``ROUTE_RESIDUAL_TOL``, and all
     five <S1 S2> to that relative tolerance; otherwise
-    :class:`RouteResidualError` is raised.
+    :class:`RouteResidualError` is raised. All five pairs go to the route
+    in one :func:`_dd_ss` call, each on its own rotated oscillators.
     """
     half_pi = 0.5 * math.pi
     anchors = [(0.0, 0.0), (half_pi, 0.0), (0.0, half_pi), (half_pi, half_pi)]
-    (d00, s00), (dp0, sp0), (d0p, s0p), (dpp, spp), (dd, ss) = (
-        _dd_ss(state_a, LocalOscillator(beta1, t1), LocalOscillator(beta2, t2),
-               route, tail_eps)
-        for t1, t2 in anchors + [HELD_OUT_ANGLES])
-    sums = (s00, sp0, s0p, spp, ss)
+    dds, sums = _dd_ss(state_a, beta1, beta2, anchors + [HELD_OUT_ANGLES],
+                       route, tail_eps)
+    (d00, dp0, d0p, dpp, dd), sums = dds.tolist(), sums.tolist()
+    s00, sp0, s0p, spp, ss = sums
     if max(sums) - min(sums) > ROUTE_RESIDUAL_TOL * max(sums):
         raise RouteResidualError(
             f"<S1 S2> varies with the oscillator phases on the {route} "

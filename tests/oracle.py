@@ -12,7 +12,8 @@ The whole-stack phase shifter and beamsplitter are the exceptions: they
 are the transforms the package applied before its phase scan read photon
 counts sector by sector and its unitary E route reduced each pair's
 outputs to Gram matrices. They reuse its sector plan and cached blocks,
-which the spectral unitary checks.
+which the spectral unitary checks. Likewise the input-operator E route's
+stored four-mode stack, which the package now forms on the fly.
 """
 
 from __future__ import annotations
@@ -230,6 +231,33 @@ def dd_ss_after_beamsplitters(state_a: QuantumState, b1: QuantumState,
         [num, num, none, none], [num, none, none, num],
         [none, num, num, none], [none, none, num, num]]))
     return n01 - n03 - n21 + n23, n01 + n03 + n21 + n23
+
+
+def dd_ss_on_the_input_stack(state_a: QuantumState, b1: QuantumState,
+                             b2: QuantumState) -> tuple[float, float]:
+    """<D1 D2>, <S1 S2> from the input-side operator forms
+    D_k = i(a_k^dag b_k - a_k b_k^dag) and S_k = a_k^dag a_k + b_k^dag b_k,
+    as the package evaluated them before it formed the product with the
+    oscillators on the fly: the signal's components tensored with both
+    oscillators into a stored four-mode stack (in slices of components
+    under ``fock.AMPLITUDE_LIMIT``), and the eight correlators read from
+    it by ``expectations``."""
+    up, down, num, none = (1, 0), (0, 1), (1, 1), (0, 0)
+    terms = [[num, num, none, none], [up, up, down, down],
+             [down, down, up, up], [none, none, num, num],
+             [num, none, none, num], [up, down, down, up],
+             [down, up, up, down], [none, num, num, none]]
+    step = max(1, fock.AMPLITUDE_LIMIT // (state_a.dim * b1.dim * b2.dim))
+    dd = ss = 0.0
+    for start in range(0, len(state_a.amps), step):
+        part = QuantumState(state_a.system,
+                            amps=state_a.amps[start:start + step],
+                            validate=False)
+        s1, d1, d4, s4, s2, d2, d3, s3 = expectations(
+            tensor(tensor(part, b1), b2), terms)
+        dd -= (d1 - d2 - d3 + d4).real
+        ss += (s1 + s2 + s3 + s4).real
+    return dd, ss
 
 
 def bs_unitary_spectral(dims, mode_i, mode_j, inverse=False) -> np.ndarray:

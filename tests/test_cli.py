@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mzbell import cli, homodyne, purity
@@ -335,14 +336,15 @@ class TestBellScan:
     @pytest.mark.parametrize("route", ["input_operator", "unitary"])
     def test_five_route_evaluations_per_scan(self, capsys, monkeypatch,
                                              route, grid):
-        # four anchors and one held-out pair, whatever the grid
-        calls = {"input_operator": 0, "unitary": 0}
+        # four anchors and one held-out pair, whatever the grid, in one
+        # route call with five rows per oscillator
+        calls = {"input_operator": [], "unitary": []}
         for name in calls:
             real = getattr(homodyne, f"_dd_ss_{name}")
 
-            def counted(*args, real=real, name=name):
-                calls[name] += 1
-                return real(*args)
+            def counted(state, b1, b2, real=real, name=name):
+                calls[name].append((b1.shape[0], b2.shape[0]))
+                return real(state, b1, b2)
             monkeypatch.setattr(homodyne, f"_dd_ss_{name}", counted)
         code, out, err = run_cli(
             capsys, "bell-scan", "--state",
@@ -351,7 +353,7 @@ class TestBellScan:
         assert code == 0, err
         assert len(out.strip().splitlines()) == 1 + int(grid) ** 2 + 9
         other = "unitary" if route == "input_operator" else "input_operator"
-        assert calls == {route: 5, other: 0}
+        assert calls == {route: [(5, 5)], other: []}
 
     @pytest.mark.parametrize("grid", ["0", "-2"])
     def test_grid_must_be_positive(self, capsys, grid):
@@ -371,17 +373,23 @@ class TestBellScan:
         assert parse_report(out)["b_max"] == "1.17157287596231"
 
     def test_route_residual_exit_code(self, capsys, monkeypatch):
+        # E skewed by 1e-9 cos(theta1) on every pair, or by 1e-9 on any one
+        # of the five pairs alone
         real = homodyne._dd_ss
-
-        def skewed(state, lo1, lo2, route, tail_eps):
-            dd, ss = real(state, lo1, lo2, route, tail_eps)
-            return dd + 1e-9 * math.cos(lo1.theta) * ss, ss
-        monkeypatch.setattr(homodyne, "_dd_ss", skewed)
-        code, out, err = run_cli(capsys, "bell-scan", "--state",
-                                 "split_single_photon", "--grid", "4")
-        assert code == 5
-        assert out == ""
-        assert err.startswith("error: RouteResidualError")
+        skews = [lambda angles: 1e-9 * np.cos(np.transpose(angles)[0])] + [
+            lambda angles, k=k: 1e-9 * (np.arange(len(angles)) == k)
+            for k in range(5)]
+        for skew in skews:
+            def skewed(state, beta1, beta2, angles, route, tail_eps,
+                       skew=skew):
+                dd, ss = real(state, beta1, beta2, angles, route, tail_eps)
+                return dd + skew(angles) * ss, ss
+            monkeypatch.setattr(homodyne, "_dd_ss", skewed)
+            code, out, err = run_cli(capsys, "bell-scan", "--state",
+                                     "split_single_photon", "--grid", "4")
+            assert code == 5
+            assert out == ""
+            assert err.startswith("error: RouteResidualError")
 
 
 class TestSweep:
@@ -439,6 +447,20 @@ class TestSweep:
                              "incoherent_anticorrelated p=0.5",
                              "--sweep", "p=0.8:0.2:0.1")
         assert code == 2
+
+    @pytest.mark.parametrize("sweep", ["nbar=0.1:inf:0.1", "nbar=0.1:2:nan",
+                                       "nbar=-inf:2:0.1", "nbar=nan:2:0.1"])
+    def test_non_finite_range_refused(self, capsys, monkeypatch, sweep):
+        # refused before any state is built, quoting the --sweep text
+        def refuse(*args, **kwargs):
+            raise AssertionError("a state was built")
+        monkeypatch.setattr(cli.catalog, "build_state", refuse)
+        code, out, err = run_cli(capsys, "sweep", "--state",
+                                 "split_thermal nbar=0.1", "--sweep", sweep)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: ValueError: --sweep needs a finite start, "
+                       f"stop and step, got {sweep!r}\n")
 
     def test_deterministic(self, capsys):
         args = ("sweep", "--state", "split_coherent alpha_re=0.3 alpha_im=0",

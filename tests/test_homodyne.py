@@ -140,19 +140,59 @@ class TestNumericFringeCoefficients:
         ("dd", "held-out angles"), ("ss", "varies with the oscillator")])
     def test_broken_phase_covariance_raises(self, monkeypatch, skew,
                                             message):
+        # a 1e-9 wobble of cos(theta1) on every pair, or of 1 on any one of
+        # the five pairs alone
         real = homodyne._dd_ss
+        for pick in (None, 0, 1, 2, 3, 4):
+            def skewed(state, beta1, beta2, angles, route, tail_eps,
+                       pick=pick):
+                dd, ss = real(state, beta1, beta2, angles, route, tail_eps)
+                wobble = 1e-9 * (np.cos(np.transpose(angles)[0])
+                                 if pick is None
+                                 else np.arange(len(dd)) == pick)
+                if skew == "dd":
+                    return dd + wobble * ss, ss
+                return dd, ss * (1.0 + wobble)
+            monkeypatch.setattr(homodyne, "_dd_ss", skewed)
+            for route in ("unitary", "input_operator"):
+                with pytest.raises(RouteResidualError, match=message):
+                    numeric_fringe_coefficients(split_single_photon(), 0.1,
+                                                0.1, route)
 
-        def skewed(state, lo1, lo2, route, tail_eps):
-            dd, ss = real(state, lo1, lo2, route, tail_eps)
-            wobble = 1e-9 * math.cos(lo1.theta)
-            if skew == "dd":
-                return dd + wobble * ss, ss
-            return dd, ss * (1.0 + wobble)
-        monkeypatch.setattr(homodyne, "_dd_ss", skewed)
-        for route in ("unitary", "input_operator"):
-            with pytest.raises(RouteResidualError, match=message):
-                numeric_fringe_coefficients(split_single_photon(), 0.1, 0.1,
-                                            route)
+    @pytest.mark.parametrize("route", ["unitary", "input_operator"])
+    def test_one_oscillator_build_per_scan_and_no_tensor(self, monkeypatch,
+                                                         route):
+        # each oscillator is built once and rotated to all five pairs; no
+        # route forms a four-mode state
+        state = random_density(np.random.default_rng(41), (2, 3), rank=3)
+        built = []
+        real = fock.coherent_state
+
+        def counted(alpha, *args, **kwargs):
+            built.append(alpha)
+            return real(alpha, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a route called fock.tensor")
+        monkeypatch.setattr(fock, "coherent_state", counted)
+        monkeypatch.setattr(fock, "tensor", refuse)
+        numeric_fringe_coefficients(state, 0.4, 0.3, route)
+        assert built == [0.4, 0.3]
+
+    def test_input_operator_scan_memory_is_bounded(self):
+        # the four-mode product of split_thermal nbar=2 with its optimal
+        # oscillators has 7.0e5 nonzeros per pair (11 MiB), 3.5e6 for the
+        # five pairs; only CHUNK-sized pieces of it are formed
+        state = split_input(thermal_state(2.0))
+        betas = optimal_lo_amplitudes(compute_moments(state))
+        numeric_fringe_coefficients(state, *betas, "input_operator")
+        tracemalloc.start()
+        try:
+            numeric_fringe_coefficients(state, *betas, "input_operator")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestModulationDepthAnalytic:

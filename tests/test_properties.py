@@ -20,7 +20,8 @@ from mzbell.homodyne import fringe_e
 
 from oracle import (apply_beamsplitter, apply_phase,
                     assert_scan_matches_per_phase, bs_unitary_spectral,
-                    dd_ss_after_beamsplitters, flat_lower, lowered_expectations, normal_ordered_matrix,
+                    dd_ss_after_beamsplitters, dd_ss_on_the_input_stack,
+                    flat_lower, lowered_expectations, normal_ordered_matrix,
                     phase_matrix, random_density, random_pure, search_chsh,
                     split_via_beamsplitter, strided_lower)
 
@@ -164,10 +165,10 @@ def test_batched_expectations_match_dense_oracle(case, data):
 
 @st.composite
 def mixed_signals(draw):
-    """A random two-mode signal of rank 2-4, cutoffs 1-3 per mode."""
+    """A random two-mode signal of rank 1-4, cutoffs 1-3 per mode."""
     system = ModeSystem(tuple(draw(st.lists(st.integers(1, 3), min_size=2,
                                             max_size=2))))
-    rank = draw(st.integers(2, 4))
+    rank = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     amps = (rng.normal(size=(rank, system.dim))
             + 1j * rng.normal(size=(rank, system.dim)))
@@ -177,16 +178,72 @@ def mixed_signals(draw):
 @settings(max_examples=40, deadline=None)
 @given(state=mixed_signals(),
        betas=st.tuples(st.floats(0, 1.5), st.floats(0, 1.5)),
-       thetas=st.tuples(st.floats(0, 6.3), st.floats(0, 6.3)))
-def test_unitary_route_matches_the_four_mode_oracle(state, betas, thetas):
-    # the Gram form against both beamsplitters applied to the tensored
-    # four-mode stack and its output photon numbers read by expectations
-    lo1, lo2 = (LocalOscillator(b, t) for b, t in zip(betas, thetas))
-    got = homodyne._dd_ss(state, lo1, lo2, "unitary", fock.DEFAULT_TAIL_EPS)
-    want = dd_ss_after_beamsplitters(state, coherent_state(lo1.alpha),
-                                     coherent_state(lo2.alpha))
-    for g, w in zip(got, want):
-        assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
+       angles=st.lists(st.tuples(st.floats(0, 6.3), st.floats(0, 6.3)),
+                       min_size=5, max_size=5),
+       route=st.sampled_from(["unitary", "input_operator"]))
+def test_batched_routes_match_both_oracles(state, betas, angles, route):
+    # one route call for five angle pairs, against each pair's oscillators
+    # tensored into a stored four-mode stack: read by the input-side forms,
+    # and transformed by both beamsplitters and read at the outputs
+    dds, sss = homodyne._dd_ss(state, *betas, angles, route,
+                               fock.DEFAULT_TAIL_EPS)
+    assert dds.shape == sss.shape == (5,)
+    for dd, ss, thetas in zip(dds, sss, angles):
+        b1, b2 = (coherent_state(LocalOscillator(b, t).alpha)
+                  for b, t in zip(betas, thetas))
+        for want in (dd_ss_on_the_input_stack(state, b1, b2),
+                     dd_ss_after_beamsplitters(state, b1, b2)):
+            for got, value in zip((dd, ss), want):
+                assert abs(got - value) <= 1e-13 * max(1.0, abs(value))
+
+
+@st.composite
+def partner_products(draw):
+    """A sparse signal stack of 1-3 modes and rank 1-4, one or two batches
+    of 1-5 random partner rows of length 1-5, terms with powers up to one
+    past a cutoff, and a chunk length from 1 up, the small ones cutting
+    the product of one nonzero with its partners."""
+    cutoffs = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    rank = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    system = ModeSystem(tuple(cutoffs))
+    amps = (rng.normal(size=(rank, system.dim))
+            + 1j * rng.normal(size=(rank, system.dim)))
+    amps[rng.random(amps.shape) < draw(st.floats(0, 0.9))] = 0
+    batch = draw(st.integers(1, 5))
+    partners = [rng.normal(size=(batch, width))
+                + 1j * rng.normal(size=(batch, width))
+                for width in draw(st.lists(st.integers(1, 5), min_size=1,
+                                           max_size=2))]
+    dims = system.dims + tuple(len(rows[0]) for rows in partners)
+    term = st.tuples(*[st.tuples(st.integers(0, d), st.integers(0, d))
+                       for d in dims]).map(list)
+    terms = draw(st.lists(term, min_size=1, max_size=4))
+    chunk = draw(st.sampled_from([1, 2, 3, 7, 16, 64, fock.CHUNK]))
+    return QuantumState(system, amps=amps, validate=False), partners, terms, \
+        chunk
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=partner_products())
+def test_partner_products_match_the_tensored_stack(case):
+    state, partners, terms, chunk = case
+    with mock.patch.object(fock, "CHUNK", chunk):
+        got = expectations(state, terms, partners)
+    assert [value.shape for value in got] == [(len(partners[0]),)] * len(terms)
+    for p in range(len(partners[0])):
+        stack = state
+        for rows in partners:
+            stack = fock.tensor(stack, QuantumState(
+                ModeSystem((len(rows[0]) - 1,)), amps=rows[p:p + 1],
+                validate=False))
+        want = expectations(stack, terms)
+        # the same sums over |amps|: a scale no cancellation can shrink
+        sizes = expectations(QuantumState(stack.system,
+                                          amps=np.abs(stack.amps),
+                                          validate=False), terms)
+        for value, ref, size in zip(got, want, sizes):
+            assert abs(value[p] - ref) <= 1e-13 * size.real
 
 
 @st.composite

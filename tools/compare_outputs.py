@@ -57,6 +57,9 @@ PROBES = (
       "--route", "unitary"], None),
     (["bell-scan", "--state", "noisy_split_photon w=0.5 alpha_re=0.7",
       "--grid", "6", "--route", "unitary", "--beta", "0.3"], None),
+    # the default input-operator route on a mixed state whose four-mode
+    # product with its oscillators has 1.4e5 nonzeros per angle pair
+    (["bell-scan", "--state", "split_thermal nbar=1", "--grid", "4"], None),
     # split inputs: one high sector, then refusals on the size bound
     # (rank 130 x 130^2 amplitudes) and on the block bound (U_0..U_464)
     (["analyze", "--state", "split_number n=200"], None),
