@@ -112,16 +112,40 @@ def noisy_split_photon(w: float, alpha: complex, *,
     return mixed_ensemble(parts)
 
 
+def _number(key: str, value, *, integral: bool = False):
+    """Spec parameter ``key`` as a finite float, or an int if ``integral``:
+    a list, object, boolean, null, non-finite or fractional value is
+    refused, naming ``key``."""
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number) or integral and not number.is_integer():
+        kind = "integer" if integral else "number"
+        raise ValueError(f"{key} must be a finite {kind}, got {value!r}")
+    return int(number) if integral else number
+
+
+def _list(key: str, value) -> list:
+    """Spec parameter ``key``, refused unless it is a list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
+
+
 def _complex_param(params: Mapping[str, object], stem: str) -> complex:
-    return complex(float(params.get(f"{stem}_re", 0.0)),
-                   float(params.get(f"{stem}_im", 0.0)))
+    return complex(*(_number(key, params.get(key, 0.0))
+                     for key in (f"{stem}_re", f"{stem}_im")))
 
 
 def _as_amplitude(value) -> complex:
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
             raise ValueError(f"amplitude {value!r} should be [re, im]")
-        return complex(float(value[0]), float(value[1]))
+        return complex(_number("amplitudes", value[0]),
+                       _number("amplitudes", value[1]))
+    if isinstance(value, (bool, dict)) or value is None:
+        raise ValueError(f"amplitude {value!r} is not a number or [re, im]")
     return complex(value)
 
 
@@ -137,7 +161,7 @@ def build_state(spec: StateSpec, *, cutoff: int | None = None,
     if family == "split_single_photon":
         return split_single_photon()
     if family == "split_number":
-        n = int(params["n"])
+        n = _number("n", params["n"], integral=True)
         return split_input(fock.number_state(n, cutoff if cutoff is not None
                                              else n))
     if family == "split_coherent":
@@ -145,17 +169,20 @@ def build_state(spec: StateSpec, *, cutoff: int | None = None,
             fock.coherent_state(_complex_param(params, "alpha"), tail_eps))
     if family == "split_thermal":
         return split_input(
-            fock.thermal_state(float(params["nbar"]), tail_eps))
+            fock.thermal_state(_number("nbar", params["nbar"]), tail_eps))
     if family == "incoherent_anticorrelated":
-        return incoherent_anticorrelated(float(params["p"]))
+        return incoherent_anticorrelated(_number("p", params["p"]))
     if family == "noisy_split_photon":
-        return noisy_split_photon(float(params["w"]),
+        return noisy_split_photon(_number("w", params["w"]),
                                   _complex_param(params, "alpha"),
                                   tail_eps=tail_eps)
     if family == "pure_explicit":
-        amps = [_as_amplitude(a) for a in params["amplitudes"]]
+        amps = [_as_amplitude(a)
+                for a in _list("amplitudes", params["amplitudes"])]
         if "cutoffs" in params:
-            system = ModeSystem(tuple(int(c) for c in params["cutoffs"]))
+            system = ModeSystem(tuple(
+                _number("cutoffs", c, integral=True)
+                for c in _list("cutoffs", params["cutoffs"])))
         else:
             side = math.isqrt(len(amps))
             if side * side != len(amps):
@@ -165,11 +192,13 @@ def build_state(spec: StateSpec, *, cutoff: int | None = None,
             system = ModeSystem((side - 1, side - 1))
         return fock.make_pure(system, amps)
     if family == "mixed_ensemble":
-        comps = params["components"]
         built = []
-        for comp in comps:
+        for comp in _list("components", params["components"]):
+            if not isinstance(comp, dict):
+                raise ValueError(
+                    f"each of components must be an object, got {comp!r}")
             comp = dict(comp)
-            weight = float(comp.pop("weight"))
+            weight = _number("weight", comp.pop("weight"))
             fam = comp.pop("family")
             built.append((weight, build_state(StateSpec(fam, comp),
                                               cutoff=cutoff,

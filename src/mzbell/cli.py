@@ -204,8 +204,7 @@ def cmd_bell_scan(args) -> int:
     spec, state = _build(args)
     moments = coherence.compute_moments(state)
     if args.beta == "auto":
-        beta1, beta2 = (lo.beta for lo in
-                        homodyne.lo_pair_for(moments, 0.0, 0.0))
+        beta1, beta2 = homodyne.lo_pair_for(moments)
     else:
         beta1 = beta2 = float(args.beta)
         if beta1 < 0:

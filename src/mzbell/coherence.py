@@ -66,23 +66,15 @@ class CoherenceMoments:
                 f"> n1*n2 = {self.n1 * self.n2!r}")
 
 
-def compute_moments(state: QuantumState, mode1: int = 0,
-                    mode2: int = 1) -> CoherenceMoments:
-    """All five moments of two channels of a state, by ladder arithmetic
-    in one batched call."""
-    m = state.system.mode_count
-    if m < 2 or mode1 == mode2:
-        raise ValueError("need two distinct modes of a multi-mode state")
-
-    def powers(spec1, spec2):
-        out = [(0, 0)] * m
-        out[mode1] = spec1
-        out[mode2] = spec2
-        return out
-
+def compute_moments(state: QuantumState) -> CoherenceMoments:
+    """All five moments of the two channels of a two-mode state, by ladder
+    arithmetic in one batched call."""
+    if state.system.mode_count != 2:
+        raise ValueError("need a two-mode (two-channel) state")
+    num, none = (1, 1), (0, 0)
     n1, m12, n2, anom, n1n2 = fock.expectations(state, [
-        powers((1, 1), (0, 0)), powers((1, 0), (0, 1)), powers((0, 0), (1, 1)),
-        powers((0, 1), (0, 1)), powers((1, 1), (1, 1))])
+        [num, none], [(1, 0), (0, 1)], [none, num], [(0, 1), (0, 1)],
+        [num, num]])
     return CoherenceMoments(m12=m12, anom=anom, n1=n1.real, n2=n2.real,
                             n1n2=n1n2.real)
 
@@ -110,11 +102,6 @@ def classical_margin(g1_mag: float, g2_value: float) -> float:
     """g2 - |g1|^2. Negative means no classical stochastic field can
     reproduce the pair (interference plus anticorrelation)."""
     return g2_value - g1_mag ** 2
-
-
-def titulaer_glauber_margin(moments: CoherenceMoments) -> float:
-    """:func:`classical_margin` of the moments' g1 and g2."""
-    return classical_margin(abs(g1(moments)), g2(moments))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ so rho = sum_k w_k |phi_k><phi_k|. A pure state has rank 1; a mixture keeps
 the components its constructor knows (a thermal state its number states, a
 convex mixture its members). Every operation is linear in the rows, so one
 code path serves pure and mixed states alike, and none forms the dense
-density operator (``QuantumState.rho`` derives it for tests and oracles).
+density operator.
 A state may store at most ``AMPLITUDE_LIMIT`` complex amplitudes (rank
 times dim); larger ones are refused before allocating.
 
@@ -61,7 +61,6 @@ DEFAULT_TAIL_EPS = 1e-12
 #: Most complex amplitudes (rank x dim) one state may store: 32 MiB.
 AMPLITUDE_LIMIT = 1 << 21
 NORM_TOL = 1e-9
-HERMITICITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,9 +101,8 @@ def _check_size(rank: int, dim: int) -> None:
 class QuantumState:
     """Immutable pure or mixed state over a :class:`ModeSystem` basis.
 
-    Give exactly one of ``vector`` (a pure state), ``amps`` (a stack of
-    weighted amplitude vectors) or ``rho`` (a density operator, factored
-    once into such a stack; meant for tests and oracles).
+    Give exactly one of ``vector`` (a pure state) or ``amps`` (a stack of
+    weighted amplitude vectors).
 
     Attributes
     ----------
@@ -118,10 +116,9 @@ class QuantumState:
     __slots__ = ("system", "amps", "renormalized")
 
     def __init__(self, system: ModeSystem, *, vector=None, amps=None,
-                 rho=None, renormalized: bool = False,
-                 validate: bool = True):
-        if sum(x is not None for x in (vector, amps, rho)) != 1:
-            raise ValueError("exactly one of vector/amps/rho must be given")
+                 renormalized: bool = False, validate: bool = True):
+        if (vector is None) == (amps is None):
+            raise ValueError("exactly one of vector/amps must be given")
         self.system = system
         self.renormalized = bool(renormalized)
         if vector is not None:
@@ -131,23 +128,6 @@ class QuantumState:
                     f"amplitude vector has length {vector.shape}, "
                     f"system dimension is {system.dim}")
             amps = vector[None]
-        elif rho is not None:
-            rho = np.asarray(rho, dtype=np.complex128)
-            if rho.shape != (system.dim, system.dim):
-                raise ValueError(f"density operator has shape {rho.shape}, "
-                                 f"expected {(system.dim, system.dim)}")
-            if validate:
-                if not np.all(np.isfinite(rho.view(np.float64))):
-                    raise ValueError("density entries must be finite")
-                herm = np.max(np.abs(rho - rho.conj().T)) if rho.size else 0.0
-                if herm > HERMITICITY_TOL:
-                    raise ValueError(
-                        f"density operator not Hermitian ({herm:.3e})")
-            # factored once into eigencomponents, heaviest first; weights
-            # up to 1e-14 (numerical zeros and negatives) are dropped
-            vals, vecs = np.linalg.eigh(rho)
-            keep = np.flatnonzero(vals > 1e-14)[::-1]
-            amps = (vecs[:, keep] * np.sqrt(vals[keep])).T
         amps = np.ascontiguousarray(amps, dtype=np.complex128)
         if amps.ndim != 2 or amps.shape[1] != system.dim:
             raise ValueError(f"amplitude stack has shape {amps.shape}, "
@@ -173,12 +153,6 @@ class QuantumState:
         return self.amps[0]
 
     @property
-    def rho(self) -> np.ndarray:
-        """The dense density operator, built on each access (dim^2 entries;
-        for tests and oracles)."""
-        return self.amps.T @ self.amps.conj()
-
-    @property
     def dim(self) -> int:
         return self.system.dim
 
@@ -200,13 +174,10 @@ def basis_state(system: ModeSystem, occupation: Sequence[int]) -> QuantumState:
     if any(n < 0 or n > c for n, c in zip(occupation, system.cutoffs)):
         raise ValueError(f"occupation {occupation} outside cutoffs "
                          f"{system.cutoffs}")
+    _check_size(1, system.dim)
     vec = np.zeros(system.dim, dtype=np.complex128)
     vec[int(np.ravel_multi_index(occupation, system.dims))] = 1.0
     return QuantumState(system, vector=vec)
-
-
-def vacuum_state(system: ModeSystem) -> QuantumState:
-    return basis_state(system, (0,) * system.mode_count)
 
 
 def make_pure(system: ModeSystem, amplitudes: Iterable[complex]) -> QuantumState:
@@ -257,17 +228,6 @@ def make_mixed(ensemble: Sequence[tuple[float, QuantumState]]) -> QuantumState:
     return QuantumState(system, amps=amps)
 
 
-def tensor(left: QuantumState, right: QuantumState) -> QuantumState:
-    """Tensor product; left modes come first (slowest) in the new basis.
-    Every pair of components multiplies, so the ranks multiply."""
-    system = ModeSystem(left.system.cutoffs + right.system.cutoffs)
-    rank = len(left.amps) * len(right.amps)
-    _check_size(rank, system.dim)
-    amps = left.amps[:, None, :, None] * right.amps[None, :, None, :]
-    return QuantumState(system, amps=amps.reshape(rank, system.dim),
-                        validate=False)
-
-
 def coherent_state(alpha: complex, tail_eps: float = DEFAULT_TAIL_EPS, *,
                    max_cutoff: int = 512) -> QuantumState:
     """Single-mode coherent state, truncated by the Poisson tail rule.
@@ -279,6 +239,12 @@ def coherent_state(alpha: complex, tail_eps: float = DEFAULT_TAIL_EPS, *,
     if not 0.0 < tail_eps < 1.0:
         raise ValueError("tail_eps must lie in (0, 1)")
     alpha = complex(alpha)
+    magnitude = math.hypot(alpha.real, alpha.imag)  # inf, not an error
+    too_big = (f"coherent amplitude |alpha|={magnitude:.3g} needs a cutoff "
+               f"beyond {max_cutoff} for tail {tail_eps:g}")
+    # the bound below needs lam < N + 2: refused before lam may overflow
+    if magnitude >= math.sqrt(max_cutoff + 2):
+        raise DimensionLimitError(too_big)
     lam = abs(alpha) ** 2
     # Smallest N whose Poisson survival P(n > N) is certified below
     # tail_eps via the geometric bound P(n > N) <= p_{N+1}/(1 - lam/(N+2)).
@@ -296,9 +262,7 @@ def coherent_state(alpha: complex, tail_eps: float = DEFAULT_TAIL_EPS, *,
                     break
             cutoff += 1
             if cutoff > max_cutoff:
-                raise DimensionLimitError(
-                    f"coherent amplitude |alpha|={abs(alpha):.3g} needs a "
-                    f"cutoff beyond {max_cutoff} for tail {tail_eps:g}")
+                raise DimensionLimitError(too_big)
     n = np.arange(cutoff + 1)
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
     mags = np.exp(-lam / 2 + n * np.log(abs(alpha)) - log_fact / 2) \
@@ -327,14 +291,15 @@ def thermal_state(nbar: float, tail_eps: float = DEFAULT_TAIL_EPS, *,
     if nbar == 0.0:
         return basis_state(ModeSystem((0,)), (0,))
     q = nbar / (1.0 + nbar)
-    # tail after cutoff N is q^(N+1)
-    cutoff = max(0, math.ceil(math.log(tail_eps) / math.log(q)) - 1)
-    while q ** (cutoff + 1) >= tail_eps:
-        cutoff += 1
-    if cutoff > max_cutoff:
+    # tail after cutoff N is q^(N+1), falling with N: checked at max_cutoff
+    # first, as q rounds to 1 from nbar ~ 1e16 on
+    if q ** (max_cutoff + 1) >= tail_eps:
         raise DimensionLimitError(
             f"thermal nbar={nbar:.3g} needs a cutoff beyond {max_cutoff} "
             f"for tail {tail_eps:g}")
+    cutoff = max(0, math.ceil(math.log(tail_eps) / math.log(q)) - 1)
+    while q ** (cutoff + 1) >= tail_eps:
+        cutoff += 1
     _check_size(cutoff + 1, cutoff + 1)
     probs = (1 - q) * q ** np.arange(cutoff + 1)
     probs /= probs.sum()
@@ -447,8 +412,10 @@ def _partner_sums(flat: np.ndarray, at: np.ndarray, shape: tuple[int, ...],
 def expectations(state: QuantumState,
                  terms: Sequence[Sequence[tuple[int, int]]],
                  partners: Sequence[np.ndarray] = ()) -> list:
-    """Expectations of normal-ordered products, one per term (each given as
-    for :func:`expect_normal_ordered`).
+    """Expectations of normal-ordered products prod_k (a_k^dag)^{p_k}
+    (a_k)^{q_k}, one per term; a term lists one (creation, annihilation)
+    power pair (p_k, q_k) per mode. The values are exact up to the state's
+    truncation: no operator matrix is built and nothing is sampled.
 
     Tr[rho A^dag B], A = prod a^p and B = prod a^q, is the sum over the
     stored nonzeros phi[m] of conj(phi[m]) W(m) phi[m + shift], shift =
@@ -500,17 +467,6 @@ def expectations(state: QuantumState,
             right = found if shift == 0 else flat.take(at + shift, mode="clip")
             sums[i] += np.dot(left, right)
     return sums if partners else [complex(value) for value in sums]
-
-
-def expect_normal_ordered(state: QuantumState,
-                          powers: Sequence[tuple[int, int]]) -> complex:
-    """Expectation of prod_k (a_k^dag)^{p_k} (a_k)^{q_k}.
-
-    ``powers`` lists one (creation, annihilation) pair per mode. Computed
-    by ladder-index arithmetic, so the result is exact up to state
-    truncation: no operator matrices are built and no sampling occurs.
-    """
-    return expectations(state, [powers])[0]
 
 
 #: Most entries the cached blocks U_0..U_N may hold, sum of (n + 1)^2 up
@@ -709,10 +665,3 @@ def photon_counts_after_phases(state: QuantumState, mode_i: int, mode_j: int,
         sums = np.add.reduce(squares, axis=0)
         counts[:, rows[:, 0]] = sums[..., 0] + sums[..., 1]
     return counts.reshape((len(factors),) + state.system.dims)
-
-
-def purity(state: QuantumState) -> float:
-    """Tr(rho^2), the squared Frobenius norm of the components' Gram
-    matrix; 1 for pure states (up to normalization rounding)."""
-    gram = state.amps.conj() @ state.amps.T
-    return float(np.vdot(gram, gram).real)

@@ -202,20 +202,6 @@ def _dd_ss(state_a: QuantumState, beta1: float, beta2: float,
     return dd, ss
 
 
-def modulation_depth_numeric(state_a: QuantumState, lo1: LocalOscillator,
-                             lo2: LocalOscillator, route: str = "unitary", *,
-                             tail_eps: float = fock.DEFAULT_TAIL_EPS) -> float:
-    """E = <D1 D2>/<S1 S2> on the four-mode state a1 x a2 x b1 x b2.
-
-    route="unitary" applies the beamsplitters and measures output photon
-    numbers; route="input_operator" evaluates the equivalent input-side
-    operator forms without any transform. The two must agree to roundoff.
-    """
-    dd, ss = _dd_ss(state_a, lo1.beta, lo2.beta, [(lo1.theta, lo2.theta)],
-                    route, tail_eps)
-    return float(dd[0] / ss[0])
-
-
 def numeric_fringe_coefficients(state_a: QuantumState, beta1: float,
                                 beta2: float, route: str, *,
                                 tail_eps: float = fock.DEFAULT_TAIL_EPS
@@ -296,17 +282,15 @@ def optimal_lo_amplitudes(moments: CoherenceMoments):
     return scale * math.sqrt(ratio), scale / math.sqrt(ratio)
 
 
-def lo_pair_for(moments: CoherenceMoments, theta1: float, theta2: float, *,
-                scale: float = DEGENERATE_BETA_SCALE
-                ) -> tuple[LocalOscillator, LocalOscillator]:
-    """Oscillators at the optimal amplitudes, falling back to a small
-    common scale (ratio preserved) for degenerate-limit states."""
+def lo_pair_for(moments: CoherenceMoments) -> tuple[float, float]:
+    """(beta1, beta2) at the optimal amplitudes, falling back to the small
+    common scale ``DEGENERATE_BETA_SCALE`` (ratio preserved) for
+    degenerate-limit states."""
     betas = optimal_lo_amplitudes(moments)
     if isinstance(betas, DegenerateLimit):
-        betas = (scale * math.sqrt(betas.ratio),
-                 scale / math.sqrt(betas.ratio))
-    return (LocalOscillator(betas[0], theta1),
-            LocalOscillator(betas[1], theta2))
+        root = math.sqrt(betas.ratio)
+        return DEGENERATE_BETA_SCALE * root, DEGENERATE_BETA_SCALE / root
+    return betas
 
 
 def fringe_coefficients_at(moments: CoherenceMoments, beta1: float,
@@ -348,14 +332,6 @@ def fringe_e(coeffs: FringeCoefficients, theta1: float, theta2: float) -> float:
     """E(theta1, theta2) in trig form."""
     return (coeffs.c1 * math.cos(theta1 - theta2 + coeffs.phi1)
             + coeffs.c2 * math.cos(theta1 + theta2 + coeffs.phi2))
-
-
-def chsh_value(coeffs: FringeCoefficients,
-               angles: Sequence[float]) -> float:
-    """B = E(t1,t2) + E(t1,t2') + E(t1',t2) - E(t1',t2')."""
-    t1, t1p, t2, t2p = (float(a) for a in angles)
-    return (fringe_e(coeffs, t1, t2) + fringe_e(coeffs, t1, t2p)
-            + fringe_e(coeffs, t1p, t2) - fringe_e(coeffs, t1p, t2p))
 
 
 #: (source slot, half turns added) per slot of (t1, t1', t2, t2') for the
@@ -432,8 +408,8 @@ def criterion_from_measurements(g1_mag: float, g2_value: float) -> Verdict:
     alone. c2 is unknown and reported as absent."""
     if not 0.0 <= g1_mag <= 1.0:
         raise ValueError(f"g1 magnitude must lie in [0, 1], got {g1_mag!r}")
-    if g2_value < 0.0:
-        raise ValueError(f"g2 must be non-negative, got {g2_value!r}")
+    if not 0.0 <= g2_value < math.inf:
+        raise ValueError(f"g2 must be finite and >= 0, got {g2_value!r}")
     c1 = g1_mag / (1.0 + math.sqrt(g2_value))
     tg = classical_margin(g1_mag, g2_value)
     return Verdict(

@@ -1,4 +1,4 @@
-"""Brute-force oracles for the test suite.
+"""Brute-force oracles for the test suite, and the state tools only it uses.
 
 Everything here is deliberately implemented by a different route than the
 package: operators are explicit dense matrices assembled with kron, the
@@ -25,8 +25,59 @@ from typing import Sequence
 import numpy as np
 
 from mzbell import (ChshResult, LocalOscillator, ModeSystem, QuantumState,
-                    chsh_value, expectations, fock, fringe_scan,
-                    modulation_depth_analytic, tensor, vacuum_state)
+                    basis_state, expectations, fock, fringe_scan, homodyne,
+                    modulation_depth_analytic)
+from mzbell.homodyne import fringe_e
+
+
+def density(state: QuantumState) -> np.ndarray:
+    """The dense density operator sum_k |phi_k><phi_k| of a stack."""
+    return state.amps.T @ state.amps.conj()
+
+
+def from_density(system: ModeSystem, rho) -> QuantumState:
+    """The state of rho's eigencomponents, heaviest first; weights up to
+    1e-14 (numerical zeros and negatives) are dropped."""
+    vals, vecs = np.linalg.eigh(np.asarray(rho, dtype=np.complex128))
+    keep = np.flatnonzero(vals > 1e-14)[::-1]
+    return QuantumState(system, amps=(vecs[:, keep] * np.sqrt(vals[keep])).T)
+
+
+def tensor(left: QuantumState, right: QuantumState) -> QuantumState:
+    """Tensor product; left modes come first (slowest) in the new basis.
+    Every pair of components multiplies, so the ranks multiply."""
+    system = ModeSystem(left.system.cutoffs + right.system.cutoffs)
+    rank = len(left.amps) * len(right.amps)
+    fock._check_size(rank, system.dim)
+    amps = left.amps[:, None, :, None] * right.amps[None, :, None, :]
+    return QuantumState(system, amps=amps.reshape(rank, system.dim),
+                        validate=False)
+
+
+def vacuum_state(system: ModeSystem) -> QuantumState:
+    return basis_state(system, (0,) * system.mode_count)
+
+
+def purity(state: QuantumState) -> float:
+    """Tr(rho^2): the squared Frobenius norm of the components' Gram matrix."""
+    gram = state.amps.conj() @ state.amps.T
+    return float(np.vdot(gram, gram).real)
+
+
+def chsh_value(coeffs, angles: Sequence[float]) -> float:
+    """B = E(t1,t2) + E(t1,t2') + E(t1',t2) - E(t1',t2')."""
+    t1, t1p, t2, t2p = (float(a) for a in angles)
+    return (fringe_e(coeffs, t1, t2) + fringe_e(coeffs, t1, t2p)
+            + fringe_e(coeffs, t1p, t2) - fringe_e(coeffs, t1p, t2p))
+
+
+def modulation_depth_numeric(state_a, lo1, lo2, route="unitary", *,
+                             tail_eps=fock.DEFAULT_TAIL_EPS) -> float:
+    """E = <D1 D2>/<S1 S2> by one numeric route (``homodyne._dd_ss``) at
+    one angle pair: the pointwise route oracle."""
+    dd, ss = homodyne._dd_ss(state_a, lo1.beta, lo2.beta,
+                             [(lo1.theta, lo2.theta)], route, tail_eps)
+    return float(dd[0] / ss[0])
 
 
 def annihilation_matrix(dims, mode) -> np.ndarray:
@@ -172,7 +223,7 @@ def brute_expect(state: QuantumState, powers) -> complex:
     op = normal_ordered_matrix(state.system.dims, powers)
     if state.is_pure:
         return complex(state.vector.conj() @ op @ state.vector)
-    return complex(np.trace(state.rho @ op))
+    return complex(np.trace(density(state) @ op))
 
 
 def phase_matrix(dims, mode, phi) -> np.ndarray:
@@ -289,7 +340,7 @@ def random_density(rng, cutoffs, rank=None) -> QuantumState:
         + 1j * rng.normal(size=(system.dim, rank))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    return QuantumState(system, rho=rho)
+    return from_density(system, rho)
 
 
 def random_state(rng, cutoffs) -> QuantumState:

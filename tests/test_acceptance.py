@@ -7,20 +7,20 @@ line per criterion (the lines also appear in captured output on failure).
 import math
 
 import numpy as np
-import pytest
 
 from mzbell import (DegenerateStateError, LocalOscillator, StateSpec,
                     build_state, cli, coherent_state, compute_moments,
                     criterion_from_measurements, fringe_coefficients,
-                    fringe_scan, g1, incoherent_anticorrelated,
+                    fringe_scan, g1, g2, incoherent_anticorrelated,
                     local_realism_verdict, maximize_chsh, mixed_ensemble,
-                    modulation_depth_analytic, modulation_depth_numeric,
-                    noisy_split_photon, optimal_lo_amplitudes, purity,
-                    split_input, split_single_photon, thermal_state,
-                    titulaer_glauber_margin, visibility)
+                    modulation_depth_analytic, noisy_split_photon,
+                    optimal_lo_amplitudes, split_input, split_single_photon,
+                    thermal_state, visibility)
+from mzbell.coherence import classical_margin
 from mzbell.homodyne import FringeCoefficients
 
-from oracle import random_density, random_pure, random_state
+from oracle import (modulation_depth_numeric, purity, random_density,
+                    random_pure, random_state)
 
 ROOT_HALF = math.sqrt(0.5)
 PHASES_64 = [2 * math.pi * k / 64 for k in range(64)]
@@ -135,7 +135,7 @@ def test_criterion_06_split_coherent_boundary():
     moments = compute_moments(state)
     coeffs = fringe_coefficients(moments)
     chsh = maximize_chsh(coeffs)
-    tg = titulaer_glauber_margin(moments)
+    tg = classical_margin(abs(g1(moments)), g2(moments))
     ok = (abs(coeffs.c1 - 0.5) <= 1e-10
           and abs(coeffs.c2 - 0.5) <= 1e-10
           and abs(chsh.b_value - 2.0) <= 1e-3

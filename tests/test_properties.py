@@ -2,28 +2,30 @@
 states stored as amplitude stacks, against the dense-matrix oracle, and of
 the closed-form CHSH maximum, against the oracle's angle search."""
 
+import json
 import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 
 from mzbell import (DegenerateStateError, FringeCoefficients, LocalOscillator,
-                    ModeSystem, QuantumState, StateSpec, build_state,
-                    chsh_value, coherent_state, compute_moments,
-                    expect_normal_ordered, expectations, fock,
+                    ModeSystem, QuantumState, StateSpec, build_state, cli,
+                    coherent_state, compute_moments, expectations, fock,
                     fringe_coefficients_at, fringe_scan, homodyne,
                     local_realism_verdict, maximize_chsh,
-                    modulation_depth_numeric, numeric_fringe_coefficients,
-                    pad_cutoffs, purity, split_input)
+                    numeric_fringe_coefficients, pad_cutoffs, split_input)
 from mzbell.homodyne import fringe_e
 
 from oracle import (apply_beamsplitter, apply_phase,
                     assert_scan_matches_per_phase, bs_unitary_spectral,
-                    dd_ss_after_beamsplitters, dd_ss_on_the_input_stack,
-                    flat_lower, lowered_expectations, normal_ordered_matrix,
-                    phase_matrix, random_density, random_pure, search_chsh,
-                    split_via_beamsplitter, strided_lower)
+                    chsh_value, dd_ss_after_beamsplitters,
+                    dd_ss_on_the_input_stack, density, flat_lower,
+                    lowered_expectations, modulation_depth_numeric,
+                    normal_ordered_matrix, phase_matrix, purity,
+                    random_density, random_pure, search_chsh,
+                    split_via_beamsplitter, strided_lower, tensor)
 
 
 @given(total=st.integers(0, 80))
@@ -61,7 +63,7 @@ def test_forward_then_inverse_is_identity(case, inverse):
     if padded.is_pure:
         np.testing.assert_allclose(back.vector, padded.vector, atol=1e-12)
     else:
-        np.testing.assert_allclose(back.rho, padded.rho, atol=1e-12)
+        np.testing.assert_allclose(density(back), density(padded), atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,15 +128,15 @@ def ensembles(draw, modes=(2, 3)):
 @given(case=ensembles())
 def test_ensemble_matches_dense_oracle(case):
     state, rng = case
-    rho, dims = state.rho, state.system.dims
+    rho, dims = density(state), state.system.dims
     for _ in range(3):
         powers = [(int(rng.integers(0, 3)), int(rng.integers(0, 3)))
                   for _ in dims]
         want = np.trace(rho @ normal_ordered_matrix(dims, powers))
-        assert abs(expect_normal_ordered(state, powers) - want) < 1e-12
+        assert abs(expectations(state, [powers])[0] - want) < 1e-12
     mode, phi = int(rng.integers(0, len(dims))), float(rng.uniform(0, 7))
     p = phase_matrix(dims, mode, phi)
-    np.testing.assert_allclose(apply_phase(state, mode, phi).rho,
+    np.testing.assert_allclose(density(apply_phase(state, mode, phi)),
                                p @ rho @ p.conj().T, atol=1e-12)
     assert abs(purity(state) - np.trace(rho @ rho).real) < 1e-12
 
@@ -143,7 +145,7 @@ def test_ensemble_matches_dense_oracle(case):
 @given(case=ensembles(), data=st.data())
 def test_batched_expectations_match_dense_oracle(case, data):
     state, _ = case
-    rho, dims = state.rho, state.system.dims
+    rho, dims = density(state), state.system.dims
     power = st.integers(0, 4)
     terms = data.draw(st.lists(st.lists(st.tuples(power, power),
                                         min_size=len(dims),
@@ -234,7 +236,7 @@ def test_partner_products_match_the_tensored_stack(case):
     for p in range(len(partners[0])):
         stack = state
         for rows in partners:
-            stack = fock.tensor(stack, QuantumState(
+            stack = tensor(stack, QuantumState(
                 ModeSystem((len(rows[0]) - 1,)), amps=rows[p:p + 1],
                 validate=False))
         want = expectations(stack, terms)
@@ -289,7 +291,7 @@ def test_stored_support_matches_both_oracles(case):
     state, terms, chunk = case
     with mock.patch.object(fock, "CHUNK", chunk):
         got = expectations(state, terms)
-    rho, dims = state.rho, state.system.dims
+    rho, dims = density(state), state.system.dims
     lowered = lowered_expectations(state, terms)
     # the same sums over |amps|: a scale no cancellation can shrink
     sizes = lowered_expectations(
@@ -311,7 +313,8 @@ def test_ensemble_beamsplitter_matches_dense_oracle(case, inverse):
     padded = pad_cutoffs(state, out.system.cutoffs)
     u = bs_unitary_spectral(padded.system.dims, mode_i, mode_j,
                             inverse=inverse)
-    np.testing.assert_allclose(out.rho, u @ padded.rho @ u.conj().T,
+    np.testing.assert_allclose(density(out),
+                               u @ density(padded) @ u.conj().T,
                                atol=1e-12)
 
 
@@ -521,3 +524,32 @@ def test_bell_violation_implies_classical_violation(spec):
     if verdict.violates_bell:
         assert verdict.violates_classical
         assert maximize_chsh(verdict.coeffs).b_value > 2.0
+
+
+def _scalar_slots(params):
+    """(container, key) of each number in spec params, nested ones too."""
+    items = params.items() if isinstance(params, dict) else enumerate(params)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _scalar_slots(value)
+        elif not isinstance(value, str):
+            yield params, key
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=catalog_specs(), data=st.data())
+def test_a_bad_scalar_anywhere_exits_2(capsys, tmp_path, spec, data):
+    # a list, object, boolean, NaN or infinity in place of any one number
+    slots = list(_scalar_slots(spec.params))
+    assume(slots)
+    container, key = data.draw(st.sampled_from(slots))
+    container[key] = data.draw(st.one_of(
+        st.booleans(), st.lists(st.integers(), max_size=2),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+        st.sampled_from([math.nan, math.inf, -math.inf])))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": spec.family, "params": spec.params}))
+    code = cli.main(["analyze", "--state", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and err.startswith("error: ")
