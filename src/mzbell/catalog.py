@@ -162,8 +162,13 @@ def build_state(spec: StateSpec, *, cutoff: int | None = None,
         return split_single_photon()
     if family == "split_number":
         n = _number("n", params["n"], integral=True)
-        return split_input(fock.number_state(n, cutoff if cutoff is not None
-                                             else n))
+        cut = n if cutoff is None else cutoff
+        if 0 <= n <= cut:
+            # the sizes of |n> and of its split, as number_state and
+            # fock._split refuse them, before |n> is allocated
+            fock._check_size(1, cut + 1)
+            fock._check_size(1, (cut + 1) ** 2)
+        return split_input(fock.number_state(n, cut))
     if family == "split_coherent":
         return split_input(
             fock.coherent_state(_complex_param(params, "alpha"), tail_eps))

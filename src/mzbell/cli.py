@@ -28,12 +28,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import shlex
 import sys
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from . import catalog, coherence, fock, homodyne
 from .catalog import StateSpec
@@ -209,20 +212,22 @@ def cmd_bell_scan(args) -> int:
         beta1 = beta2 = float(args.beta)
         if beta1 < 0:
             raise ValueError("--beta must be non-negative")
-    angles = [2.0 * math.pi * k / args.grid for k in range(args.grid)]
-    pairs = [(theta1, theta2) for theta1 in angles for theta2 in angles]
-    e_analytic = [homodyne.modulation_depth_analytic(
-        moments, homodyne.LocalOscillator(beta1, theta1),
-        homodyne.LocalOscillator(beta2, theta2)) for theta1, theta2 in pairs]
+    angles = 2.0 * math.pi * np.arange(args.grid) / args.grid
+    theta1, theta2 = np.repeat(angles, args.grid), np.tile(angles, args.grid)
+    e_analytic = homodyne.modulation_depth_analytic(moments, beta1, beta2,
+                                                    theta1, theta2)
     # after E_analytic, whose errors come first
     numeric = homodyne.numeric_fringe_coefficients(
         state, beta1, beta2, args.route, tail_eps=args.tail_eps)
+    # + 0.0 turns a signed zero into 0, so no row prints -0
+    e_numeric = homodyne.fringe_e(numeric, theta1, theta2) + 0.0
+    # each angle is formatted once, then every row in one pass
+    labels = [_fmt(theta) for theta in angles.tolist()]
     rows = [BELL_SCAN_CSV_HEADER]
-    for (theta1, theta2), e_an in zip(pairs, e_analytic):
-        # + 0.0 turns a signed zero into 0, so no row prints -0
-        e_numeric = homodyne.fringe_e(numeric, theta1, theta2) + 0.0
-        rows.append(",".join([_fmt(theta1), _fmt(theta2),
-                              _fmt(e_an), _fmt(e_numeric)]))
+    rows += [f"{t1},{t2},{e_an:.15g},{e_num:.15g}"
+             for (t1, t2), e_an, e_num in zip(
+                 itertools.product(labels, repeat=2), e_analytic.tolist(),
+                 e_numeric.tolist())]
     _emit(rows, args.out)
     coeffs = homodyne.fringe_coefficients_at(moments, beta1, beta2)
     chsh = homodyne.maximize_chsh(coeffs)

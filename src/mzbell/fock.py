@@ -24,7 +24,9 @@ flat-index shift away, sum_k (q_k - p_k) * stride_k, weighted by small
 cached per-mode tables that are zero where the pair would cross a cutoff;
 no lowered copy of a row is made. Given a batch of pure single-mode
 partners, it evaluates the terms on the state x each partner set without
-storing that product: its amplitudes are formed a chunk at a time.
+storing that product: its amplitudes are formed a chunk at a time, and
+what does not depend on the chunk (each term's partner table grid, each
+partner moved by q - p) is set up once per call.
 
 Transforms return new states and never mutate or implicitly renormalize
 their inputs: a norm deficit after a transform is a bug, not something to
@@ -239,6 +241,8 @@ def coherent_state(alpha: complex, tail_eps: float = DEFAULT_TAIL_EPS, *,
     if not 0.0 < tail_eps < 1.0:
         raise ValueError("tail_eps must lie in (0, 1)")
     alpha = complex(alpha)
+    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     magnitude = math.hypot(alpha.real, alpha.imag)  # inf, not an error
     too_big = (f"coherent amplitude |alpha|={magnitude:.3g} needs a cutoff "
                f"beyond {max_cutoff} for tail {tail_eps:g}")
@@ -284,6 +288,8 @@ def thermal_state(nbar: float, tail_eps: float = DEFAULT_TAIL_EPS, *,
     """Single-mode thermal state p_n = nbar^n / (1 + nbar)^(n+1), truncated
     when the geometric tail drops below ``tail_eps`` and renormalized; its
     components are the number states, rows sqrt(p_n)|n>."""
+    if not math.isfinite(nbar):
+        raise ValueError(f"nbar must be finite, got {nbar!r}")
     if nbar < 0:
         raise ValueError("nbar must be non-negative")
     if not 0.0 < tail_eps < 1.0:
@@ -364,6 +370,19 @@ def _product(values: np.ndarray, batches: list) -> np.ndarray:
     return values
 
 
+# Partner ladder grids, one per (partner widths, partner powers): a scan's
+# route call uses six.
+@functools.lru_cache(maxsize=256)
+def _ladder_grid(widths: tuple[int, ...],
+                 powers: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Read-only outer product of the partners' ladder tables
+    (:func:`_ladder_table`), one grid over (n_1, n_2, ...)."""
+    grid = functools.reduce(np.multiply.outer, [
+        _ladder_table(w - 1, p, q) for w, (p, q) in zip(widths, powers)])
+    grid.setflags(write=False)
+    return grid
+
+
 def _partner_sums(flat: np.ndarray, at: np.ndarray, shape: tuple[int, ...],
                   plans: list, partners: list) -> np.ndarray:
     """Each planned term's sum over the product of the stored nonzeros
@@ -372,36 +391,54 @@ def _partner_sums(flat: np.ndarray, at: np.ndarray, shape: tuple[int, ...],
     formed for as many nonzeros as keep each array within a quarter of
     ``CHUNK`` values, cutting the first partner's index range where one
     nonzero has more: four such arrays are alive at once (the amplitudes,
-    their conjugates, a weighted term and its ladder partners)."""
-    batch, widths = len(partners[0]), [len(rows[0]) for rows in partners]
+    their conjugates, a weighted term and its ladder partners).
+
+    What does not depend on the nonzeros is set up once per call: each
+    term's partner grid (:func:`_ladder_grid`) and each partner's rows
+    moved by q - p. Each signal table is looked up once per group of
+    nonzeros, and each term's weight, the product of its lookups in axis
+    order, and its shifted amplitudes once per group, not per slab."""
+    batch, widths = len(partners[0]), tuple(len(rows[0]) for rows in partners)
     budget, per = max(1, CHUNK // 4), batch * math.prod(widths)
     group = max(1, budget // per)
     slab = widths[0] if per <= budget else max(1, budget * widths[0] // per)
-    # per term: the partners' tables as one grid over (n_1, n_2, ...), and
-    # each partner's rows at n + q - p, clipped where its table is 0
-    factors = [(functools.reduce(np.multiply.outer, [
-        _ladder_table(w - 1, p, q) for w, (p, q) in zip(widths, powers)]),
-        [rows[:, np.clip(np.arange(w) + q - p, 0, w - 1)]
-         for rows, w, (p, q) in zip(partners, widths, powers)])
-        for _, _, powers in plans]
+    grids = [_ladder_grid(widths, powers) for _, _, powers in plans]
+    # a diagonal term pairs each amplitude with itself
+    diagonal = [shift == 0 and all(p == q for p, q in powers)
+                for _, shift, powers in plans]
+    # each partner's rows at n + q - p, clipped where its table is 0, for
+    # every q - p an off-diagonal term uses
+    moved = {}
+    for (_, _, powers), same in zip(plans, diagonal):
+        for k, (rows, w, (p, q)) in enumerate(zip(partners, widths, powers)):
+            if not same and (k, q - p) not in moved:
+                moved[k, q - p] = rows[:, np.clip(np.arange(w) + q - p,
+                                                  0, w - 1)]
     sums = np.zeros((len(plans), batch), dtype=np.complex128)
     for j in range(0, at.size, group):
         here = at[j:j + group]
         digits = np.unravel_index(here, shape)
+        # the tables are cached, so one object serves each (cutoff, p, q)
+        looked, weights, shifted = {}, [], []
+        for (tables, shift, _), same in zip(plans, diagonal):
+            weight = np.ones(len(here))
+            for axis, table in tables:
+                if (axis, id(table)) not in looked:
+                    looked[axis, id(table)] = table[digits[axis]]
+                weight = weight * looked[axis, id(table)]
+            weights.append(weight)
+            shifted.append(None if same else
+                           flat.take(here + shift, mode="clip"))
         for lo in range(0, widths[0], slab):
             cut = (slice(lo, lo + slab),) + (slice(None),) * (len(widths) - 1)
             amp = _product(flat[here], [rows[:, c] for rows, c in
                                         zip(partners, cut)])
             left = amp.conj()
-            for i, ((tables, shift, powers), (grid, moved)) in enumerate(
-                    zip(plans, factors)):
-                weight = np.prod([table[digits[axis]] for axis, table in
-                                  tables] + [np.ones(len(here))], axis=0)
-                right = amp if shift == 0 and all(
-                    p == q for p, q in powers) else _product(
-                    flat.take(here + shift, mode="clip"),
-                    [rows[:, c] for rows, c in zip(moved, cut)])
-                term = left * np.multiply.outer(weight, grid[cut])
+            for i, (_, _, powers) in enumerate(plans):
+                right = amp if diagonal[i] else _product(shifted[i], [
+                    moved[k, q - p][:, c] for k, ((p, q), c) in enumerate(
+                        zip(powers, cut))])
+                term = left * np.multiply.outer(weights[i], grids[i][cut])
                 # row by row, the dot product of the term and right
                 sums[i] += (term.reshape(batch, 1, -1)
                             @ right.reshape(batch, -1, 1)).reshape(batch)
@@ -446,7 +483,7 @@ def expectations(state: QuantumState,
                        for k, (p, q) in enumerate(powers[:len(dims)])
                        if p or q],
                       sum((q - p) * s for (p, q), s in zip(powers, strides)),
-                      powers[len(dims):]))
+                      tuple(powers[len(dims):])))
     flat = state.amps.reshape(-1)
     sums = [0j] * len(plans)
     for start in range(0, flat.size, CHUNK):

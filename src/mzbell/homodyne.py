@@ -16,8 +16,9 @@ are kept deliberately separate:
   output photon numbers, reduced to two small Gram matrices per pair, so
   no four-mode state is formed;
 - ``input_operator`` evaluates the equivalent input-side operator forms
-  on the four-mode state a1 x a2 x b1 x b2, with no transform, as sums
-  over its support that form its amplitudes on the fly;
+  on the four-mode state a1 x a2 x b1 x b2, with no transform, as six
+  sums over its support that form its amplitudes on the fly (the other
+  two of its eight correlators are the conjugates of two of them);
 - the analytic moment formula needs only the five channel moments.
 
 On both numeric routes an oscillator phase is an exact rotation, so E at
@@ -60,6 +61,12 @@ _TWO_PI = 2.0 * math.pi
 HELD_OUT_ANGLES = (1.0, 2.0)
 
 
+def _check_beta(beta: float) -> None:
+    """Refuse an oscillator amplitude that is negative or not finite."""
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
+
+
 @dataclass(frozen=True)
 class LocalOscillator:
     """Coherent local oscillator with real amplitude and phase."""
@@ -68,8 +75,7 @@ class LocalOscillator:
     theta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
+        _check_beta(self.beta)
         object.__setattr__(self, "theta", float(self.theta) % _TWO_PI)
 
     @property
@@ -161,16 +167,19 @@ def _dd_ss_input_operator(state_a: QuantumState, b1: np.ndarray,
     """Same two correlators evaluated directly on the input state
     a1 x a2 x b1 x b2 via D_k = i(a_k^dag b_k - a_k b_k^dag) and
     S_k = a_k^dag a_k + b_k^dag b_k, for each row p of the oscillator
-    batches. The eight correlators go to one ``fock.expectations`` call
-    with the oscillators as partners: each is one sum over the four-mode
-    support, and no four-mode state is stored."""
+    batches. <D1 D2> and <S1 S2> expand to eight correlators, of which two
+    are the complex conjugates of two others, as <X^dag> = conj<X> on any
+    state. The other six go to one ``fock.expectations`` call with the
+    oscillators as partners: each is one sum over the four-mode support,
+    and no four-mode state is stored."""
     up, down, num, none = (1, 0), (0, 1), (1, 1), (0, 0)
     terms = [[num, num, none, none], [up, up, down, down],
-             [down, down, up, up], [none, none, num, num],
-             [num, none, none, num], [up, down, down, up],
-             [down, up, up, down], [none, num, num, none]]
-    s1, d1, d4, s4, s2, d2, d3, s3 = fock.expectations(state_a, terms,
-                                                       (b1, b2))
+             [none, none, num, num], [num, none, none, num],
+             [up, down, down, up], [none, num, num, none]]
+    s1, d1, s4, s2, d2, s3 = fock.expectations(state_a, terms, (b1, b2))
+    # <a1 a2 b1^dag b2^dag> = conj<a1^dag a2^dag b1 b2>, and
+    # <a1 a2^dag b1^dag b2> = conj<a1^dag a2 b1 b2^dag>
+    d4, d3 = d1.conj(), d2.conj()
     return -(d1 - d2 - d3 + d4).real, (s1 + s2 + s3 + s4).real
 
 
@@ -244,26 +253,32 @@ def numeric_fringe_coefficients(state_a: QuantumState, beta1: float,
     return coeffs
 
 
-def modulation_depth_analytic(moments: CoherenceMoments,
-                              lo1: LocalOscillator,
-                              lo2: LocalOscillator) -> float:
-    """E from the five channel moments and the oscillator parameters.
+def modulation_depth_analytic(moments: CoherenceMoments, beta1: float,
+                              beta2: float, theta1, theta2):
+    """E from the five channel moments at oscillator amplitudes beta_k and
+    phases theta_k. The phases may be arrays of one shape, as E is then
+    evaluated at each pair; the amplitudes are checked first, and the
+    denominator, which does not depend on the phases, next.
 
     Numerator and denominator are the closed forms obtained by inserting
     the input-operator expressions into coherent-state expectations; the
     numerator bracket is a sum of conjugate pairs and therefore real.
     """
-    b1, b2 = lo1.beta, lo2.beta
-    den = (moments.n1n2 + moments.n1 * b2 ** 2 + moments.n2 * b1 ** 2
-           + b1 ** 2 * b2 ** 2)
+    for beta in (beta1, beta2):
+        _check_beta(beta)
+    den = (moments.n1n2 + moments.n1 * beta2 ** 2 + moments.n2 * beta1 ** 2
+           + beta1 ** 2 * beta2 ** 2)
     if den <= 1e-15:
         raise DegenerateDenominatorError(
             f"modulation-depth denominator {den:.3e} vanishes")
-    diff = lo1.theta - lo2.theta
-    total = lo1.theta + lo2.theta
-    bracket = 2.0 * (moments.m12 * cmath.exp(1j * diff)).real \
-        - 2.0 * (moments.anom.conjugate() * cmath.exp(1j * total)).real
-    return b1 * b2 * bracket / den
+    diff = theta1 - theta2
+    total = theta1 + theta2
+    # Re[m12 e^{i diff}] and Re[conj(anom) e^{i total}], each formed from
+    # real products as a scalar complex product forms it
+    m12, anom = moments.m12, moments.anom.conjugate()
+    bracket = 2.0 * (m12.real * np.cos(diff) - m12.imag * np.sin(diff)) \
+        - 2.0 * (anom.real * np.cos(total) - anom.imag * np.sin(total))
+    return beta1 * beta2 * bracket / den
 
 
 def optimal_lo_amplitudes(moments: CoherenceMoments):
@@ -328,10 +343,11 @@ def fringe_coefficients(moments: CoherenceMoments) -> FringeCoefficients:
         phi2=(math.pi - cmath.phase(moments.anom)) % _TWO_PI)
 
 
-def fringe_e(coeffs: FringeCoefficients, theta1: float, theta2: float) -> float:
-    """E(theta1, theta2) in trig form."""
-    return (coeffs.c1 * math.cos(theta1 - theta2 + coeffs.phi1)
-            + coeffs.c2 * math.cos(theta1 + theta2 + coeffs.phi2))
+def fringe_e(coeffs: FringeCoefficients, theta1, theta2):
+    """E(theta1, theta2) in trig form, at each pair if the angles are
+    arrays of one shape."""
+    return (coeffs.c1 * np.cos(theta1 - theta2 + coeffs.phi1)
+            + coeffs.c2 * np.cos(theta1 + theta2 + coeffs.phi2))
 
 
 #: (source slot, half turns added) per slot of (t1, t1', t2, t2') for the

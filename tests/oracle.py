@@ -13,19 +13,21 @@ are the transforms the package applied before its phase scan read photon
 counts sector by sector and its unitary E route reduced each pair's
 outputs to Gram matrices. They reuse its sector plan and cached blocks,
 which the spectral unitary checks. Likewise the input-operator E route's
-stored four-mode stack, which the package now forms on the fly.
+stored four-mode stack, which the package now forms on the fly, and the
+per-term form of its partner kernel, which it now sets up once per call.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Sequence
 
 import numpy as np
 
-from mzbell import (ChshResult, LocalOscillator, ModeSystem, QuantumState,
-                    basis_state, expectations, fock, fringe_scan, homodyne,
+from mzbell import (ChshResult, ModeSystem, QuantumState, basis_state,
+                    expectations, fock, fringe_scan, homodyne,
                     modulation_depth_analytic)
 from mzbell.homodyne import fringe_e
 
@@ -218,6 +220,47 @@ def lowered_expectations(state: QuantumState, terms) -> list[complex]:
     return [complex(np.sum(part)) for part in parts]
 
 
+def partner_sums_per_term(flat: np.ndarray, at: np.ndarray,
+                          shape: tuple[int, ...], plans: list,
+                          partners: list) -> np.ndarray:
+    """``fock._partner_sums`` as the package computed it before it set up
+    the partner grids and moved rows once per call and the signal lookups
+    once per group: per term it builds its partner grid and moves every
+    partner's rows, and per slab it forms each term's weight with
+    ``np.prod`` and takes its shifted amplitudes. The package must match
+    it bit for bit."""
+    batch, widths = len(partners[0]), [len(rows[0]) for rows in partners]
+    budget, per = max(1, fock.CHUNK // 4), batch * math.prod(widths)
+    group = max(1, budget // per)
+    slab = widths[0] if per <= budget else max(1, budget * widths[0] // per)
+    factors = [(functools.reduce(np.multiply.outer, [
+        fock._ladder_table(w - 1, p, q) for w, (p, q) in zip(widths, powers)]),
+        [rows[:, np.clip(np.arange(w) + q - p, 0, w - 1)]
+         for rows, w, (p, q) in zip(partners, widths, powers)])
+        for _, _, powers in plans]
+    sums = np.zeros((len(plans), batch), dtype=np.complex128)
+    for j in range(0, at.size, group):
+        here = at[j:j + group]
+        digits = np.unravel_index(here, shape)
+        for lo in range(0, widths[0], slab):
+            cut = (slice(lo, lo + slab),) + (slice(None),) * (len(widths) - 1)
+            amp = fock._product(flat[here], [rows[:, c] for rows, c in
+                                             zip(partners, cut)])
+            left = amp.conj()
+            for i, ((tables, shift, powers), (grid, moved)) in enumerate(
+                    zip(plans, factors)):
+                weight = np.prod([table[digits[axis]] for axis, table in
+                                  tables] + [np.ones(len(here))], axis=0)
+                right = amp if shift == 0 and all(
+                    p == q for p, q in powers) else fock._product(
+                    flat.take(here + shift, mode="clip"),
+                    [rows[:, c] for rows, c in zip(moved, cut)])
+                term = left * np.multiply.outer(weight, grid[cut])
+                sums[i] += (term.reshape(batch, 1, -1)
+                            @ right.reshape(batch, -1, 1)).reshape(batch)
+    return sums
+
+
 def brute_expect(state: QuantumState, powers) -> complex:
     """Expectation via the explicit operator matrix."""
     op = normal_ordered_matrix(state.system.dims, powers)
@@ -391,12 +434,10 @@ def validate_trig_form(moments, lo1, lo2, coeffs, samples: int = 16):
     """
     grid = 2.0 * np.pi * np.arange(samples) / samples
     # difference-frequency scan at fixed angle sum, then the reverse
-    e_diff = np.array([modulation_depth_analytic(
-        moments, LocalOscillator(lo1.beta, d / 2),
-        LocalOscillator(lo2.beta, -d / 2)) for d in grid])
-    e_sum = np.array([modulation_depth_analytic(
-        moments, LocalOscillator(lo1.beta, s / 2),
-        LocalOscillator(lo2.beta, s / 2)) for s in grid])
+    e_diff = modulation_depth_analytic(moments, lo1.beta, lo2.beta,
+                                       grid / 2, -grid / 2)
+    e_sum = modulation_depth_analytic(moments, lo1.beta, lo2.beta,
+                                      grid / 2, grid / 2)
     z1 = 2.0 * np.mean(e_diff * np.exp(-1j * grid))
     z2 = 2.0 * np.mean(e_sum * np.exp(-1j * grid))
     err = max(abs(z1 - coeffs.c1 * cmath.exp(1j * coeffs.phi1)),

@@ -93,7 +93,8 @@ def test_criterion_04_triple_path_agreement():
                                              tail_eps=1e-14)
         e_input = modulation_depth_numeric(state, lo1, lo2, "input_operator",
                                            tail_eps=1e-14)
-        e_analytic = modulation_depth_analytic(moments, lo1, lo2)
+        e_analytic = modulation_depth_analytic(moments, lo1.beta, lo2.beta,
+                                               lo1.theta, lo2.theta)
         worst = max(worst, abs(e_unitary - e_input),
                     abs(e_unitary - e_analytic), abs(e_input - e_analytic))
     _criterion(4, f"triple-path modulation depth, 20 random cases: "
@@ -216,10 +217,8 @@ def _difference_fringe_amplitude(moments, beta1, beta2, samples=32):
     via a single-bin discrete Fourier projection."""
     grid = 2 * math.pi * np.arange(samples) / samples
     sigma = 0.7
-    values = np.array([modulation_depth_analytic(
-        moments,
-        LocalOscillator(beta1, (sigma + d) / 2),
-        LocalOscillator(beta2, (sigma - d) / 2)) for d in grid])
+    values = modulation_depth_analytic(moments, beta1, beta2,
+                                       (sigma + grid) / 2, (sigma - grid) / 2)
     return abs(2.0 * np.mean(values * np.exp(-1j * grid)))
 
 

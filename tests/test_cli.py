@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 from mzbell import cli, homodyne
 from mzbell.catalog import StateSpec, build_state
+from mzbell.coherence import compute_moments
 
 from oracle import purity
 
@@ -316,6 +318,62 @@ class TestBellScan:
         assert float(report["beta1"]) == 0.05
         assert float(report["beta2"]) == 0.05
 
+    @pytest.mark.parametrize("beta", ["auto", "0.3"])
+    @pytest.mark.parametrize("route", ["input_operator", "unitary"])
+    @pytest.mark.parametrize("text", [
+        "split_single_photon", "split_thermal nbar=0.1",
+        "noisy_split_photon w=0.5 alpha_re=0.2 alpha_im=0.1"])
+    def test_every_row_matches_the_pointwise_forms(self, capsys, text,
+                                                   route, beta):
+        # the grid is filled as arrays; each row must hold the values of
+        # one pointwise call of each form at its angle pair
+        grid = 5
+        code, out, err = run_cli(capsys, "bell-scan", "--state", text,
+                                 "--grid", str(grid), "--route", route,
+                                 "--beta", beta)
+        assert code == 0, err
+        state = build_state(cli.parse_inline_spec(text))
+        moments = compute_moments(state)
+        betas = homodyne.lo_pair_for(moments) if beta == "auto" \
+            else (0.3, 0.3)
+        numeric = homodyne.numeric_fringe_coefficients(state, *betas, route)
+        lines = out.splitlines()
+        rows = [[float(x) for x in line.split(",")]
+                for line in lines[1:1 + grid ** 2]]
+        assert lines[1 + grid ** 2].startswith("beta1 = ")
+        for k, (t1, t2, e_an, e_num) in enumerate(rows):
+            theta1, theta2 = (2.0 * math.pi * j / grid
+                              for j in divmod(k, grid))
+            assert (t1, t2) == (float(f"{theta1:.15g}"),
+                                float(f"{theta2:.15g}"))
+            want = homodyne.modulation_depth_analytic(moments, *betas,
+                                                      theta1, theta2)
+            assert abs(e_an - want) <= 1e-14
+            want = homodyne.fringe_e(numeric, theta1, theta2) + 0.0
+            assert abs(e_num - want) <= 1e-14
+
+    @pytest.mark.parametrize("beta", ["inf", "nan"])
+    def test_non_finite_beta_refused_before_arithmetic(self, capsys, beta):
+        # checked before the grid's array arithmetic, which would warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "bell-scan", "--state",
+                                     "split_single_photon", "--beta", beta)
+        assert (code, out) == (2, "")
+        assert err == ("error: ValueError: beta must be finite and >= 0, "
+                       f"got {beta}\n")
+
+    def test_degenerate_denominator_before_the_route(self, capsys,
+                                                     monkeypatch):
+        def route(*args):
+            raise AssertionError("the route ran")
+        monkeypatch.setattr(homodyne, "_dd_ss", route)
+        code, out, err = run_cli(capsys, "bell-scan", "--state",
+                                 "split_single_photon", "--beta", "0")
+        assert (code, out) == (3, "")
+        assert err == ("error: DegenerateDenominatorError: modulation-depth "
+                       "denominator 0.000e+00 vanishes\n")
+
     def test_no_negative_zero(self, capsys):
         code, out, _ = run_cli(capsys, "bell-scan", "--state",
                                "incoherent_anticorrelated p=0.3",
@@ -520,6 +578,9 @@ class TestRefusedInputs:
         ("criterion 0.5 inf", "g2 must be finite"),
         # |10^9> would take 16 GiB: its size is checked first
         ("analyze --state 'split_number n=1000000000'", "store 1000000001"),
+        # |2000000> fits, its split does not: that is checked before |n>
+        # is built
+        ("analyze --state 'split_number n=2000000'", "store 4000004000001"),
     ])
     def test_refused_before_allocating(self, capsys, command, named):
         tracemalloc.start()

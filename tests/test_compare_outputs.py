@@ -24,15 +24,17 @@ def test_ops_cover_three_rounds_of_every_workload_and_the_probes(
     probes = [argv for label, argv, _ in ops if label.startswith("probe/")]
     assert len(probes) == len(compare_outputs.PROBES)
     # fringe scans, bell-scans on the unitary route (two beamsplitters) and
-    # one on the default input-operator route, then analyze on split
-    # inputs: one that runs, two that are refused and three real-alpha
-    # coherent ones
-    assert [argv[0] for argv in probes] == (["fringe"] * 7 + ["bell-scan"] * 3
+    # two on the default input-operator route, the second also at the
+    # default grid, then analyze on split inputs: one that runs, two that
+    # are refused and three real-alpha coherent ones
+    assert [argv[0] for argv in probes] == (["fringe"] * 7 + ["bell-scan"] * 4
                                             + ["analyze"] * 6)
     assert all(argv[argv.index("--route") + 1] == "unitary"
                for argv in probes[7:9])
-    assert "--route" not in probes[9]
-    assert [argv[2] for argv in probes[10:]] == [
+    assert all("--route" not in argv for argv in probes[9:11])
+    assert probes[10] == ["bell-scan", "--state",
+                          "split_coherent alpha_re=1.2 alpha_im=0.4"]
+    assert [argv[2] for argv in probes[11:]] == [
         "split_number n=200", "split_thermal nbar=4.2", "split_number n=464",
         "split_coherent alpha_re=0.7", "split_coherent alpha_re=1.5",
         "split_coherent alpha_re=3"]

@@ -175,6 +175,18 @@ class TestSingleModeStates:
         diag = np.diag(density(state)).real
         assert abs(diag.sum() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_refused(self, value):
+        # a plain ValueError naming the parameter, before any cutoff loop
+        with pytest.raises(ValueError, match="^nbar must be finite") as info:
+            thermal_state(value)
+        assert type(info.value) is ValueError
+        for alpha in (complex(value, 0.0), complex(0.5, value)):
+            with pytest.raises(ValueError,
+                               match="^alpha must be finite") as info:
+                coherent_state(alpha)
+            assert type(info.value) is ValueError
+
 
 class TestExpectations:
     def test_annihilation_kills_vacuum(self):

@@ -191,20 +191,17 @@ class TestNumericFringeCoefficients:
 class TestModulationDepthAnalytic:
     def test_zero_beta_product(self):
         m = compute_moments(basis_state(ModeSystem((1, 1)), (1, 1)))
-        assert modulation_depth_analytic(
-            m, LocalOscillator(0.0, 0.0), LocalOscillator(0.2, 0.0)) == 0.0
+        assert modulation_depth_analytic(m, 0.0, 0.2, 0.0, 0.0) == 0.0
 
     def test_fully_degenerate(self):
         m = compute_moments(split_single_photon())
         with pytest.raises(DegenerateDenominatorError):
-            modulation_depth_analytic(m, LocalOscillator(0.0, 0.0),
-                                      LocalOscillator(0.0, 0.0))
+            modulation_depth_analytic(m, 0.0, 0.0, 0.0, 0.0)
 
     def test_split_photon_closed_form(self):
         m = compute_moments(split_single_photon())
         beta = 0.01
-        got = modulation_depth_analytic(m, LocalOscillator(beta, -math.pi / 2),
-                                        LocalOscillator(beta, 0.0))
+        got = modulation_depth_analytic(m, beta, beta, -math.pi / 2, 0.0)
         assert abs(got - 1.0 / (1.0 + beta ** 2)) < 1e-14
 
     def test_matches_numeric_on_random_cases(self):
@@ -216,7 +213,8 @@ class TestModulationDepthAnalytic:
                                   rng.uniform(0, 2 * math.pi))
             lo2 = LocalOscillator(rng.uniform(0.05, 0.3),
                                   rng.uniform(0, 2 * math.pi))
-            e_a = modulation_depth_analytic(m, lo1, lo2)
+            e_a = modulation_depth_analytic(m, lo1.beta, lo2.beta,
+                                            lo1.theta, lo2.theta)
             e_n = modulation_depth_numeric(state, lo1, lo2, "input_operator",
                                            tail_eps=1e-14)
             assert abs(e_a - e_n) < 1e-8
@@ -231,7 +229,8 @@ class TestModulationDepthAnalytic:
             lo2 = LocalOscillator(rng.uniform(0.01, 0.5),
                                   rng.uniform(0, 2 * math.pi))
             try:
-                e = modulation_depth_analytic(m, lo1, lo2)
+                e = modulation_depth_analytic(m, lo1.beta, lo2.beta,
+                                              lo1.theta, lo2.theta)
             except DegenerateDenominatorError:
                 continue
             assert abs(e) <= 1.0 + 1e-9
@@ -307,8 +306,8 @@ class TestFringeCoefficients:
                 t1 = rng.uniform(0, 2 * math.pi)
                 t2 = rng.uniform(0, 2 * math.pi)
                 via_trig = fringe_e(coeffs, t1, t2)
-                via_moments = modulation_depth_analytic(
-                    m, LocalOscillator(beta1, t1), LocalOscillator(beta2, t2))
+                via_moments = modulation_depth_analytic(m, beta1, beta2,
+                                                        t1, t2)
                 assert abs(via_trig - via_moments) < 1e-12
 
     def test_runtime_validation_hard_failure(self):

@@ -23,9 +23,10 @@ from oracle import (apply_beamsplitter, apply_phase,
                     chsh_value, dd_ss_after_beamsplitters,
                     dd_ss_on_the_input_stack, density, flat_lower,
                     lowered_expectations, modulation_depth_numeric,
-                    normal_ordered_matrix, phase_matrix, purity,
-                    random_density, random_pure, search_chsh,
-                    split_via_beamsplitter, strided_lower, tensor)
+                    normal_ordered_matrix, partner_sums_per_term,
+                    phase_matrix, purity, random_density, random_pure,
+                    search_chsh, split_via_beamsplitter, strided_lower,
+                    tensor)
 
 
 @given(total=st.integers(0, 80))
@@ -246,6 +247,27 @@ def test_partner_products_match_the_tensored_stack(case):
                                           validate=False), terms)
         for value, ref, size in zip(got, want, sizes):
             assert abs(value[p] - ref) <= 1e-13 * size.real
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=partner_products())
+@example(case=(QuantumState(ModeSystem((2, 2, 2)),
+                            amps=np.arange(1, 28).reshape(1, 27) * (1 + 0.5j),
+                            validate=False),
+               [np.array([[2.0 + 0.2j, 0.5 - 1.0j]])],
+               [[(0, 1), (0, 1), (1, 1), (0, 0)]], fock.CHUNK))
+def test_partner_kernel_matches_its_per_term_form(case):
+    # setting up the grids, moved rows, lookups and weights once moves no
+    # bit, with group and slab boundaries inside the product; the example
+    # has three signal tables per weight, whose product depends on their
+    # order
+    state, partners, terms, chunk = case
+    with mock.patch.object(fock, "CHUNK", chunk):
+        got = expectations(state, terms, partners)
+        with mock.patch.object(fock, "_partner_sums", partner_sums_per_term):
+            want = expectations(state, terms, partners)
+    for value, ref in zip(got, want):
+        assert value.tobytes() == ref.tobytes()
 
 
 @st.composite

@@ -60,6 +60,10 @@ PROBES = (
     # the default input-operator route on a mixed state whose four-mode
     # product with its oscillators has 1.4e5 nonzeros per angle pair
     (["bell-scan", "--state", "split_thermal nbar=1", "--grid", "4"], None),
+    # the default route and grid on a pure state, where the off-diagonal
+    # correlators dominate, with the largest array grid (576 rows)
+    (["bell-scan", "--state", "split_coherent alpha_re=1.2 alpha_im=0.4"],
+     None),
     # split inputs: one high sector, then refusals on the size bound
     # (rank 130 x 130^2 amplitudes) and on the block bound (U_0..U_464)
     (["analyze", "--state", "split_number n=200"], None),
