@@ -228,11 +228,12 @@ def state_to_spec(state: QuantumState) -> StateSpec:
         return StateSpec("pure_explicit",
                          {"amplitudes": amplitude_pairs(state.vector),
                           "cutoffs": cutoffs})
-    weights = [float(np.vdot(row, row).real) for row in state.amps]
+    amps = state.amps
+    weights = [float(np.vdot(row, row).real) for row in amps]
     components = [
         {"weight": w, "family": "pure_explicit",
          "amplitudes": amplitude_pairs(row / math.sqrt(w)), "cutoffs": cutoffs}
-        for w, row in zip(weights, state.amps)]
+        for w, row in zip(weights, amps)]
     return StateSpec("mixed_ensemble", {"components": components})
 
 

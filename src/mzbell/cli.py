@@ -204,6 +204,11 @@ def cmd_fringe(args) -> int:
 def cmd_bell_scan(args) -> int:
     if args.grid < 1:
         raise ValueError(f"--grid must be a positive integer, got {args.grid}")
+    # the grid's angle arrays hold grid^2 points each
+    if args.grid * args.grid > fock.AMPLITUDE_LIMIT:
+        raise ValueError(f"--grid {args.grid} would evaluate {args.grid ** 2} "
+                         f"angle pairs, above the limit of "
+                         f"{fock.AMPLITUDE_LIMIT}")
     spec, state = _build(args)
     moments = coherence.compute_moments(state)
     if args.beta == "auto":
@@ -344,9 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "optimum is a limit)")
     p.add_argument("--grid", type=int, default=24,
                    help="points per angle of the E grid (a positive "
-                        "integer); E_numeric is filled from four anchor "
-                        "evaluations of the route plus one held-out check, "
-                        "whatever the grid")
+                        "integer, at most 1448); E_numeric is filled from "
+                        "four anchor evaluations of the route plus one "
+                        "held-out check, whatever the grid")
     p.add_argument("--route", choices=("unitary", "input_operator"),
                    default="input_operator",
                    help="numeric route for the E_numeric column")

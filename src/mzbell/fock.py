@@ -14,19 +14,28 @@ the components its constructor knows (a thermal state its number states, a
 convex mixture its members). Every operation is linear in the rows, so one
 code path serves pure and mixed states alike, and none forms the dense
 density operator.
-A state may store at most ``AMPLITUDE_LIMIT`` complex amplitudes (rank
-times dim); larger ones are refused before allocating.
+
+A state stores only the stack's nonzero amplitudes: its rank, the sorted
+flat indices into the C-order (rank, dim) stack of every amplitude with
+either part != 0, and the complex values there, 24 bytes per stored
+amplitude (a fully dense state thus also stores one index per amplitude).
+A split number-diagonal input fills 0.5-4.5 % of its stack. The
+constructors write that form directly: no (rank, dim) array is built to
+split, pad or mix a state. ``QuantumState.amps`` is the dense stack, built
+on each read and not kept; only kernels that index rows densely read it.
+``AMPLITUDE_LIMIT`` still bounds rank times dim, so larger states are
+refused before allocating, whatever their support.
 
 Normal-ordered expectations are batched: ``expectations`` takes all terms
-a caller needs on one state and reads the stack once, in chunks, over its
-stored nonzeros only. A term pairs each nonzero with the amplitude one
-flat-index shift away, sum_k (q_k - p_k) * stride_k, weighted by small
-cached per-mode tables that are zero where the pair would cross a cutoff;
-no lowered copy of a row is made. Given a batch of pure single-mode
-partners, it evaluates the terms on the state x each partner set without
-storing that product: its amplitudes are formed a chunk at a time, and
-what does not depend on the chunk (each term's partner table grid, each
-partner moved by q - p) is set up once per call.
+a caller needs on one state and reads its stored amplitudes once, in
+chunks. A term pairs each stored amplitude with the one a flat-index
+shift away, sum_k (q_k - p_k) * stride_k, found by a binary search of the
+support and weighted by small cached per-mode tables that are zero where
+the pair would cross a cutoff; no lowered copy of a row is made. Given a
+batch of pure single-mode partners, it evaluates the terms on the state x
+each partner set without storing that product: its amplitudes are formed
+a chunk at a time, and what does not depend on the chunk (each term's
+partner table grid, each partner moved by q - p) is set up once per call.
 
 Transforms return new states and never mutate or implicitly renormalize
 their inputs: a norm deficit after a transform is a bug, not something to
@@ -38,9 +47,9 @@ total photon number of its mode pair (Campos, Saleh & Teich, PRA 40,
 is bounded by ``BLOCK_ENTRY_LIMIT`` entries, checked before any block is
 built or a pair is padded. Three product paths read the blocks:
 - a phase scan (``photon_counts_after_phases``) plans the sectors a state
-  occupies once, growing both cutoffs of the pair to the largest of them
-  so every block acts whole, and reads only photon counts, sector by
-  sector, with no output stack per phase;
+  occupies once, from its support, growing both cutoffs of the pair to
+  the largest of them so every block acts whole, and reads only photon
+  counts, sector by sector, with no output stack per phase;
 - a single-mode input split against vacuum (``_split``) writes |n, 0>
   from U_n's edge column;
 - a mode mixed with each of a batch of pure partner modes
@@ -104,25 +113,29 @@ class QuantumState:
     """Immutable pure or mixed state over a :class:`ModeSystem` basis.
 
     Give exactly one of ``vector`` (a pure state) or ``amps`` (a stack of
-    weighted amplitude vectors).
+    weighted amplitude vectors); the nonzero amplitudes are kept, and the
+    rest of the stack is implied zero.
 
     Attributes
     ----------
     system : ModeSystem
-    amps : numpy.ndarray
-        Read-only ``(rank, dim)`` stack with rho = amps.T @ amps.conj().
+    rank : int
+        Rows of the ``(rank, dim)`` stack.
+    support : numpy.ndarray
+        Read-only sorted flat indices into the stack of every amplitude
+        with either part != 0 (a subnormal counts, a -0 does not).
+    values : numpy.ndarray
+        Read-only complex amplitudes at ``support``.
     renormalized : bool
         True when construction had to rescale by more than ``NORM_TOL``.
     """
 
-    __slots__ = ("system", "amps", "renormalized")
+    __slots__ = ("system", "rank", "support", "values", "renormalized")
 
     def __init__(self, system: ModeSystem, *, vector=None, amps=None,
                  renormalized: bool = False, validate: bool = True):
         if (vector is None) == (amps is None):
             raise ValueError("exactly one of vector/amps must be given")
-        self.system = system
-        self.renormalized = bool(renormalized)
         if vector is not None:
             vector = np.asarray(vector, dtype=np.complex128)
             if vector.shape != (system.dim,):
@@ -130,27 +143,58 @@ class QuantumState:
                     f"amplitude vector has length {vector.shape}, "
                     f"system dimension is {system.dim}")
             amps = vector[None]
-        amps = np.ascontiguousarray(amps, dtype=np.complex128)
+        amps = np.asarray(amps, dtype=np.complex128)
         if amps.ndim != 2 or amps.shape[1] != system.dim:
             raise ValueError(f"amplitude stack has shape {amps.shape}, "
                              f"expected (rank, {system.dim})")
-        amps.setflags(write=False)
-        self.amps = amps
+        flat = amps.reshape(-1)
+        support = np.flatnonzero(flat != 0)
+        self._store(system, len(amps), support, flat[support], renormalized,
+                    validate)
+
+    @classmethod
+    def _from_support(cls, system: ModeSystem, rank: int,
+                      support: np.ndarray, values: np.ndarray, *,
+                      validate: bool = False) -> QuantumState:
+        """The state with amplitudes ``values`` at the sorted flat indices
+        ``support`` of its stack, dropping any value that rounded to 0."""
+        kept = values != 0
+        if not kept.all():
+            support, values = support[kept], values[kept]
+        state = cls.__new__(cls)
+        state._store(system, rank, support, values, False, validate)
+        return state
+
+    def _store(self, system, rank, support, values, renormalized, validate):
+        support.setflags(write=False)
+        values.setflags(write=False)
+        self.system, self.rank, self.renormalized = system, rank, \
+            bool(renormalized)
+        self.support, self.values = support, values
         if validate:
-            if not np.all(np.isfinite(amps.view(np.float64))):
+            if not np.all(np.isfinite(values.view(np.float64))):
                 raise ValueError("amplitudes must be finite")
-            norm2 = float(np.vdot(amps, amps).real)
+            norm2 = float(np.vdot(values, values).real)
             if abs(norm2 - 1.0) > NORM_TOL:
                 raise ValueError(f"state norm^2 = {norm2!r}, expected 1")
 
     @property
+    def amps(self) -> np.ndarray:
+        """The read-only ``(rank, dim)`` stack, rho = amps.T @ amps.conj(),
+        built from the stored amplitudes on each read."""
+        amps = np.zeros((self.rank, self.dim), dtype=np.complex128)
+        amps.reshape(-1)[self.support] = self.values
+        amps.setflags(write=False)
+        return amps
+
+    @property
     def is_pure(self) -> bool:
-        return len(self.amps) == 1
+        return self.rank == 1
 
     @property
     def vector(self) -> np.ndarray:
         if not self.is_pure:
-            raise ValueError(f"state is a mixture of rank {len(self.amps)}, "
+            raise ValueError(f"state is a mixture of rank {self.rank}, "
                              "not a pure vector")
         return self.amps[0]
 
@@ -160,12 +204,21 @@ class QuantumState:
 
     def tensorized(self) -> np.ndarray:
         """The stack reshaped to (rank, *dims), so axis k + 1 is mode k."""
-        return self.amps.reshape((len(self.amps),) + self.system.dims)
+        return self.amps.reshape((self.rank,) + self.system.dims)
 
     def __repr__(self):
-        kind = "pure" if self.is_pure else f"mixed, rank {len(self.amps)}"
+        kind = "pure" if self.is_pure else f"mixed, rank {self.rank}"
         return (f"QuantumState({kind}, cutoffs={self.system.cutoffs}, "
                 f"dim={self.dim})")
+
+
+def _stored_at(state: QuantumState, index: np.ndarray) -> np.ndarray:
+    """The amplitudes at flat indices ``index`` of the state's stack (any
+    integers), found by binary search on its support: 0 where none is
+    stored."""
+    support = state.support
+    at = np.minimum(support.searchsorted(index), support.size - 1)
+    return np.where(support[at] == index, state.values[at], 0)
 
 
 def basis_state(system: ModeSystem, occupation: Sequence[int]) -> QuantumState:
@@ -177,9 +230,9 @@ def basis_state(system: ModeSystem, occupation: Sequence[int]) -> QuantumState:
         raise ValueError(f"occupation {occupation} outside cutoffs "
                          f"{system.cutoffs}")
     _check_size(1, system.dim)
-    vec = np.zeros(system.dim, dtype=np.complex128)
-    vec[int(np.ravel_multi_index(occupation, system.dims))] = 1.0
-    return QuantumState(system, vector=vec)
+    index = np.ravel_multi_index(occupation, system.dims)
+    return QuantumState._from_support(system, 1, np.array([index]),
+                                      np.ones(1, dtype=np.complex128))
 
 
 def make_pure(system: ModeSystem, amplitudes: Iterable[complex]) -> QuantumState:
@@ -207,7 +260,8 @@ def make_pure(system: ModeSystem, amplitudes: Iterable[complex]) -> QuantumState
 
 def make_mixed(ensemble: Sequence[tuple[float, QuantumState]]) -> QuantumState:
     """Convex mixture of states sharing one ModeSystem: the members' stacks,
-    each scaled by sqrt(weight), stacked (zero weights are dropped).
+    each scaled by sqrt(weight), stacked (zero weights are dropped), as
+    their stored amplitudes, offset by the rows before them.
 
     Weights must be non-negative and sum to 1 within ``NORM_TOL``.
     """
@@ -225,9 +279,15 @@ def make_mixed(ensemble: Sequence[tuple[float, QuantumState]]) -> QuantumState:
             raise ValueError("ensemble members live on different ModeSystems")
     members = [(w, state) for w, (_, state) in zip(weights, ensemble)
                if w != 0.0]
-    _check_size(sum(len(state.amps) for _, state in members), system.dim)
-    amps = np.concatenate([math.sqrt(w) * state.amps for w, state in members])
-    return QuantumState(system, amps=amps)
+    ranks = [state.rank for _, state in members]
+    _check_size(sum(ranks), system.dim)
+    offsets = system.dim * np.cumsum([0] + ranks[:-1])
+    return QuantumState._from_support(
+        system, sum(ranks),
+        np.concatenate([state.support + offset
+                        for (_, state), offset in zip(members, offsets)]),
+        np.concatenate([math.sqrt(w) * state.values for w, state in members]),
+        validate=True)
 
 
 def coherent_state(alpha: complex, tail_eps: float = DEFAULT_TAIL_EPS, *,
@@ -309,13 +369,16 @@ def thermal_state(nbar: float, tail_eps: float = DEFAULT_TAIL_EPS, *,
     _check_size(cutoff + 1, cutoff + 1)
     probs = (1 - q) * q ** np.arange(cutoff + 1)
     probs /= probs.sum()
-    return QuantumState(ModeSystem((cutoff,)),
-                        amps=np.diag(np.sqrt(probs).astype(np.complex128)),
-                        validate=False)
+    # row n holds sqrt(p_n) at column n
+    return QuantumState._from_support(
+        ModeSystem((cutoff,)), cutoff + 1,
+        np.arange(cutoff + 1) * (cutoff + 2),
+        np.sqrt(probs).astype(np.complex128))
 
 
 def pad_cutoffs(state: QuantumState, cutoffs: Sequence[int]) -> QuantumState:
-    """Embed a state into a system with (elementwise) larger cutoffs."""
+    """Embed a state into a system with (elementwise) larger cutoffs: its
+    stored amplitudes, re-indexed."""
     cutoffs = tuple(int(c) for c in cutoffs)
     old = state.system.cutoffs
     if len(cutoffs) != len(old):
@@ -325,13 +388,12 @@ def pad_cutoffs(state: QuantumState, cutoffs: Sequence[int]) -> QuantumState:
     if cutoffs == old:
         return state
     system = ModeSystem(cutoffs)
-    rank = len(state.amps)
+    rank = state.rank
     _check_size(rank, system.dim)
-    out = np.zeros((rank,) + system.dims, dtype=np.complex128)
-    out[(slice(None),) + tuple(slice(0, d) for d in state.system.dims)] = \
-        state.tensorized()
-    return QuantumState(system, amps=out.reshape(rank, system.dim),
-                        validate=False)
+    digits = np.unravel_index(state.support, (rank,) + state.system.dims)
+    return QuantumState._from_support(
+        system, rank, np.ravel_multi_index(digits, (rank,) + system.dims),
+        state.values)
 
 
 #: Amplitudes of the flat stack that :func:`expectations` reads at once
@@ -383,11 +445,11 @@ def _ladder_grid(widths: tuple[int, ...],
     return grid
 
 
-def _partner_sums(flat: np.ndarray, at: np.ndarray, shape: tuple[int, ...],
+def _partner_sums(state: QuantumState, at: np.ndarray, found: np.ndarray,
                   plans: list, partners: list) -> np.ndarray:
-    """Each planned term's sum over the product of the stored nonzeros
-    ``at`` of the flat stack (of (rank, *dims) ``shape``) with every index
-    of the partner batches, as a (terms, P) array. Its amplitudes are
+    """Each planned term's sum over the product of the stored amplitudes
+    ``found`` of ``state``, at flat indices ``at``, with every index of the
+    partner batches, as a (terms, P) array. Its amplitudes are
     formed for as many nonzeros as keep each array within a quarter of
     ``CHUNK`` values, cutting the first partner's index range where one
     nonzero has more: four such arrays are alive at once (the amplitudes,
@@ -398,6 +460,7 @@ def _partner_sums(flat: np.ndarray, at: np.ndarray, shape: tuple[int, ...],
     moved by q - p. Each signal table is looked up once per group of
     nonzeros, and each term's weight, the product of its lookups in axis
     order, and its shifted amplitudes once per group, not per slab."""
+    shape = (state.rank,) + state.system.dims
     batch, widths = len(partners[0]), tuple(len(rows[0]) for rows in partners)
     budget, per = max(1, CHUNK // 4), batch * math.prod(widths)
     group = max(1, budget // per)
@@ -427,12 +490,11 @@ def _partner_sums(flat: np.ndarray, at: np.ndarray, shape: tuple[int, ...],
                     looked[axis, id(table)] = table[digits[axis]]
                 weight = weight * looked[axis, id(table)]
             weights.append(weight)
-            shifted.append(None if same else
-                           flat.take(here + shift, mode="clip"))
+            shifted.append(None if same else _stored_at(state, here + shift))
         for lo in range(0, widths[0], slab):
             cut = (slice(lo, lo + slab),) + (slice(None),) * (len(widths) - 1)
-            amp = _product(flat[here], [rows[:, c] for rows, c in
-                                        zip(partners, cut)])
+            amp = _product(found[j:j + group], [rows[:, c] for rows, c in
+                                                zip(partners, cut)])
             left = amp.conj()
             for i, (_, _, powers) in enumerate(plans):
                 right = amp if diagonal[i] else _product(shifted[i], [
@@ -458,9 +520,10 @@ def expectations(state: QuantumState,
     stored nonzeros phi[m] of conj(phi[m]) W(m) phi[m + shift], shift =
     sum_k (q_k - p_k) * stride_k and W the product of the per-axis tables
     of :func:`_ladder_table`, whose zeros drop every m whose partner leaves
-    the row (any amplitude serves it there). The flat stack is read in
-    chunks of ``CHUNK`` amplitudes, each scanned for its nonzeros once; the
-    terms are evaluated one by one, so no value depends on the others.
+    the row (any amplitude serves it there). The stored amplitudes are read
+    in chunks of ``CHUNK``, and each partner phi[m + shift] is found by a
+    binary search of the support (0 where none is stored); the terms are
+    evaluated one by one, so no value depends on the others.
 
     ``partners`` lists ``(P, d_k)`` batches of pure single-mode amplitude
     rows, whose modes follow the state's in each term. Each value is then
@@ -484,24 +547,21 @@ def expectations(state: QuantumState,
                        if p or q],
                       sum((q - p) * s for (p, q), s in zip(powers, strides)),
                       tuple(powers[len(dims):])))
-    flat = state.amps.reshape(-1)
-    sums = [0j] * len(plans)
-    for start in range(0, flat.size, CHUNK):
-        # an amplitude is stored when either part is != 0 (so a subnormal
-        # is and a -0 is not): its two flags, read as one uint16, are not 0
-        parts = flat[start:start + CHUNK].view(np.float64) != 0
-        at = np.flatnonzero(parts.view(np.uint16) != 0) + start
+    sums = [np.zeros(len(partners[0]), dtype=np.complex128) if partners
+            else 0j] * len(plans)
+    for start in range(0, state.support.size, CHUNK):
+        at = state.support[start:start + CHUNK]
+        found = state.values[start:start + CHUNK]
         if partners:
             sums = [total + value for total, value in zip(sums, _partner_sums(
-                flat, at, (len(state.amps),) + dims, plans, partners))]
+                state, at, found, plans, partners))]
             continue
-        found = flat[at]
-        digits = np.unravel_index(at, (len(state.amps),) + dims)
+        digits = np.unravel_index(at, (state.rank,) + dims)
         for i, (tables, shift, _) in enumerate(plans):
             left = found.conj()
             for axis, table in tables:
                 left *= table[digits[axis]]
-            right = found if shift == 0 else flat.take(at + shift, mode="clip")
+            right = found if shift == 0 else _stored_at(state, at + shift)
             sums[i] += np.dot(left, right)
     return sums if partners else [complex(value) for value in sums]
 
@@ -570,16 +630,12 @@ def _plan(state: QuantumState, mode_i: int,
     m = state.system.mode_count
     if mode_i == mode_j or not (0 <= mode_i < m and 0 <= mode_j < m):
         raise ValueError(f"invalid beamsplitter modes ({mode_i}, {mode_j})")
-    rank, dims = len(state.amps), state.system.dims
-    d_i, d_j = dims[mode_i], dims[mode_j]
-    # which components are nonzero on each pair (n_i, n_j), then on each
-    # sector N = n_i + n_j; padding adds only zeros, so this one scan of the
-    # state as given also serves the padded state
-    pairs = np.moveaxis((state.amps != 0).T.reshape(dims + (rank,)),
-                        (mode_i, mode_j), (0, 1)).any(axis=tuple(range(2, m)))
-    sectors = np.zeros((d_i + d_j - 1, rank), dtype=bool)
-    for n_i in range(d_i):
-        sectors[n_i:n_i + d_j] |= pairs[n_i]
+    rank, dims = state.rank, state.system.dims
+    # which components are nonzero on each sector N = n_i + n_j, read off
+    # the support; padding adds only zeros, so this serves the padded state
+    digits = np.unravel_index(state.support, (rank,) + dims)
+    sectors = np.zeros((dims[mode_i] + dims[mode_j] - 1, rank), dtype=bool)
+    sectors[digits[1 + mode_i] + digits[1 + mode_j], digits[0]] = True
     occupied = np.flatnonzero(sectors.any(axis=1))[::-1].tolist()
     top = occupied[0] if occupied else 0
     cutoffs = list(state.system.cutoffs)
@@ -608,8 +664,8 @@ def _split(state: QuantumState) -> QuantumState:
     is column n of U_n, so component r has amps[r, n] * U_n[m, n] on
     |m, n - m>. The bits match the planned block product, save the sign of
     a zero where a mixed input has a lone zero part."""
-    rank, d = state.amps.shape
-    comps, ns = np.nonzero(state.amps)
+    rank, d = state.rank, state.dim
+    comps, ns = np.divmod(state.support, d)
     _check_size(rank, d * d)
     top = int(ns.max(initial=0))
     _bs_block(top)      # checks the block bound before building
@@ -619,11 +675,12 @@ def _split(state: QuantumState) -> QuantumState:
     which = np.repeat(np.arange(ns.size), ns + 1)
     n = ns[which]
     m = np.arange(which.size) - np.repeat(np.cumsum(ns + 1) - ns - 1, ns + 1)
-    amps = np.zeros((rank, d * d), dtype=np.complex128)
+    index = comps[which] * (d * d) + m * d + n - m
+    order = np.argsort(index)
     # + 0 makes a -0 part +0, as the block product does on a pure state
-    amps[comps[which], m * d + n - m] = \
-        state.amps[comps, ns][which] * edges[n * (n + 1) // 2 + m] + 0
-    return QuantumState(ModeSystem((d - 1, d - 1)), amps=amps, validate=False)
+    values = state.values[which] * edges[n * (n + 1) // 2 + m] + 0
+    return QuantumState._from_support(ModeSystem((d - 1, d - 1)), rank,
+                                      index[order], values[order])
 
 
 def output_number_grams(state: QuantumState, partners: Sequence[np.ndarray]
@@ -682,19 +739,24 @@ def photon_counts_after_phases(state: QuantumState, mode_i: int, mode_j: int,
     plan made for it, with its padding, serves them all. It is made by
     this call, so a sector past the block cache bound is refused before
     any phase is applied. Each occupied sector's nonzero components are
-    gathered once; per phase, row k is multiplied by e^{i k phi}, U_N is
-    applied, and the squared real and imaginary parts are each summed over
-    the components in stack order: no phased or output stack is formed.
+    gathered once from the stored amplitudes; per phase, row k is
+    multiplied by e^{i k phi}, U_N is applied, and the squared real and
+    imaginary parts are each summed over the components in stack order: no
+    dense, phased or output stack is formed.
     """
     state, plan = _plan(state, mode_i, mode_j)
     d = state.system.dims[mode_i]
     factors = np.array([np.exp(1j * float(phi) * np.arange(d))
                         for phi in phases]).reshape(-1, d, 1)
-    counts = np.zeros((len(factors), state.dim))
-    mat = state.amps.T
-    for rows, cols, block in plan:
+    dim = state.dim
+    counts = np.zeros((len(factors), dim))
+    # every sector's (rows, components) amplitudes in one search
+    wanted = [(cols * dim + rows).reshape(-1) for rows, cols, _ in plan]
+    gathered = np.split(_stored_at(state, np.concatenate(wanted)),
+                        np.cumsum([len(w) for w in wanted[:-1]]))
+    for (rows, cols, block), sub in zip(plan, gathered):
         n = len(block)
-        out = block @ (mat[rows, cols].reshape(n, -1) * factors[:, :n])
+        out = block @ (sub.reshape(n, -1) * factors[:, :n])
         parts = out.view(np.float64).reshape(len(factors), rows.size,
                                              cols.size, 2)
         # components outermost, so each sum runs over them in stack order

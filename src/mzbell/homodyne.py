@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,12 +60,18 @@ _TWO_PI = 2.0 * math.pi
 #: Angle pair (rad) evaluated pointwise to check numeric fringe
 #: coefficients: neither an anchor nor a point of any 2 pi k/grid grid.
 HELD_OUT_ANGLES = (1.0, 2.0)
+#: Largest oscillator amplitude whose square is a finite float.
+BETA_LIMIT = math.sqrt(sys.float_info.max)
 
 
 def _check_beta(beta: float) -> None:
-    """Refuse an oscillator amplitude that is negative or not finite."""
+    """Refuse an oscillator amplitude that is negative, not finite, or so
+    large that its square overflows."""
     if not (math.isfinite(beta) and beta >= 0):
         raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
+    if beta > BETA_LIMIT:
+        raise ValueError(f"beta must be at most {BETA_LIMIT!r}, or its "
+                         f"square overflows, got {beta!r}")
 
 
 @dataclass(frozen=True)
@@ -311,6 +318,8 @@ def lo_pair_for(moments: CoherenceMoments) -> tuple[float, float]:
 def fringe_coefficients_at(moments: CoherenceMoments, beta1: float,
                            beta2: float) -> FringeCoefficients:
     """Trig-form coefficients of E at the given oscillator amplitudes."""
+    for beta in (beta1, beta2):
+        _check_beta(beta)
     den = (moments.n1n2 + moments.n1 * beta2 ** 2 + moments.n2 * beta1 ** 2
            + beta1 ** 2 * beta2 ** 2)
     if den <= 1e-15:

@@ -15,6 +15,8 @@ outputs to Gram matrices. They reuse its sector plan and cached blocks,
 which the spectral unitary checks. Likewise the input-operator E route's
 stored four-mode stack, which the package now forms on the fly, and the
 per-term form of its partner kernel, which it now sets up once per call.
+So are the dense constructions and the dense-scan expectations of the
+stack the package stored before it kept only each state's nonzeros.
 """
 
 from __future__ import annotations
@@ -220,8 +222,77 @@ def lowered_expectations(state: QuantumState, terms) -> list[complex]:
     return [complex(np.sum(part)) for part in parts]
 
 
-def partner_sums_per_term(flat: np.ndarray, at: np.ndarray,
-                          shape: tuple[int, ...], plans: list,
+def dense_support(amps) -> np.ndarray:
+    """The flat indices of a dense stack that the package scanned as stored
+    before it kept only its nonzeros: either part != 0, so a subnormal
+    counts and a -0 does not."""
+    flat = np.ascontiguousarray(amps, dtype=np.complex128).reshape(-1)
+    return np.flatnonzero((flat.view(np.float64) != 0).view(np.uint16) != 0)
+
+
+def expectations_dense_scan(amps: np.ndarray, dims: tuple[int, ...],
+                            terms) -> list[complex]:
+    """``fock.expectations`` (without partners) as the package computed it
+    on the dense ``(rank, dim)`` stack of a state of ``dims``: read in
+    chunks of ``fock.CHUNK`` stack positions, each scanned for its
+    nonzeros, and each shifted partner taken from the stack itself."""
+    strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
+    plans = []
+    for powers in terms:
+        powers = [(int(p), int(q)) for p, q in powers]
+        plans.append(([(k + 1, fock._ladder_table(dims[k] - 1, p, q))
+                       for k, (p, q) in enumerate(powers) if p or q],
+                      sum((q - p) * s for (p, q), s in zip(powers, strides))))
+    flat = np.ascontiguousarray(amps, dtype=np.complex128).reshape(-1)
+    sums = [0j] * len(plans)
+    for start in range(0, flat.size, fock.CHUNK):
+        at = dense_support(flat[start:start + fock.CHUNK]) + start
+        found = flat[at]
+        digits = np.unravel_index(at, (len(amps),) + tuple(dims))
+        for i, (tables, shift) in enumerate(plans):
+            left = found.conj()
+            for axis, table in tables:
+                left *= table[digits[axis]]
+            right = found if shift == 0 else flat.take(at + shift, mode="clip")
+            sums[i] += np.dot(left, right)
+    return [complex(value) for value in sums]
+
+
+def split_dense(amps: np.ndarray) -> np.ndarray:
+    """A single-mode ``(rank, d)`` stack split against vacuum into its
+    ``(rank, d * d)`` stack, as the package wrote it densely from the
+    blocks' edge columns."""
+    rank, d = amps.shape
+    comps, ns = np.nonzero(amps)
+    top = int(ns.max(initial=0))
+    fock._bs_block(top)
+    edges = np.concatenate([fock._BLOCKS[n][:, n] for n in range(top + 1)])
+    which = np.repeat(np.arange(ns.size), ns + 1)
+    n = ns[which]
+    m = np.arange(which.size) - np.repeat(np.cumsum(ns + 1) - ns - 1, ns + 1)
+    out = np.zeros((rank, d * d), dtype=np.complex128)
+    out[comps[which], m * d + n - m] = \
+        amps[comps, ns][which] * edges[n * (n + 1) // 2 + m] + 0
+    return out
+
+
+def pad_dense(amps: np.ndarray, dims, padded_dims) -> np.ndarray:
+    """A ``(rank, dim)`` stack embedded into larger dims, zero-filled."""
+    out = np.zeros((len(amps),) + tuple(padded_dims), dtype=np.complex128)
+    out[(slice(None),) + tuple(slice(0, d) for d in dims)] = \
+        amps.reshape((len(amps),) + tuple(dims))
+    return out.reshape(len(amps), -1)
+
+
+def mix_dense(ensemble) -> np.ndarray:
+    """The stacks of a ``(weight, stack)`` ensemble, each scaled by
+    sqrt(weight), stacked; zero weights are dropped."""
+    return np.concatenate([math.sqrt(w) * amps for w, amps in ensemble
+                           if w != 0.0])
+
+
+def partner_sums_per_term(state: QuantumState, at: np.ndarray,
+                          found: np.ndarray, plans: list,
                           partners: list) -> np.ndarray:
     """``fock._partner_sums`` as the package computed it before it set up
     the partner grids and moved rows once per call and the signal lookups
@@ -229,6 +300,7 @@ def partner_sums_per_term(flat: np.ndarray, at: np.ndarray,
     partner's rows, and per slab it forms each term's weight with
     ``np.prod`` and takes its shifted amplitudes. The package must match
     it bit for bit."""
+    shape = (state.rank,) + state.system.dims
     batch, widths = len(partners[0]), [len(rows[0]) for rows in partners]
     budget, per = max(1, fock.CHUNK // 4), batch * math.prod(widths)
     group = max(1, budget // per)
@@ -244,8 +316,8 @@ def partner_sums_per_term(flat: np.ndarray, at: np.ndarray,
         digits = np.unravel_index(here, shape)
         for lo in range(0, widths[0], slab):
             cut = (slice(lo, lo + slab),) + (slice(None),) * (len(widths) - 1)
-            amp = fock._product(flat[here], [rows[:, c] for rows, c in
-                                             zip(partners, cut)])
+            amp = fock._product(found[j:j + group], [
+                rows[:, c] for rows, c in zip(partners, cut)])
             left = amp.conj()
             for i, ((tables, shift, powers), (grid, moved)) in enumerate(
                     zip(plans, factors)):
@@ -253,7 +325,7 @@ def partner_sums_per_term(flat: np.ndarray, at: np.ndarray,
                                   tables] + [np.ones(len(here))], axis=0)
                 right = amp if shift == 0 and all(
                     p == q for p, q in powers) else fock._product(
-                    flat.take(here + shift, mode="clip"),
+                    fock._stored_at(state, here + shift),
                     [rows[:, c] for rows, c in zip(moved, cut)])
                 term = left * np.multiply.outer(weight, grid[cut])
                 sums[i] += (term.reshape(batch, 1, -1)

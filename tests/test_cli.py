@@ -122,6 +122,21 @@ class TestAnalyze:
         assert abs(float(report["n2"]) - 1.5) < 1e-8
         assert abs(float(report["g2"]) - 2.0) < 1e-8
 
+    def test_split_thermal_stores_only_its_nonzeros(self, capsys):
+        # rank 83 x dim 83^2 = 571787 amplitudes (8.7 MiB as a dense stack),
+        # of which 3486 are nonzero; measured after a first call, which
+        # builds the cached blocks
+        command = ("analyze", "--state", "split_thermal nbar=2.5")
+        first = run_cli(capsys, *command)
+        tracemalloc.start()
+        try:
+            again = run_cli(capsys, *command)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again == first and first[0] == 0
+        assert peak < 2 ** 20
+
     def test_amplitude_limit_refused_before_allocating(self, capsys):
         # rank 180 x dim 180^2 = 5832000 amplitudes (89 MiB) > 2^21
         tracemalloc.start()
@@ -424,6 +439,58 @@ class TestBellScan:
         assert out == ""
         assert err == ("error: ValueError: --grid must be a positive "
                        f"integer, got {grid}\n")
+
+    def test_grid_bounded_before_the_angle_arrays(self, capsys):
+        # 20000^2 = 4e8 angle pairs would need several 3.2 GB arrays
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "bell-scan", "--state",
+                                     "split_single_photon", "--grid", "20000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == ("error: ValueError: --grid 20000 would evaluate "
+                       "400000000 angle pairs, above the limit of 2097152\n")
+        assert peak < 2 ** 20
+
+    def test_largest_grid_passes_the_bound(self, capsys, monkeypatch):
+        # 1448^2 pairs fit the bound and go on to build the state (stopped
+        # there), 1449^2 do not
+        def build(args):
+            raise KeyError("state built")
+        monkeypatch.setattr(cli, "_build", build)
+        for grid, message in (("1448", "KeyError: 'state built'"),
+                              ("1449", "ValueError: --grid 1449")):
+            code, out, err = run_cli(capsys, "bell-scan", "--state",
+                                     "split_single_photon", "--grid", grid)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("beta", ["1e155", "1e200", "1.7e308"])
+    def test_huge_beta_refused_before_arithmetic(self, capsys, beta):
+        # beta ** 2 overflows from about 1.34e154 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "bell-scan", "--state",
+                                     "split_single_photon", "--beta", beta)
+        assert (code, out) == (2, "")
+        assert err == (f"error: ValueError: beta must be at most "
+                       f"{homodyne.BETA_LIMIT!r}, or its square overflows, "
+                       f"got {float(beta)!r}\n")
+
+    def test_beta_below_the_square_bound_keeps_its_refusal(self, capsys):
+        # the largest beta whose square is finite still reaches the
+        # oscillator's size bound (E_analytic's beta1 * beta2 * bracket
+        # overflows on the way, as before the bound)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli(capsys, "bell-scan", "--state",
+                                     "split_single_photon", "--beta",
+                                     repr(homodyne.BETA_LIMIT))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: DimensionLimitError: coherent "
+                              "amplitude |alpha|=1.34e+154")
 
     def test_horodecki_maximum_at_a_coarse_grid(self, capsys):
         # a 4-point angle search stopped at 0.828427125247177 here

@@ -11,22 +11,24 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
 from mzbell import (DegenerateStateError, FringeCoefficients, LocalOscillator,
-                    ModeSystem, QuantumState, StateSpec, build_state, cli,
-                    coherent_state, compute_moments, expectations, fock,
-                    fringe_coefficients_at, fringe_scan, homodyne,
-                    local_realism_verdict, maximize_chsh,
-                    numeric_fringe_coefficients, pad_cutoffs, split_input)
+                    ModeSystem, QuantumState, StateSpec, basis_state,
+                    build_state, cli, coherent_state, compute_moments,
+                    expectations, fock, fringe_coefficients_at, fringe_scan,
+                    homodyne, local_realism_verdict, make_mixed,
+                    maximize_chsh, numeric_fringe_coefficients, pad_cutoffs,
+                    split_input)
 from mzbell.homodyne import fringe_e
 
 from oracle import (apply_beamsplitter, apply_phase,
                     assert_scan_matches_per_phase, bs_unitary_spectral,
                     chsh_value, dd_ss_after_beamsplitters,
-                    dd_ss_on_the_input_stack, density, flat_lower,
-                    lowered_expectations, modulation_depth_numeric,
-                    normal_ordered_matrix, partner_sums_per_term,
-                    phase_matrix, purity, random_density, random_pure,
-                    search_chsh, split_via_beamsplitter, strided_lower,
-                    tensor)
+                    dd_ss_on_the_input_stack, dense_support, density,
+                    expectations_dense_scan, flat_lower,
+                    lowered_expectations, mix_dense,
+                    modulation_depth_numeric, normal_ordered_matrix,
+                    pad_dense, partner_sums_per_term, phase_matrix, purity,
+                    random_density, random_pure, search_chsh, split_dense,
+                    split_via_beamsplitter, strided_lower, tensor)
 
 
 @given(total=st.integers(0, 80))
@@ -422,6 +424,65 @@ def test_split_equals_the_beamsplitter_oracle(state):
     got, want = split_input(state), split_via_beamsplitter(state)
     assert got.system == want.system
     assert np.array_equal(got.amps.view(np.uint64), want.amps.view(np.uint64))
+
+
+@st.composite
+def stored_chains(draw):
+    """A normalized single-mode stack of rank 1-4 and cutoff 0-12 with a
+    drawn share of exact zeros and of -0 parts, some amplitudes 1e-310
+    times a normal one (subnormal) and some rows but the first scaled by
+    1e-160; the cutoffs to pad its split to, a weight to mix it with, and
+    terms of two modes with powers up to 3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 13)))
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    amps[rng.random(shape) < draw(st.floats(0, 0.9))] = 0
+    signed = amps.view(np.float64)
+    signed[rng.random(signed.shape) < draw(st.floats(0, 0.5))] = -0.0
+    amps[rng.random(shape) < draw(st.floats(0, 0.5))] *= 1e-310
+    amps[1:] *= rng.choice([1.0, 1e-160], size=(shape[0] - 1, 1))
+    amps[0, draw(st.integers(0, shape[1] - 1))] = 0.6 - 0.8j
+    amps /= np.linalg.norm(amps)
+    pads = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    weight = draw(st.sampled_from([0.5, 1e-3, 0.999, 1e-300]))
+    pair = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    terms = draw(st.lists(st.tuples(pair, pair).map(list), min_size=1,
+                          max_size=4))
+    return amps, pads, weight, terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=stored_chains())
+def test_stored_form_matches_the_dense_constructions(case):
+    # each state of the chain built from amps=, split, padded and mixed
+    # against the dense stack the package built for it before: (a) the
+    # same support, (b) the same dense view bit for bit, with +0 where an
+    # amplitude is wholly zero, (c) the same expectations within 1e-13 of
+    # the sums over |amps|, from the dense scan
+    amps, pads, weight, terms = case
+    state = QuantumState(ModeSystem((amps.shape[1] - 1,)), amps=amps)
+    split = split_input(state)
+    old_split = split_dense(amps)
+    cutoffs = tuple(c + pad for c, pad in zip(split.system.cutoffs, pads))
+    padded = pad_cutoffs(split, cutoffs)
+    old_padded = pad_dense(old_split, split.system.dims, padded.system.dims)
+    vacuum = basis_state(padded.system, (0, 0))
+    mixed = make_mixed([(0.0, padded), (weight, padded),
+                        (1.0 - weight, vacuum)])
+    old_mixed = mix_dense([(0.0, old_padded), (weight, old_padded),
+                           (1.0 - weight, vacuum.amps)])
+    for got, old, width in [(state, amps, 1), (split, old_split, 2),
+                            (padded, old_padded, 2), (mixed, old_mixed, 2)]:
+        assert np.array_equal(got.support, dense_support(old))
+        want = old.copy()
+        want[old == 0] = 0
+        assert np.array_equal(got.amps.view(np.uint64), want.view(np.uint64))
+        dims, here = got.system.dims, [term[:width] for term in terms]
+        sizes = expectations_dense_scan(np.abs(old), dims, here)
+        for value, ref, size in zip(expectations(got, here),
+                                    expectations_dense_scan(old, dims, here),
+                                    sizes):
+            assert abs(value - ref) <= 1e-13 * size.real + 1e-320
 
 
 @st.composite
