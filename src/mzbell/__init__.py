@@ -5,8 +5,9 @@ interference and the homodyne Bell criterion |g1|/(1 + sqrt(g2)) <= 1/sqrt(2).
 from .catalog import (StateSpec, build_state, incoherent_anticorrelated,
                       mixed_ensemble, noisy_split_photon, split_input,
                       split_single_photon)
-from .coherence import (CoherenceMoments, FringeRecord, analytic_visibility,
-                        compute_moments, fringe_scan, g1, g2, visibility)
+from .coherence import (CoherenceMoments, FringeMoments, FringeRecord,
+                        analytic_visibility, compute_moments, fringe_moments,
+                        fringe_scan, g1, g2, visibility)
 from .errors import (DegenerateDenominatorError, DegenerateStateError,
                      DimensionLimitError, MzBellError, RouteResidualError)
 from .fock import (ModeSystem, QuantumState, basis_state, coherent_state,
@@ -26,7 +27,8 @@ __all__ = [
     "coherent_state", "number_state", "thermal_state", "pad_cutoffs",
     "expectations",
     "CoherenceMoments", "compute_moments", "g1", "g2", "FringeRecord",
-    "fringe_scan", "visibility", "analytic_visibility",
+    "FringeMoments", "fringe_moments", "fringe_scan", "visibility",
+    "analytic_visibility",
     "LocalOscillator", "FringeCoefficients", "DegenerateLimit", "ChshResult",
     "Verdict", "modulation_depth_analytic", "optimal_lo_amplitudes",
     "fringe_coefficients", "fringe_coefficients_at",

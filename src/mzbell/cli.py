@@ -13,11 +13,11 @@ Reports are stable ``key = value`` lines; CSV fields carry 15 significant
 digits. With a single-threaded BLAS, output is byte-identical for
 identical inputs; a threaded one may round the last digits. Exit codes:
 0 success, 2 input/parse error or out of memory, 3 degenerate state,
-5 a numeric route that is not phase-covariant
-(``bell-scan`` fills E_numeric from four route evaluations and checks a
-fifth, see ``homodyne.numeric_fringe_coefficients``; ``fringe`` fills its
-rows from five route evaluations and checks a sixth, see
-``coherence.fringe_scan``). Code 4 is retired and no longer produced.
+5 a numeric route that is not phase-covariant (``bell-scan`` only: it
+fills E_numeric from four route evaluations and checks a fifth, see
+``homodyne.numeric_fringe_coefficients``). ``fringe`` fills its rows from
+eight normal-ordered moments in closed form (``coherence.fringe_scan``),
+so it has no route to check. Code 4 is retired and no longer produced.
 
 ``main`` builds its parser once per process, which only callers that run
 many commands in one process notice: a one-shot ``mzbell`` spends far
@@ -185,18 +185,21 @@ def cmd_fringe(args) -> int:
                          f"visibility fit needs three), got {args.phases}")
     spec, state = _build(args)
     phases = [2.0 * math.pi * k / args.phases for k in range(args.phases)]
-    records = coherence.fringe_scan(state, phases)
+    # one ladder call serves the rows and the summary
+    moments = coherence.fringe_moments(state)
+    records = coherence.fringe_scan(moments, phases)
+    # the whole summary before any output, so an error leaves none
+    summary = [
+        f"visibility_fit = {_fmt(coherence.visibility(records))}",
+        "visibility_analytic = "
+        f"{_fmt(coherence.analytic_visibility(moments.channel))}",
+        f"g1_mag = {_fmt(abs(coherence.g1(moments.channel)))}",
+    ]
     rows = [FRINGE_CSV_HEADER]
     rows += [",".join([_fmt(r.phase), _fmt(r.intensity_c),
                        _fmt(r.intensity_d), _fmt(r.coincidence)])
              for r in records]
     _emit(rows, args.out)
-    moments = coherence.compute_moments(state)
-    summary = [
-        f"visibility_fit = {_fmt(coherence.visibility(records))}",
-        f"visibility_analytic = {_fmt(coherence.analytic_visibility(moments))}",
-        f"g1_mag = {_fmt(abs(coherence.g1(moments)))}",
-    ]
     _emit(summary, None)
     return 0
 
@@ -336,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--phases", type=int, default=64,
                    help="number of evenly spaced phases in [0, 2pi), at "
-                        "least 3; the rows are filled from five anchor "
-                        "evaluations of the interferometer plus one "
-                        "held-out check, whatever the number")
+                        "least 3; the rows are filled from eight "
+                        "normal-ordered moments of the state, read once "
+                        "whatever the number")
     p.set_defaults(func=cmd_fringe)
 
     p = sub.add_parser("bell-scan", help="modulation-depth angle grid")

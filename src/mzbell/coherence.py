@@ -7,37 +7,39 @@ channels on a 50:50 beamsplitter after a relative phase shift and reads
 output intensities and coincidences, which for balanced channels measures
 |g1| directly as the fringe visibility.
 
-The three fringe records are a degree-2 trig polynomial in the phase, so
-``fringe_scan`` reads them off five anchor evaluations of the
-interferometer, checks them against a sixth, held-out one, and fills any
-number of phases from them.
+The three fringe records are a closed form in eight normal-ordered
+moments of the input: the channel moments and the three fourth-order
+moments <a1^dag^2 a1^2>, <a2^dag^2 a2^2> and <a1^dag^2 a2^2>.
+``fringe_moments`` reads all eight in one batched ``fock.expectations``
+call, and ``fringe_scan`` fills any number of phases from them, with no
+beamsplitter applied.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import fock
-from .errors import DegenerateStateError, RouteResidualError
+from .errors import DegenerateStateError
 from .fock import QuantumState
 
 #: n1*n2 below this is treated as a vacuum channel, not a tiny intensity.
 DEGENERACY_FLOOR = 1e-15
 #: Largest residual between a pointwise evaluation of a numeric route and
-#: the trig form fitted from its anchors: of E (absolute) and <S1 S2>
-#: (relative) in ``homodyne``, of the fringe records (relative to the total
-#: intensity, its square for the coincidence) here.
+#: the trig form fitted from its anchors, of E (absolute) and <S1 S2>
+#: (relative) in ``homodyne``. Here, a fringe record within it of 0,
+#: relative to the total intensity (its square for the coincidence), is 0.
 ROUTE_RESIDUAL_TOL = 1e-12
-#: Phases (rad) at which a fringe scan evaluates the route: 2 pi k/5, which
-#: fix a degree-2 trig polynomial in the phase.
-FRINGE_ANCHORS = tuple(2.0 * math.pi * k / 5 for k in range(5))
-#: Phase (rad) evaluated pointwise to check a fringe scan: on no
-#: 2 pi k/P grid.
-HELD_OUT_PHASE = 1.0
+_NUM, _NONE = (1, 1), (0, 0)
+#: The channel moments n1, m12, n2, anom, n1n2 as normal-ordered terms, one
+#: (creation, annihilation) power pair per mode.
+_CHANNEL_TERMS = [[_NUM, _NONE], [(1, 0), (0, 1)], [_NONE, _NUM],
+                  [(0, 1), (0, 1)], [_NUM, _NUM]]
+#: <a1^dag^2 a1^2>, <a2^dag^2 a2^2> and <a1^dag^2 a2^2>.
+_PAIR_TERMS = [[(2, 2), _NONE], [_NONE, (2, 2)], [(2, 0), (0, 2)]]
 
 
 @dataclass(frozen=True)
@@ -66,17 +68,21 @@ class CoherenceMoments:
                 f"> n1*n2 = {self.n1 * self.n2!r}")
 
 
+def _channel_moments(state: QuantumState, terms: list) -> tuple:
+    """The channel moments of a two-mode state, then the values of any
+    further ``terms``, all from one batched ladder call."""
+    if state.system.mode_count != 2:
+        raise ValueError("need a two-mode (two-channel) state")
+    n1, m12, n2, anom, n1n2, *rest = fock.expectations(
+        state, _CHANNEL_TERMS + terms)
+    return CoherenceMoments(m12=m12, anom=anom, n1=n1.real, n2=n2.real,
+                            n1n2=n1n2.real), rest
+
+
 def compute_moments(state: QuantumState) -> CoherenceMoments:
     """All five moments of the two channels of a two-mode state, by ladder
     arithmetic in one batched call."""
-    if state.system.mode_count != 2:
-        raise ValueError("need a two-mode (two-channel) state")
-    num, none = (1, 1), (0, 0)
-    n1, m12, n2, anom, n1n2 = fock.expectations(state, [
-        [num, none], [(1, 0), (0, 1)], [none, num], [(0, 1), (0, 1)],
-        [num, num]])
-    return CoherenceMoments(m12=m12, anom=anom, n1=n1.real, n2=n2.real,
-                            n1n2=n1n2.real)
+    return _channel_moments(state, [])[0]
 
 
 def _check_degenerate(moments: CoherenceMoments):
@@ -114,72 +120,56 @@ class FringeRecord:
     coincidence: float
 
 
-def _count_moments(probs: np.ndarray) -> np.ndarray:
-    """<n_c>, <n_d> and <n_c n_d>, the first and mixed moments of a
-    two-mode photon-count distribution P(n_c, n_d)."""
-    n_c, n_d = (np.arange(d, dtype=np.float64) for d in probs.shape)
-    return np.array([probs.sum(axis=1) @ n_c, probs.sum(axis=0) @ n_d,
-                     n_c @ probs @ n_d])
+@dataclass(frozen=True)
+class FringeMoments:
+    """The eight moments a Mach-Zehnder scan reads: the channel moments,
+    and pairs1 = <a1^dag^2 a1^2>, pairs2 = <a2^dag^2 a2^2>,
+    cross = <a1^dag^2 a2^2>."""
+
+    channel: CoherenceMoments
+    pairs1: float
+    pairs2: float
+    cross: complex
 
 
-def _harmonics(phases) -> np.ndarray:
-    """The degree-2 trig basis 1, cos, sin, cos 2phi, sin 2phi: one row
-    per phase."""
-    phases = np.asarray(phases, dtype=np.float64)
-    return np.stack([np.ones_like(phases), np.cos(phases), np.sin(phases),
-                     np.cos(2.0 * phases), np.sin(2.0 * phases)], axis=-1)
+def fringe_moments(state: QuantumState) -> FringeMoments:
+    """The eight fringe moments of a two-mode state in one batched ladder
+    call. Each term is evaluated on its own, so ``channel`` equals
+    :func:`compute_moments` bit for bit."""
+    channel, (pairs1, pairs2, cross) = _channel_moments(state, _PAIR_TERMS)
+    return FringeMoments(channel=channel, pairs1=pairs1.real,
+                         pairs2=pairs2.real, cross=cross)
 
 
-def fringe_scan(state: QuantumState,
+def fringe_scan(state: QuantumState | FringeMoments,
                 phases: Sequence[float]) -> list[FringeRecord]:
     """Scan the interferometer phase and record both output channels.
 
     At a phase phi the first channel is delayed by phi and the channels
     are recombined on the 50:50 beamsplitter, so the outputs are
     c = (e^{i phi} a1 + i a2)/sqrt(2) and d = (i e^{i phi} a1 + a2)/sqrt(2).
-    Their mean photon numbers carry phase harmonics of order at most 1,
-    and the coincidence <c^dag d^dag d c> of order at most 2: all three
-    records are a degree-2 trig polynomial in phi. They are read off the
-    output's photon-count distribution at the five anchors ``FRINGE_ANCHORS``,
-    and every requested phase is filled from their five-point DFT. One
-    more pointwise evaluation at ``HELD_OUT_PHASE`` must agree with the
-    fill to ``ROUTE_RESIDUAL_TOL`` times the total intensity (its square
-    for the coincidence), and the total intensity must agree to that
-    tolerance on all six evaluations; otherwise :class:`RouteResidualError`
-    is raised. A filled record within that tolerance of 0 is returned as
-    0. A scan costs six evaluations at any number of phases.
-
-    The recombiner pads the state to its largest occupied sector, so it
-    is exactly unitary, and the six photon-count grids are read sector by
-    sector from one plan (``fock.photon_counts_after_phases``).
+    Their mean photon numbers are (n1 + n2)/2 +- Re(i e^{-i phi} m12). In
+    the coincidence <c^dag d^dag d c> the cross terms cancel, as
+    d c = i (e^{2 i phi} a1^2 + a2^2)/2, leaving
+    (pairs1 + pairs2)/4 + Re(e^{-2 i phi} cross)/2. Every requested phase
+    is filled from the eight moments (:func:`fringe_moments`, read here
+    unless ``state`` is already a :class:`FringeMoments`). A record within
+    ``ROUTE_RESIDUAL_TOL`` times n1 + n2 of 0 (its square for the
+    coincidence), such as a dark port, is returned as 0: not rounding
+    noise, nor -0.
     """
-    if state.system.mode_count != 2:
-        raise ValueError("fringe_scan expects a two-mode state")
-    evaluated = np.array([_count_moments(probs) for probs in
-                          fock.photon_counts_after_phases(
-                              state, 0, 1,
-                              FRINGE_ANCHORS + (HELD_OUT_PHASE,))])
-    anchors, held_out = evaluated[:-1], evaluated[-1]
-    totals = evaluated[:, 0] + evaluated[:, 1]
-    scale = float(totals.max())
-    tol = ROUTE_RESIDUAL_TOL * np.array([scale, scale, scale * scale])
-    if totals.max() - totals.min() > tol[0]:
-        raise RouteResidualError(
-            "the fringe route's total intensity varies with the phase: "
-            f"{totals.min()!r} to {totals.max()!r}")
-    # five-point DFT of the anchors, as coefficients of the trig basis
-    weights = np.array([1.0, 2.0, 2.0, 2.0, 2.0])[:, None] / 5.0
-    coeffs = weights * (_harmonics(FRINGE_ANCHORS).T @ anchors)
-    residual = np.abs(_harmonics(HELD_OUT_PHASE) @ coeffs - held_out)
-    if np.any(residual > tol):
-        raise RouteResidualError(
-            f"the fringe route at the held-out phase {HELD_OUT_PHASE} "
-            "differs from its five-anchor fill by "
-            f"{', '.join(f'{r:.3e}' for r in residual)} "
-            "(intensity_c, intensity_d, coincidence)")
-    # a record within the tolerance of 0, such as a dark port, is 0 (not
-    # rounding noise, nor -0)
-    filled = _harmonics(phases) @ coeffs
+    moments = (state if isinstance(state, FringeMoments)
+               else fringe_moments(state))
+    m = moments.channel
+    angles = np.asarray(phases, dtype=np.float64)
+    total = m.n1 + m.n2
+    swing = m.m12.real * np.sin(angles) - m.m12.imag * np.cos(angles)
+    coincidence = 0.25 * (moments.pairs1 + moments.pairs2) + 0.5 * (
+        moments.cross.real * np.cos(2.0 * angles)
+        + moments.cross.imag * np.sin(2.0 * angles))
+    filled = np.stack([0.5 * total + swing, 0.5 * total - swing,
+                       coincidence], axis=-1)
+    tol = ROUTE_RESIDUAL_TOL * np.array([total, total, total * total])
     filled[np.abs(filled) <= tol] = 0.0
     return [FringeRecord(phase=float(phi), intensity_c=float(ic),
                          intensity_d=float(id_), coincidence=float(cc))

@@ -2,7 +2,7 @@
 
 The CLI maps them to exit codes: 2 for ``DimensionLimitError`` (and any
 input error), 3 for the two degeneracy errors and 5 for
-``RouteResidualError``; 4 is retired.
+``RouteResidualError`` (``bell-scan`` only); 4 is retired.
 """
 
 
@@ -21,11 +21,10 @@ class DegenerateDenominatorError(MzBellError, ValueError):
 
 
 class RouteResidualError(MzBellError, RuntimeError):
-    """A numeric route broke the phase covariance its trig-form
+    """A numeric E route broke the phase covariance its trig-form
     coefficients rest on: a pointwise E, or an <S1 S2>, disagreed with
-    them beyond roundoff (``homodyne.numeric_fringe_coefficients``), or a
-    pointwise fringe record, or the total output intensity, did
-    (``coherence.fringe_scan``). The CLI exits with code 5."""
+    them beyond roundoff (``homodyne.numeric_fringe_coefficients``). The
+    CLI exits with code 5, from ``bell-scan`` only."""
 
 
 class DimensionLimitError(MzBellError, ValueError):

@@ -45,11 +45,7 @@ The 50:50 beamsplitter is kept as one cutoff-independent SU(2) block per
 total photon number of its mode pair (Campos, Saleh & Teich, PRA 40,
 1371 (1989)), built on first use and cached for the process. The cache
 is bounded by ``BLOCK_ENTRY_LIMIT`` entries, checked before any block is
-built or a pair is padded. Three product paths read the blocks:
-- a phase scan (``photon_counts_after_phases``) plans the sectors a state
-  occupies once, from its support, growing both cutoffs of the pair to
-  the largest of them so every block acts whole, and reads only photon
-  counts, sector by sector, with no output stack per phase;
+built. Two product paths read the blocks:
 - a single-mode input split against vacuum (``_split``) writes |n, 0>
   from U_n's edge column;
 - a mode mixed with each of a batch of pure partner modes
@@ -619,51 +615,13 @@ def _bs_block(total: int) -> np.ndarray:
     return _BLOCKS[total]
 
 
-def _plan(state: QuantumState, mode_i: int,
-          mode_j: int) -> tuple[QuantumState, list]:
-    """The state, padded so every sector N = n_i + n_j of the beamsplitter
-    on (mode_i, mode_j) that carries support fits under both cutoffs, and
-    those sectors, largest first, each as (rows, cols, block): its basis
-    indices as a column, the components nonzero on it, and U_N. Sectors
-    without support build no block.
-    """
-    m = state.system.mode_count
-    if mode_i == mode_j or not (0 <= mode_i < m and 0 <= mode_j < m):
-        raise ValueError(f"invalid beamsplitter modes ({mode_i}, {mode_j})")
-    rank, dims = state.rank, state.system.dims
-    # which components are nonzero on each sector N = n_i + n_j, read off
-    # the support; padding adds only zeros, so this serves the padded state
-    digits = np.unravel_index(state.support, (rank,) + dims)
-    sectors = np.zeros((dims[mode_i] + dims[mode_j] - 1, rank), dtype=bool)
-    sectors[digits[1 + mode_i] + digits[1 + mode_j], digits[0]] = True
-    occupied = np.flatnonzero(sectors.any(axis=1))[::-1].tolist()
-    top = occupied[0] if occupied else 0
-    cutoffs = list(state.system.cutoffs)
-    for mode in (mode_i, mode_j):
-        cutoffs[mode] = max(cutoffs[mode], top)
-    # refuse the padded size, then the blocks, before anything is allocated
-    _check_size(rank, ModeSystem(cutoffs).dim)
-    _check_blocks(top)
-    state = pad_cutoffs(state, cutoffs)
-    # each occupied sector now fits whole: its rows are the pairs (k, N - k),
-    # k = 0..N, each with the other modes in C order
-    grid = np.moveaxis(np.arange(state.system.dim).reshape(state.system.dims),
-                       (mode_i, mode_j), (0, 1))
-    # largest sector first: its block builds every smaller one on the way
-    plan = []
-    for total in occupied:
-        k = np.arange(total + 1)
-        plan.append((grid[k, total - k].reshape(-1, 1),
-                     np.flatnonzero(sectors[total]), _bs_block(total)))
-    return state, plan
-
-
 def _split(state: QuantumState) -> QuantumState:
     """The beamsplitter on ``state`` x vacuum (modes 0, 1) for a
-    single-mode state, with the refusals of planning that product: |n, 0>
-    is column n of U_n, so component r has amps[r, n] * U_n[m, n] on
-    |m, n - m>. The bits match the planned block product, save the sign of
-    a zero where a mixed input has a lone zero part."""
+    single-mode state, refused by the size, then the block bound, as the
+    sector plan of that product would be: |n, 0> is column n of U_n, so
+    component r has amps[r, n] * U_n[m, n] on |m, n - m>. The bits match
+    the planned block product (``tests/oracle.py``), save the sign of a
+    zero where a mixed input has a lone zero part."""
     rank, d = state.rank, state.dim
     comps, ns = np.divmod(state.support, d)
     _check_size(rank, d * d)
@@ -725,42 +683,3 @@ def output_number_grams(state: QuantumState, partners: Sequence[np.ndarray]
             g_s[:, lo:hi, lo:hi] += scale * (total * (adjoint @ block))
         grams.append((g_d, g_s))
     return grams
-
-
-def photon_counts_after_phases(state: QuantumState, mode_i: int, mode_j: int,
-                               phases: Iterable[float]) -> np.ndarray:
-    """The photon counts P(n), summed over the stack, after mode_i gains
-    e^{i n_i phi} and the beamsplitter acts on (mode_i, mode_j), for each
-    phi, as a ``(len(phases), *dims)`` grid over the padded basis.
-
-    A phase shift multiplies each amplitude by a unit-modulus factor, so
-    every shifted copy has the support of ``state`` (only an amplitude a
-    few subnormal steps from zero, about 1e-323, can round away), and the
-    plan made for it, with its padding, serves them all. It is made by
-    this call, so a sector past the block cache bound is refused before
-    any phase is applied. Each occupied sector's nonzero components are
-    gathered once from the stored amplitudes; per phase, row k is
-    multiplied by e^{i k phi}, U_N is applied, and the squared real and
-    imaginary parts are each summed over the components in stack order: no
-    dense, phased or output stack is formed.
-    """
-    state, plan = _plan(state, mode_i, mode_j)
-    d = state.system.dims[mode_i]
-    factors = np.array([np.exp(1j * float(phi) * np.arange(d))
-                        for phi in phases]).reshape(-1, d, 1)
-    dim = state.dim
-    counts = np.zeros((len(factors), dim))
-    # every sector's (rows, components) amplitudes in one search
-    wanted = [(cols * dim + rows).reshape(-1) for rows, cols, _ in plan]
-    gathered = np.split(_stored_at(state, np.concatenate(wanted)),
-                        np.cumsum([len(w) for w in wanted[:-1]]))
-    for (rows, cols, block), sub in zip(plan, gathered):
-        n = len(block)
-        out = block @ (sub.reshape(n, -1) * factors[:, :n])
-        parts = out.view(np.float64).reshape(len(factors), rows.size,
-                                             cols.size, 2)
-        # components outermost, so each sum runs over them in stack order
-        squares = np.square(parts.transpose(2, 0, 1, 3), order="C")
-        sums = np.add.reduce(squares, axis=0)
-        counts[:, rows[:, 0]] = sums[..., 0] + sums[..., 1]
-    return counts.reshape((len(factors),) + state.system.dims)

@@ -275,6 +275,10 @@ def modulation_depth_analytic(moments: CoherenceMoments, beta1: float,
         _check_beta(beta)
     den = (moments.n1n2 + moments.n1 * beta2 ** 2 + moments.n2 * beta1 ** 2
            + beta1 ** 2 * beta2 ** 2)
+    # beta1^2 beta2^2 overflows from beta ~ 1.16e77 on, before the bound
+    if not math.isfinite(den):
+        raise ValueError(f"modulation-depth denominator overflows at beta1 = "
+                         f"{beta1!r}, beta2 = {beta2!r}")
     if den <= 1e-15:
         raise DegenerateDenominatorError(
             f"modulation-depth denominator {den:.3e} vanishes")
@@ -322,6 +326,10 @@ def fringe_coefficients_at(moments: CoherenceMoments, beta1: float,
         _check_beta(beta)
     den = (moments.n1n2 + moments.n1 * beta2 ** 2 + moments.n2 * beta1 ** 2
            + beta1 ** 2 * beta2 ** 2)
+    # beta1^2 beta2^2 overflows from beta ~ 1.16e77 on, before the bound
+    if not math.isfinite(den):
+        raise ValueError(f"modulation-depth denominator overflows at beta1 = "
+                         f"{beta1!r}, beta2 = {beta2!r}")
     if den <= 1e-15:
         raise DegenerateDenominatorError(
             f"modulation-depth denominator {den:.3e} vanishes")

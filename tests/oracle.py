@@ -11,8 +11,11 @@ formula. Slow and obvious by design.
 The whole-stack phase shifter and beamsplitter are the exceptions: they
 are the transforms the package applied before its phase scan read photon
 counts sector by sector and its unitary E route reduced each pair's
-outputs to Gram matrices. They reuse its sector plan and cached blocks,
-which the spectral unitary checks. Likewise the input-operator E route's
+outputs to Gram matrices. They, and that sector-wise count scan, reuse
+the package's cached blocks, which the spectral unitary checks, through
+the sector plan here. The count scan is the independent route for the
+package's fringe records, which it fills from eight normal-ordered
+moments in closed form. Likewise the input-operator E route's
 stored four-mode stack, which the package now forms on the fly, and the
 per-term form of its partner kernel, which it now sets up once per call.
 So are the dense constructions and the dense-scan expectations of the
@@ -30,7 +33,7 @@ import numpy as np
 
 from mzbell import (ChshResult, ModeSystem, QuantumState, basis_state,
                     expectations, fock, fringe_scan, homodyne,
-                    modulation_depth_analytic)
+                    modulation_depth_analytic, pad_cutoffs)
 from mzbell.homodyne import fringe_e
 
 
@@ -359,6 +362,87 @@ def apply_phase(state: QuantumState, mode: int, phi: float) -> QuantumState:
                         validate=False)
 
 
+def plan_sectors(state: QuantumState, mode_i: int,
+                 mode_j: int) -> tuple[QuantumState, list]:
+    """The state, padded so every sector N = n_i + n_j of the beamsplitter
+    on (mode_i, mode_j) that carries support fits under both cutoffs, and
+    those sectors, largest first, each as (rows, cols, block): its basis
+    indices as a column, the components nonzero on it, and U_N. Sectors
+    without support build no block. The padded size, then the block bound,
+    is refused before anything is allocated.
+    """
+    m = state.system.mode_count
+    if mode_i == mode_j or not (0 <= mode_i < m and 0 <= mode_j < m):
+        raise ValueError(f"invalid beamsplitter modes ({mode_i}, {mode_j})")
+    rank, dims = state.rank, state.system.dims
+    # which components are nonzero on each sector N = n_i + n_j, read off
+    # the support; padding adds only zeros, so this serves the padded state
+    digits = np.unravel_index(state.support, (rank,) + dims)
+    sectors = np.zeros((dims[mode_i] + dims[mode_j] - 1, rank), dtype=bool)
+    sectors[digits[1 + mode_i] + digits[1 + mode_j], digits[0]] = True
+    occupied = np.flatnonzero(sectors.any(axis=1))[::-1].tolist()
+    top = occupied[0] if occupied else 0
+    cutoffs = list(state.system.cutoffs)
+    for mode in (mode_i, mode_j):
+        cutoffs[mode] = max(cutoffs[mode], top)
+    fock._check_size(rank, ModeSystem(cutoffs).dim)
+    fock._check_blocks(top)
+    state = pad_cutoffs(state, cutoffs)
+    # each occupied sector now fits whole: its rows are the pairs (k, N - k),
+    # k = 0..N, each with the other modes in C order
+    grid = np.moveaxis(np.arange(state.system.dim).reshape(state.system.dims),
+                       (mode_i, mode_j), (0, 1))
+    # largest sector first: its block builds every smaller one on the way
+    plan = []
+    for total in occupied:
+        k = np.arange(total + 1)
+        plan.append((grid[k, total - k].reshape(-1, 1),
+                     np.flatnonzero(sectors[total]), fock._bs_block(total)))
+    return state, plan
+
+
+def photon_counts_after_phases(state: QuantumState, mode_i: int, mode_j: int,
+                               phases) -> np.ndarray:
+    """The photon counts P(n), summed over the stack, after mode_i gains
+    e^{i n_i phi} and the beamsplitter acts on (mode_i, mode_j), for each
+    phi, as a ``(len(phases), *dims)`` grid over the padded basis.
+
+    One plan (:func:`plan_sectors`) serves every phase, as a phase shift
+    keeps the support. Each occupied sector's nonzero components are
+    gathered once; per phase, row k is multiplied by e^{i k phi}, U_N is
+    applied, and the squared real and imaginary parts are each summed over
+    the components in stack order: no phased or output stack is formed.
+    """
+    state, plan = plan_sectors(state, mode_i, mode_j)
+    d = state.system.dims[mode_i]
+    factors = np.array([np.exp(1j * float(phi) * np.arange(d))
+                        for phi in phases]).reshape(-1, d, 1)
+    dim = state.dim
+    counts = np.zeros((len(factors), dim))
+    # every sector's (rows, components) amplitudes in one search
+    wanted = [(cols * dim + rows).reshape(-1) for rows, cols, _ in plan]
+    gathered = np.split(fock._stored_at(state, np.concatenate(wanted)),
+                        np.cumsum([len(w) for w in wanted[:-1]]))
+    for (rows, cols, block), sub in zip(plan, gathered):
+        n = len(block)
+        out = block @ (sub.reshape(n, -1) * factors[:, :n])
+        parts = out.view(np.float64).reshape(len(factors), rows.size,
+                                             cols.size, 2)
+        # components outermost, so each sum runs over them in stack order
+        squares = np.square(parts.transpose(2, 0, 1, 3), order="C")
+        sums = np.add.reduce(squares, axis=0)
+        counts[:, rows[:, 0]] = sums[..., 0] + sums[..., 1]
+    return counts.reshape((len(factors),) + state.system.dims)
+
+
+def count_moments(probs: np.ndarray) -> np.ndarray:
+    """<n_c>, <n_d> and <n_c n_d>, the first and mixed moments of a
+    two-mode photon-count distribution P(n_c, n_d)."""
+    n_c, n_d = (np.arange(d, dtype=np.float64) for d in probs.shape)
+    return np.array([probs.sum(axis=1) @ n_c, probs.sum(axis=0) @ n_d,
+                     n_c @ probs @ n_d])
+
+
 def apply_beamsplitter(state: QuantumState, mode_i: int, mode_j: int, *,
                        inverse: bool = False) -> QuantumState:
     """50:50 beamsplitter on two modes: mode_i -> (mode_i + i mode_j)/sqrt(2),
@@ -373,7 +457,7 @@ def apply_beamsplitter(state: QuantumState, mode_i: int, mode_j: int, *,
     ``AMPLITUDE_LIMIT`` or a sector past ``BLOCK_ENTRY_LIMIT`` before
     allocating either.
     """
-    state, plan = fock._plan(state, mode_i, mode_j)
+    state, plan = plan_sectors(state, mode_i, mode_j)
     amps = np.zeros_like(state.amps)
     mat, out = state.amps.T, amps.T
     for rows, cols, block in plan:
@@ -548,7 +632,7 @@ def assert_scan_matches_per_phase(state: QuantumState, phases,
     phases = [float(phi) for phi in phases]
     want = [apply_beamsplitter(apply_phase(state, mode_i, phi), mode_i,
                                mode_j) for phi in phases]
-    got = fock.photon_counts_after_phases(state, mode_i, mode_j, phases)
+    got = photon_counts_after_phases(state, mode_i, mode_j, phases)
     assert len(got) == len(want)
     for counts, ref in zip(got, want):
         assert np.array_equal(counts, count_grid(ref))

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mzbell import cli, homodyne
+from mzbell import catalog, cli, fock, homodyne
 from mzbell.catalog import StateSpec, build_state
 from mzbell.coherence import compute_moments
 
@@ -151,40 +151,41 @@ class TestAnalyze:
         assert "DimensionLimitError" in err and "5832000 amplitudes" in err
         assert peak < 8 * 2 ** 20
 
-    def test_fringe_pad_refused_before_allocating(self, capsys, tmp_path):
-        # |1500, 0> pads to cutoffs (1500, 1500): 1501^2 = 2253001 > 2^21
+    def test_fringe_lifted_pad_refusal(self, capsys, tmp_path):
+        # (|1500, 0> + |0, 1>)/sqrt 2 on cutoffs (1500, 1): a count scan pads
+        # both cutoffs to 1500, 1501^2 = 2253001 amplitudes, past the bound;
+        # the moment route reads the two stored amplitudes as they are
+        amps = [0.0] * 3002
+        amps[1] = amps[3000] = math.sqrt(0.5)
         path = tmp_path / "state.json"
         path.write_text(json.dumps({"family": "pure_explicit", "params": {
-            "cutoffs": [1500, 0], "amplitudes": [0] * 1500 + [1]}}))
+            "cutoffs": [1500, 1], "amplitudes": amps}}))
         tracemalloc.start()
         try:
-            code, out, err = run_cli(capsys, "fringe", "--state", str(path))
+            code, out, err = run_cli(capsys, "fringe", "--state", str(path),
+                                     "--phases", "4")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 2
-        assert out == ""
+        assert (code, err) == (0, "")
+        # n1 = 750, n2 = 1/2, <a1^dag^2 a1^2> = 1500 * 1499 / 2, no m12
+        assert out.splitlines()[1] == "0,375.25,375.25,281062.5"
+        assert parse_report(out)["g1_mag"] == "0"
+        assert peak < 2 ** 20
+        # the bound that still applies is the state's own rank x dim check
+        # (fock.AMPLITUDE_LIMIT): the split of |1500> would store the same
+        # 2253001 amplitudes, and is refused before allocating
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "fringe", "--state",
+                                     "split_number n=1500")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
         assert err.startswith("error: DimensionLimitError")
         assert "2253001 amplitudes" in err
-        assert peak < 8 * 2 ** 20
-
-    def test_block_cache_refused_before_building(self, capsys, tmp_path):
-        # |1000, 0> pads to 1001^2 amplitudes (16 MB, under the bound), but
-        # its blocks U_0..U_1000 would hold 334835501 entries (5.4 GB)
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps({"family": "pure_explicit", "params": {
-            "cutoffs": [1000, 0], "amplitudes": [0] * 1000 + [1]}}))
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(capsys, "fringe", "--state", str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: DimensionLimitError")
-        assert "334835501 entries" in err
-        assert peak < 64 * 2 ** 20
+        assert peak < 2 ** 20
 
     def test_csv_block_appended(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--state",
@@ -275,6 +276,43 @@ class TestFringe:
         assert err == ("error: ValueError: --phases must be an integer of "
                        "at least 3 (the visibility fit needs three), got "
                        f"{phases}\n")
+
+    def test_degenerate_summary_leaves_stdout_empty(self, capsys):
+        # |1, 0> has a dark second channel: g1 is undefined, and the whole
+        # summary is formed before the first row is printed
+        code, out, err = run_cli(
+            capsys, "fringe", "--state",
+            "pure_explicit amplitudes=[0,1] cutoffs=[1,0]", "--phases", "4")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: DegenerateStateError: channel "
+                              "intensities n1=1.000e+00, n2=0.000e+00")
+        assert err.count("\n") == 1
+
+    def test_one_ladder_call_and_no_block(self, capsys, monkeypatch):
+        # the split builds its edge columns from the cached blocks; after
+        # that, the scan and its summary take one expectations call and no
+        # beamsplitter block
+        calls = []
+        expectations, build = fock.expectations, catalog.build_state
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1]))
+            return expectations(*args, **kwargs)
+
+        def refuse(total):
+            raise AssertionError(f"block U_{total} requested")
+
+        def built(*args, **kwargs):
+            state = build(*args, **kwargs)
+            monkeypatch.setattr(fock, "_bs_block", refuse)
+            return state
+        monkeypatch.setattr(fock, "expectations", counting)
+        monkeypatch.setattr(catalog, "build_state", built)
+        code, out, err = run_cli(capsys, "fringe", "--state",
+                                 "split_thermal nbar=1", "--phases", "16")
+        assert (code, err) == (0, "")
+        assert calls == [8]
+        assert len(out.splitlines()) == 1 + 16 + 3
 
     def test_out_file_splits_streams(self, capsys, tmp_path):
         target = tmp_path / "fringe.csv"
@@ -479,18 +517,24 @@ class TestBellScan:
                        f"{homodyne.BETA_LIMIT!r}, or its square overflows, "
                        f"got {float(beta)!r}\n")
 
-    def test_beta_below_the_square_bound_keeps_its_refusal(self, capsys):
-        # the largest beta whose square is finite still reaches the
-        # oscillator's size bound (E_analytic's beta1 * beta2 * bracket
-        # overflows on the way, as before the bound)
+    @pytest.mark.parametrize("beta, message", [
+        # beta^4 in E_analytic's denominator is finite: the oscillator's
+        # size bound refuses it
+        ("1.1e77", "DimensionLimitError: coherent amplitude |alpha|=1.1e+77"),
+        # beta^4 overflows from about 1.16e77 up to the square bound: the
+        # denominator is refused before it is divided by, with no warning
+        ("1.2e77", "ValueError: modulation-depth denominator overflows"),
+        (repr(homodyne.BETA_LIMIT),
+         "ValueError: modulation-depth denominator overflows")])
+    def test_beta_below_the_square_bound_keeps_its_refusal(self, capsys, beta,
+                                                          message):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "bell-scan", "--state",
-                                     "split_single_photon", "--beta",
-                                     repr(homodyne.BETA_LIMIT))
+                                     "split_single_photon", "--beta", beta)
         assert (code, out) == (2, "")
-        assert err.startswith("error: DimensionLimitError: coherent "
-                              "amplitude |alpha|=1.34e+154")
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
 
     def test_horodecki_maximum_at_a_coarse_grid(self, capsys):
         # a 4-point angle search stopped at 0.828427125247177 here

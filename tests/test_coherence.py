@@ -1,5 +1,6 @@
 """Coherence functions and Mach-Zehnder fringe tests."""
 
+import cmath
 import math
 import tracemalloc
 
@@ -7,16 +8,14 @@ import numpy as np
 import pytest
 
 from mzbell import (CoherenceMoments, DegenerateStateError, ModeSystem,
-                    QuantumState, RouteResidualError, StateSpec,
-                    analytic_visibility, basis_state, build_state, cli,
-                    coherent_state, compute_moments, fock, fringe_scan, g1, g2,
-                    incoherent_anticorrelated, make_mixed, make_pure,
+                    StateSpec, analytic_visibility, basis_state, build_state,
+                    cli, coherent_state, compute_moments, fock, fringe_scan,
+                    g1, g2, incoherent_anticorrelated, make_mixed, make_pure,
                     split_input, split_single_photon, thermal_state,
                     visibility)
 from mzbell.coherence import classical_margin
 
-from oracle import (apply_beamsplitter, apply_phase,
-                    assert_scan_matches_per_phase, brute_expect, count_grid,
+from oracle import (apply_phase, assert_scan_matches_per_phase, brute_expect,
                     random_density, random_pure, tensor)
 
 PHASES_64 = [2 * math.pi * k / 64 for k in range(64)]
@@ -162,9 +161,9 @@ class TestFringeScan:
         assert_scan_matches_per_phase(state, PHASES_64[::8] + [9.5], 0, 2)
 
     def test_scan_memory_stays_per_sector(self):
-        # a 16-phase scan of a rank-83 mixture over 83 x 83 levels holds
-        # no output stack per phase, nor a float copy of one; measured
-        # after a first scan, which builds the cached blocks
+        # a 16-phase scan of a rank-83 mixture over 83 x 83 levels reads
+        # its moments from the stored amplitudes and forms no stack;
+        # measured after a first scan, which caches the ladder tables
         state = build_state(StateSpec("split_thermal", {"nbar": 2.5}))
         assert state.amps.shape == (83, 83 * 83)
         fringe_scan(state, PHASES_64[::4])
@@ -188,39 +187,40 @@ class TestFringeScan:
             "error: DegenerateStateError")
 
 
-def _tripled_phase(state, mode_i, mode_j, phases):
-    """A route whose output carries the third harmonic of the phase."""
-    return np.array([count_grid(apply_beamsplitter(
-        apply_phase(state, mode_i, 3.0 * phi), mode_i, mode_j))
-        for phi in phases])
+class TestFringeMomentRoute:
+    def test_records_are_the_closed_form_in_eight_moments(self, monkeypatch):
+        # the scan asks for the eight terms in one call and fills each phase
+        # from their values alone
+        values = [0.7, 0.2 + 0.3j, 0.4, 0.1 - 0.05j, 0.25, 0.3, 0.1,
+                  0.05 - 0.02j]
+        calls = []
 
+        def fake(state, terms, partners=()):
+            calls.append([[tuple(pq) for pq in term] for term in terms])
+            return [complex(v) for v in values]
+        monkeypatch.setattr(fock, "expectations", fake)
+        phases = [0.0, 0.4, 1.0, 2.5, -3.0, 9.5]
+        records = fringe_scan(split_single_photon(), phases)
+        num, none = (1, 1), (0, 0)
+        assert calls == [[[num, none], [(1, 0), (0, 1)], [none, num],
+                          [(0, 1), (0, 1)], [num, num], [(2, 2), none],
+                          [none, (2, 2)], [(2, 0), (0, 2)]]]
+        n1, m12, n2, _, _, pairs1, pairs2, cross = values
+        for phi, r in zip(phases, records):
+            swing = (1j * cmath.exp(-1j * phi) * m12).real
+            assert r.phase == phi
+            assert abs(r.intensity_c - ((n1 + n2) / 2 + swing)) < 1e-15
+            assert abs(r.intensity_d - ((n1 + n2) / 2 - swing)) < 1e-15
+            assert abs(r.coincidence - ((pairs1 + pairs2) / 4 + 0.5 * (
+                cmath.exp(-2j * phi) * cross).real)) < 1e-15
 
-def _phase_dependent_norm(state, mode_i, mode_j, phases):
-    """A route whose total output intensity moves with the phase."""
-    grids = []
-    for phi in phases:
-        out = apply_beamsplitter(apply_phase(state, mode_i, phi), mode_i,
-                                 mode_j)
-        grids.append(count_grid(QuantumState(
-            out.system, validate=False,
-            amps=out.amps * (1.0 + 1e-9 * math.cos(phi)))))
-    return np.array(grids)
-
-
-class TestFringeRouteResidual:
-    @pytest.mark.parametrize("route, message", [
-        (_tripled_phase, "held-out phase"),
-        (_phase_dependent_norm, "total intensity varies")])
-    def test_phase_dependent_route_is_refused(self, monkeypatch, capsys,
-                                              route, message):
-        monkeypatch.setattr(fock, "photon_counts_after_phases", route)
-        with pytest.raises(RouteResidualError, match=message):
-            fringe_scan(split_single_photon(), PHASES_64)
-        assert cli.main(["fringe", "--state", "split_single_photon",
-                         "--phases", "16"]) == 5
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: RouteResidualError")
+    def test_dark_port_rule_scales_with_the_total_intensity(self):
+        # intensity_c at phase 0 is (1 - w)/2 of a total intensity of 1:
+        # within 1e-12 of it the record is 0, above it the value stays
+        dark = fringe_scan(_partially_coherent_state(1.0 - 2e-13), [0.0])[0]
+        assert dark.intensity_c == 0.0 and dark.coincidence == 0.0
+        lit = fringe_scan(_partially_coherent_state(1.0 - 4e-12), [0.0])[0]
+        assert abs(lit.intensity_c - 2e-12) < 1e-15
 
 
 def _partially_coherent_state(w):

@@ -23,18 +23,23 @@ def test_ops_cover_three_rounds_of_every_workload_and_the_probes(
                 if label.startswith(workload + "/")} == {"0", "1", "2"}
     probes = [argv for label, argv, _ in ops if label.startswith("probe/")]
     assert len(probes) == len(compare_outputs.PROBES)
-    # fringe scans, bell-scans on the unitary route (two beamsplitters) and
+    # fringe scans, three of them on the states the moment route was
+    # measured on, bell-scans on the unitary route (two beamsplitters) and
     # two on the default input-operator route, the second also at the
     # default grid, then analyze on split inputs: one that runs, two that
     # are refused and three real-alpha coherent ones
-    assert [argv[0] for argv in probes] == (["fringe"] * 7 + ["bell-scan"] * 4
+    assert [argv[0] for argv in probes] == (["fringe"] * 10
+                                            + ["bell-scan"] * 4
                                             + ["analyze"] * 6)
+    assert [argv[2] for argv in probes[7:10]] == [
+        "split_number n=50", "noisy_split_photon w=0.5 alpha_re=0.7",
+        "split_coherent alpha_re=1.5 alpha_im=0.3"]
     assert all(argv[argv.index("--route") + 1] == "unitary"
-               for argv in probes[7:9])
-    assert all("--route" not in argv for argv in probes[9:11])
-    assert probes[10] == ["bell-scan", "--state",
+               for argv in probes[10:12])
+    assert all("--route" not in argv for argv in probes[12:14])
+    assert probes[13] == ["bell-scan", "--state",
                           "split_coherent alpha_re=1.2 alpha_im=0.4"]
-    assert [argv[2] for argv in probes[11:]] == [
+    assert [argv[2] for argv in probes[14:]] == [
         "split_number n=200", "split_thermal nbar=4.2", "split_number n=464",
         "split_coherent alpha_re=0.7", "split_coherent alpha_re=1.5",
         "split_coherent alpha_re=3"]
@@ -54,8 +59,9 @@ def test_record_then_diff(tmp_path, monkeypatch, capsys):
     ops = json.loads(old.read_text())["ops"]
     assert ops["probe/5"]["code"] == 0
     assert "visibility_fit = 1" in ops["probe/5"]["stdout"]
-    assert ops["probe/6"]["code"] == 2
-    assert "2253001 amplitudes" in ops["probe/6"]["stderr"]
+    # no longer padded to 1501^2 amplitudes and refused
+    assert (ops["probe/6"]["code"], ops["probe/6"]["stderr"]) == (0, "")
+    assert "g1_mag = 0" in ops["probe/6"]["stdout"]
     capsys.readouterr()
     assert compare_outputs.main(["diff", str(old), str(old)]) == 0
     assert capsys.readouterr().out == "2 ops, 0 differ\n"

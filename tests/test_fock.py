@@ -11,8 +11,10 @@ from mzbell import (DimensionLimitError, ModeSystem, QuantumState, basis_state,
                     make_pure, number_state, pad_cutoffs, split_input,
                     thermal_state)
 
+import oracle
 from oracle import (apply_beamsplitter, apply_phase, brute_expect,
-                    bs_unitary_spectral, density, lowered_expectations, purity,
+                    bs_unitary_spectral, density, lowered_expectations,
+                    photon_counts_after_phases, plan_sectors, purity,
                     random_density, random_pure, random_state, tensor,
                     vacuum_state)
 
@@ -484,12 +486,11 @@ class TestBeamsplitter:
         # the plan's own scan decides the padding, and a padded state is
         # not planned again
         plans = []
-        plan = fock._plan
 
         def counting(state, *args):
             plans.append(state.system.cutoffs)
-            return plan(state, *args)
-        monkeypatch.setattr(fock, "_plan", counting)
+            return plan_sectors(state, *args)
+        monkeypatch.setattr(oracle, "plan_sectors", counting)
         coherent = coherent_state(0.8)
         apply_beamsplitter(tensor(coherent, vacuum_state(coherent.system)),
                            0, 1)
@@ -500,13 +501,21 @@ class TestBeamsplitter:
 
     def test_split_input_makes_no_plan(self, monkeypatch):
         # the split writes each input amplitude from its block's edge column:
-        # no plan, no block product
-        calls = []
-        monkeypatch.setattr(fock, "_plan", lambda *args: calls.append("_plan"))
-        for state in (coherent_state(0.8), thermal_state(0.5),
-                      number_state(4, 6)):
+        # no sector plan (the package has none) and no block product, only
+        # one request for its top block, which builds the smaller ones
+        assert not hasattr(fock, "_plan")
+        requested = []
+        build = fock._bs_block
+
+        def recording(total):
+            requested.append(total)
+            return build(total)
+        monkeypatch.setattr(fock, "_bs_block", recording)
+        states = (coherent_state(0.8), thermal_state(0.5), number_state(4, 6))
+        for state in states:
             split_input(state)
-        assert calls == []
+        assert requested == [int((state.support % state.dim).max())
+                             for state in states] == [12, 25, 4]
 
     @pytest.mark.parametrize("mixed,cutoffs,modes,forward", [
         (False, (1, 1), (0, 1), True),
@@ -524,10 +533,10 @@ class TestBeamsplitter:
         rng = np.random.default_rng(19)
         state = (random_density(rng, cutoffs, rank=3) if mixed
                  else random_pure(rng, cutoffs))
-        ours, plan = fock._plan(state, *modes)
+        ours, plan = plan_sectors(state, *modes)
         assert ours.system != state.system
         padded = pad_cutoffs(state, ours.system.cutoffs)
-        same, want = fock._plan(padded, *modes)
+        same, want = plan_sectors(padded, *modes)
         assert same is padded
         np.testing.assert_array_equal(ours.amps, padded.amps)
         assert len(plan) == len(want) > 0
@@ -587,7 +596,7 @@ class TestBeamsplitter:
         try:
             with pytest.raises(DimensionLimitError,
                                match="up to 470 photons"):
-                fock.photon_counts_after_phases(state, 0, 1, [0.0, 1.0])
+                photon_counts_after_phases(state, 0, 1, [0.0, 1.0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -601,7 +610,7 @@ class TestBeamsplitter:
         with pytest.raises(ValueError):
             apply_beamsplitter(state, 0, 5)
         with pytest.raises(ValueError):
-            fock.photon_counts_after_phases(state, 0, 0, [0.0])
+            photon_counts_after_phases(state, 0, 0, [0.0])
 
 
 class TestSupportAndPadding:

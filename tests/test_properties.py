@@ -21,12 +21,13 @@ from mzbell.homodyne import fringe_e
 
 from oracle import (apply_beamsplitter, apply_phase,
                     assert_scan_matches_per_phase, bs_unitary_spectral,
-                    chsh_value, dd_ss_after_beamsplitters,
+                    chsh_value, count_moments, dd_ss_after_beamsplitters,
                     dd_ss_on_the_input_stack, dense_support, density,
                     expectations_dense_scan, flat_lower,
                     lowered_expectations, mix_dense,
                     modulation_depth_numeric, normal_ordered_matrix,
-                    pad_dense, partner_sums_per_term, phase_matrix, purity,
+                    pad_dense, partner_sums_per_term, phase_matrix,
+                    photon_counts_after_phases, purity,
                     random_density, random_pure, search_chsh, split_dense,
                     split_via_beamsplitter, strided_lower, tensor)
 
@@ -595,6 +596,36 @@ def test_fringe_fill_matches_pointwise_path(spec, phases):
         assert abs(record.intensity_c - ic) <= 1e-12 * scale
         assert abs(record.intensity_d - id_) <= 1e-12 * scale
         assert abs(record.coincidence - cc) <= 1e-12 * scale * scale
+
+
+@st.composite
+def unequal_cutoff_states(draw):
+    """A random pure or mixed two-mode state whose two cutoffs differ."""
+    cutoffs = draw(st.lists(st.integers(0, 4), min_size=2, max_size=2,
+                            unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        return random_density(rng, cutoffs, rank=draw(st.integers(2, 4)))
+    return random_pure(rng, cutoffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=unequal_cutoff_states(),
+       phases=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5))
+def test_moment_route_matches_the_count_oracle(state, phases):
+    # the oracle applies the phase and the padded beamsplitter at each
+    # phase and reads the output photon counts; the drawn phases lie on
+    # no grid, and 0 and pi/2 are added
+    phases = phases + [0.0, math.pi / 2]
+    records = fringe_scan(state, phases)
+    counts = photon_counts_after_phases(state, 0, 1, phases)
+    for phi, record, probs in zip(phases, records, counts):
+        ic, id_, cc = count_moments(probs)
+        total = ic + id_
+        assert record.phase == phi
+        assert abs(record.intensity_c - ic) <= 1e-12 * total
+        assert abs(record.intensity_d - id_) <= 1e-12 * total
+        assert abs(record.coincidence - cc) <= 1e-12 * total * total
 
 
 @settings(max_examples=80, deadline=None)

@@ -41,9 +41,12 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 #: Spec file of ops whose state is given as a document, relative to the
 #: working directory, so the argv is the same in every run.
 SPEC_FILE = "spec.json"
-#: The |1500, 0> state: its padded fringe scan is refused before allocating.
+#: (|1500, 0> + |0, 1>)/sqrt 2 on cutoffs (1500, 1): a fringe scan that
+#: padded both cutoffs to 1500 was refused at 1501^2 amplitudes; the
+#: moment route reads its two stored amplitudes.
 BIG_SPEC = {"family": "pure_explicit",
-            "params": {"cutoffs": [1500, 0], "amplitudes": [0] * 1500 + [1]}}
+            "params": {"cutoffs": [1500, 1],
+                       "amplitudes": [0, 1] + [0] * 2998 + [1, 0]}}
 PROBES = (
     (["fringe", "--state", "split_thermal nbar=3", "--phases", "16"], None),
     (["fringe", "--state", "split_thermal nbar=1", "--phases", "64"], None),
@@ -53,6 +56,11 @@ PROBES = (
     (["fringe", "--state", "split_single_photon", "--phases", "1"], None),
     (["fringe", "--state", "split_single_photon", "--phases", "3"], None),
     (["fringe", "--state", SPEC_FILE], json.dumps(BIG_SPEC)),
+    (["fringe", "--state", "split_number n=50", "--phases", "16"], None),
+    (["fringe", "--state", "noisy_split_photon w=0.5 alpha_re=0.7",
+      "--phases", "16"], None),
+    (["fringe", "--state", "split_coherent alpha_re=1.5 alpha_im=0.3",
+      "--phases", "16"], None),
     (["bell-scan", "--state", "split_thermal nbar=0.1", "--grid", "4",
       "--route", "unitary"], None),
     (["bell-scan", "--state", "noisy_split_photon w=0.5 alpha_re=0.7",
