@@ -59,8 +59,8 @@ def split_single_photon() -> QuantumState:
 def split_input(input_state: QuantumState) -> QuantumState:
     """Send a single-mode state through the splitting beamsplitter with a
     vacuum mode of equal cutoff: each input |n, 0> is written from its
-    cached block's edge column (``fock._split``), with no tensor or plan,
-    and refused where planning the transform of that product would be.
+    closed-form edge column (``fock._split``), with no tensor, plan or
+    block, and refused where the size of that product would be.
     """
     if input_state.system.mode_count != 1:
         raise ValueError("split_input expects a single-mode state")

@@ -183,6 +183,10 @@ def cmd_fringe(args) -> int:
     if args.phases < 3:
         raise ValueError("--phases must be an integer of at least 3 (the "
                          f"visibility fit needs three), got {args.phases}")
+    # the phase list, its records and their rows are held until printed
+    if args.phases > fock.AMPLITUDE_LIMIT:
+        raise ValueError(f"--phases {args.phases} is above the limit of "
+                         f"{fock.AMPLITUDE_LIMIT}")
     spec, state = _build(args)
     phases = [2.0 * math.pi * k / args.phases for k in range(args.phases)]
     # one ladder call serves the rows and the summary
@@ -339,9 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--phases", type=int, default=64,
                    help="number of evenly spaced phases in [0, 2pi), at "
-                        "least 3; the rows are filled from eight "
-                        "normal-ordered moments of the state, read once "
-                        "whatever the number")
+                        "least 3 and at most 2097152; the rows are filled "
+                        "from eight normal-ordered moments of the state, "
+                        "read once whatever the number")
     p.set_defaults(func=cmd_fringe)
 
     p = sub.add_parser("bell-scan", help="modulation-depth angle grid")

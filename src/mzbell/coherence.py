@@ -181,7 +181,8 @@ def visibility(records: Sequence[FringeRecord]) -> float:
     cosine fit A + B cos(phi) + C sin(phi).
 
     The fit makes the result robust to phase-grid granularity; for
-    balanced channels it equals |g1|.
+    balanced channels it equals |g1|. A swing within ``ROUTE_RESIDUAL_TOL``
+    times the mean, such as a flat fringe's rounding noise, gives 0.
     """
     if len(records) < 3:
         raise ValueError("need at least 3 fringe records to fit")
@@ -198,7 +199,7 @@ def visibility(records: Sequence[FringeRecord]) -> float:
     if mean <= DEGENERACY_FLOOR:
         raise DegenerateStateError(
             "mean output intensity is numerically zero; no fringe to fit")
-    return amp / mean
+    return 0.0 if amp <= ROUTE_RESIDUAL_TOL * mean else amp / mean
 
 
 def analytic_visibility(moments: CoherenceMoments) -> float:

@@ -41,16 +41,14 @@ Transforms return new states and never mutate or implicitly renormalize
 their inputs: a norm deficit after a transform is a bug, not something to
 hide.
 
-The 50:50 beamsplitter is kept as one cutoff-independent SU(2) block per
-total photon number of its mode pair (Campos, Saleh & Teich, PRA 40,
-1371 (1989)), built on first use and cached for the process. The cache
-is bounded by ``BLOCK_ENTRY_LIMIT`` entries, checked before any block is
-built. Two product paths read the blocks:
+The 50:50 beamsplitter acts on each total photon number N of its mode
+pair as one SU(2) block U_N (Campos, Saleh & Teich, PRA 40, 1371
+(1989)). Two product paths use it, and neither keeps a block:
 - a single-mode input split against vacuum (``_split``) writes |n, 0>
-  from U_n's edge column;
+  from U_n's edge column, in closed form, sqrt(C(n, m) / 2^n) i^(n - m);
 - a mode mixed with each of a batch of pure partner modes
   (``output_number_grams``) is reduced to two small Gram matrices of the
-  output photon numbers per partner.
+  output photon numbers per partner, from blocks built in that call.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -562,46 +560,46 @@ def expectations(state: QuantumState,
     return sums if partners else [complex(value) for value in sums]
 
 
-#: Most entries the cached blocks U_0..U_N may hold, sum of (n + 1)^2 up
-#: to N: 16 times the largest state, 512 MiB, which admits sectors up to
-#: N = 463.
-BLOCK_ENTRY_LIMIT = 16 * AMPLITUDE_LIMIT
-#: Read-only beamsplitter blocks U_N keyed by N, from U_0 = [[1]].
-_BLOCKS = {0: np.broadcast_to(np.complex128(1), (1, 1))}
+@functools.lru_cache(maxsize=None)
+def _edge_column(n: int) -> np.ndarray:
+    """Column n of U_n, along which |n, 0> leaves the beamsplitter:
+    U_n[m, n] = sqrt(C(n, m) / 2^n) i^(n - m), m = 0..n, each magnitude
+    within 1 ulp, the root of a correctly rounded quotient of exact
+    integers, C(n, m + 1) = C(n, m) (n - m) // (m + 1). From n = 1023 on
+    the quotient is scaled by 4^k and the root by 2^-k, so that 2^-n does
+    not underflow: no entry is 0 up to n = 2044. Memoized per n; the
+    split's size bound admits n <= 1447, about 16 MiB for all columns."""
+    k = max(0, n - 1021) // 2
+    full, binom, mags = 1 << n, 1, []
+    for m in range(n + 1):
+        mags.append(math.ldexp(math.sqrt((binom << 2 * k) / full), -k))
+        binom = binom * (n - m) // (m + 1)
+    column = np.array([1, 1j, -1, -1j])[np.arange(n, -1, -1) % 4] * mags
+    column.setflags(write=False)
+    return column
 
 
-def _check_blocks(total: int) -> None:
-    """Refuse a sector whose blocks U_0..U_total, sum of (n + 1)^2
-    entries, would pass ``BLOCK_ENTRY_LIMIT``."""
-    entries = (total + 1) * (total + 2) * (2 * total + 3) // 6
-    if entries > BLOCK_ENTRY_LIMIT:
-        raise DimensionLimitError(
-            f"the beamsplitter blocks up to {total} photons would hold "
-            f"{entries} entries, above the limit of {BLOCK_ENTRY_LIMIT}")
+def _bs_blocks(top: int) -> Iterator[np.ndarray]:
+    """The 50:50 beamsplitter's blocks U_0, ..., U_top in turn, U_N[k, m]
+    = <k, N-k| U |m, N-m> on the sector of N photons in its two modes,
+    each built from the one before; none is kept here.
 
-
-def _bs_block(total: int) -> np.ndarray:
-    """Read-only block U_N[k, m] = <k, N-k| U |m, N-m> of the 50:50
-    beamsplitter on the sector with N = ``total`` photons in its two modes,
-    building (and checking the bound of) every smaller missing block first.
-
-    U_N is built from U_{N-1} by the SU(2) action on creation operators,
+    U_N comes from U_{N-1} by the SU(2) action on creation operators,
     A^dag = U a^dag U^dag = (a^dag + i b^dag)/sqrt(2) and B^dag = U b^dag
     U^dag = (i a^dag + b^dag)/sqrt(2). As a^dag a + b^dag b = N on the
     sector, U_N = (A^dag U_{N-1} a + B^dag U_{N-1} b) / N, a non-expansive
     map: rounding errors add up (about N ulp) instead of compounding. U_N
     is symmetric, so the inverse block is its conjugate.
     """
-    start = total
-    while start not in _BLOCKS:
-        start -= 1
-    if start < total:
-        _check_blocks(total)
-    for n in range(start + 1, total + 1):
-        parent = _BLOCKS[n - 1]
+    block = np.ones((1, 1), dtype=np.complex128)
+    yield block
+    for n in range(1, top + 1):
         root = np.sqrt(np.arange(n + 1.0))
-        a_dag = root[:, None] * np.pad(parent, ((1, 0), (0, 0)))
-        b_dag = root[::-1, None] * np.pad(parent, ((0, 1), (0, 0)))
+        # a^dag |m, n-1-m> lands on row m + 1, b^dag |m, n-1-m> on row m
+        a_dag = np.zeros((n + 1, n), dtype=np.complex128)
+        b_dag = np.zeros_like(a_dag)
+        np.multiply(root[1:, None], block, out=a_dag[1:])
+        np.multiply(root[:0:-1, None], block, out=b_dag[:-1])
         up = a_dag + 1j * b_dag         # sqrt(2) A^dag U_{N-1}
         down = 1j * a_dag + b_dag       # sqrt(2) B^dag U_{N-1}
         # a |m, n-m> = sqrt(m) |m-1, n-m>, b |m, n-m> = sqrt(n-m) |m, n-m-1>
@@ -610,43 +608,36 @@ def _bs_block(total: int) -> np.ndarray:
         block[:, n] = up[:, n - 1] / math.sqrt(2 * n)
         block[:, 1:n] = (up[:, :-1] * root[1:n]
                          + down[:, 1:] * root[n - 1:0:-1]) / (n * math.sqrt(2))
-        block.setflags(write=False)
-        _BLOCKS.setdefault(n, block)
-    return _BLOCKS[total]
+        yield block
 
 
 def _split(state: QuantumState) -> QuantumState:
     """The beamsplitter on ``state`` x vacuum (modes 0, 1) for a
-    single-mode state, refused by the size, then the block bound, as the
-    sector plan of that product would be: |n, 0> is column n of U_n, so
-    component r has amps[r, n] * U_n[m, n] on |m, n - m>. The bits match
-    the planned block product (``tests/oracle.py``), save the sign of a
-    zero where a mixed input has a lone zero part."""
+    single-mode state, refused by the size bound as that product would
+    be: |n, 0> leaves along column n of U_n (:func:`_edge_column`), so
+    component r has amps[r, n] * U_n[m, n] on |m, n - m>."""
     rank, d = state.rank, state.dim
     comps, ns = np.divmod(state.support, d)
     _check_size(rank, d * d)
-    top = int(ns.max(initial=0))
-    _bs_block(top)      # checks the block bound before building
-    # U_n[m, n] at n (n + 1) / 2 + m, for every n up to the top sector
-    edges = np.concatenate([_BLOCKS[n][:, n] for n in range(top + 1)])
-    # one entry per nonzero (r, n) and m = 0..n
+    # one entry per nonzero (r, n) and m = 0..n: column n (none if empty)
     which = np.repeat(np.arange(ns.size), ns + 1)
+    edges = np.concatenate([_edge_column(n) for n in ns.tolist()] or [[]])
     n = ns[which]
     m = np.arange(which.size) - np.repeat(np.cumsum(ns + 1) - ns - 1, ns + 1)
     index = comps[which] * (d * d) + m * d + n - m
     order = np.argsort(index)
     # + 0 makes a -0 part +0, as the block product does on a pure state
-    values = state.values[which] * edges[n * (n + 1) // 2 + m] + 0
+    values = state.values[which] * edges + 0
     return QuantumState._from_support(ModeSystem((d - 1, d - 1)), rank,
                                       index[order], values[order])
 
 
 def output_number_grams(state: QuantumState, partners: Sequence[np.ndarray]
-                        ) -> list[tuple[np.ndarray, np.ndarray]]:
+                        ) -> list[np.ndarray]:
     """Output photon numbers of one beamsplitter per mode, as Gram matrices
     on that mode: (G_D, G_S) per mode k of ``state``, for mode k mixed with
     each pure single-mode partner of the ``(P, d_k)`` batch of amplitude
-    rows ``partners[k]``, as two ``(P, cutoff + 1, cutoff + 1)`` stacks.
+    rows ``partners[k]``, as one ``(2, P, cutoff + 1, cutoff + 1)`` array.
 
     On sector N of the pair (mode, partner), input |m, N - m> carries
     partner[N - m], so a mode amplitude vector x leaves as U_N D_N x, with
@@ -655,31 +646,35 @@ def output_number_grams(state: QuantumState, partners: Sequence[np.ndarray]
     G_D = sum_N (U_N D_N)^dag diag(2k - N) U_N D_N and
     G_S = sum_N N (U_N D_N)^dag U_N D_N. D_N is diagonal, so one loop over
     the sectors serves the whole batch: each sector's two block products
-    U_N^dag diag(2k - N) U_N and N U_N^dag U_N are formed once, and every
-    partner's D_N scales their rows and columns. The top sector of every
-    pair is checked against ``BLOCK_ENTRY_LIMIT`` before any block is
-    built.
+    U_N^dag diag(2k - N) U_N and N U_N^dag U_N are formed once per mode,
+    and every partner's D_N scales their rows and columns. One recursion
+    (:func:`_bs_blocks`) serves every mode, each block dropped once the
+    next is built. Each mode's P (cutoff + 1)^2 Gram entries are checked
+    against ``AMPLITUDE_LIMIT`` before anything is allocated.
     """
     cutoffs = state.system.cutoffs
-    tops = [c + partner.shape[-1] - 1
-            for c, partner in zip(cutoffs, partners, strict=True)]
-    _bs_block(max(tops))    # largest first: refused before any is built
-    grams = []
-    for c, partner, top in zip(cutoffs, partners, tops):
-        width = partner.shape[-1]
-        g_d = np.zeros((len(partner), c + 1, c + 1), dtype=np.complex128)
-        g_s = np.zeros_like(g_d)
-        for total in range(top + 1):
+    for c, partner in zip(cutoffs, partners, strict=True):
+        if len(partner) * (c + 1) ** 2 > AMPLITUDE_LIMIT:
+            raise DimensionLimitError(
+                f"the output-number Gram stacks of a mode of cutoff {c} "
+                f"would hold {len(partner)} x {(c + 1) ** 2} entries, above "
+                f"the limit of {AMPLITUDE_LIMIT}")
+    grams = [np.zeros((2, len(partner), c + 1, c + 1), dtype=np.complex128)
+             for c, partner in zip(cutoffs, partners)]
+    top = max(c + p.shape[-1] - 1 for c, p in zip(cutoffs, partners))
+    for total, whole in enumerate(_bs_blocks(top)):
+        # the photon difference 2k - N of the outputs k = 0..N
+        diff = np.arange(-total, total + 1, 2.0)[:, None]
+        for c, partner, (g_d, g_s) in zip(cutoffs, partners, grams):
             # the mode's occupations m that the partner reaches on sector N
-            lo, hi = max(0, total - width + 1), min(total, c) + 1
-            block = _BLOCKS[total][:, lo:hi]
+            lo, hi = max(0, total - partner.shape[-1] + 1), min(total, c) + 1
+            if lo >= hi:        # past this pair's top sector
+                continue
+            block = whole[:, lo:hi]
             adjoint = block.conj().T
             # conj(D_N[m, m]) D_N[m', m'] for every partner of the batch
             d = partner[:, total - np.arange(lo, hi)]
             scale = d.conj()[:, :, None] * d[:, None, :]
-            # the photon difference 2k - N of the outputs k = 0..N
-            diff = np.arange(-total, total + 1, 2.0)[:, None]
             g_d[:, lo:hi, lo:hi] += scale * (adjoint @ (diff * block))
             g_s[:, lo:hi, lo:hi] += scale * (total * (adjoint @ block))
-        grams.append((g_d, g_s))
     return grams

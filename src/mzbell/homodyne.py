@@ -12,9 +12,9 @@ coincidence rate alone.
 
 Three independent computation routes for E cross-validate one another and
 are kept deliberately separate:
-- ``unitary`` applies each pair's beamsplitter blocks and weights the
-  output photon numbers, reduced to two small Gram matrices per pair, so
-  no four-mode state is formed;
+- ``unitary`` applies each pair's beamsplitter blocks, built per call,
+  and weights the output photon numbers, reduced to two small Gram
+  matrices per pair, so no four-mode state is formed;
 - ``input_operator`` evaluates the equivalent input-side operator forms
   on the four-mode state a1 x a2 x b1 x b2, with no transform, as six
   sums over its support that form its amplitudes on the fly (the other
@@ -161,12 +161,11 @@ def _dd_ss_unitary(state_a: QuantumState, b1: np.ndarray,
     matrix over (n1, n2), a correlator is Tr[G_1 S conj(G_2) S^dag]. No
     four-mode state is formed.
     """
+    # (G_D, G_S) of each pair over the rows p, refused before comps exist
+    pairs = zip(*fock.output_number_grams(state_a, (b1, b2)))
     comps = state_a.tensorized()
-    # (G_D, G_S) of pair 1, then of pair 2, each a stack over the rows p
     return tuple(np.array([np.vdot(comps, g1 @ comps @ g2.conj()).real
-                           for g1, g2 in zip(*grams)])
-                 for grams in zip(*fock.output_number_grams(state_a,
-                                                            (b1, b2))))
+                           for g1, g2 in zip(*grams)]) for grams in pairs)
 
 
 def _dd_ss_input_operator(state_a: QuantumState, b1: np.ndarray,

@@ -11,11 +11,12 @@ formula. Slow and obvious by design.
 The whole-stack phase shifter and beamsplitter are the exceptions: they
 are the transforms the package applied before its phase scan read photon
 counts sector by sector and its unitary E route reduced each pair's
-outputs to Gram matrices. They, and that sector-wise count scan, reuse
-the package's cached blocks, which the spectral unitary checks, through
-the sector plan here. The count scan is the independent route for the
-package's fringe records, which it fills from eight normal-ordered
-moments in closed form. Likewise the input-operator E route's
+outputs to Gram matrices. They, and that sector-wise count scan, take
+their blocks from the package's recursion (``fock._bs_blocks``), which
+the spectral unitary checks, once per sector plan here, under a bound of
+their own (``BLOCK_ENTRY_LIMIT``). The count scan is the independent
+route for the package's fringe records, which it fills from eight
+normal-ordered moments in closed form. Likewise the input-operator E route's
 stored four-mode stack, which the package now forms on the fly, and the
 per-term form of its partner kernel, which it now sets up once per call.
 So are the dense constructions and the dense-scan expectations of the
@@ -31,9 +32,10 @@ from typing import Sequence
 
 import numpy as np
 
-from mzbell import (ChshResult, ModeSystem, QuantumState, basis_state,
-                    expectations, fock, fringe_scan, homodyne,
-                    modulation_depth_analytic, pad_cutoffs)
+from mzbell import (ChshResult, DimensionLimitError, ModeSystem,
+                    QuantumState, basis_state, expectations, fock,
+                    fringe_scan, homodyne, modulation_depth_analytic,
+                    pad_cutoffs)
 from mzbell.homodyne import fringe_e
 
 
@@ -263,13 +265,12 @@ def expectations_dense_scan(amps: np.ndarray, dims: tuple[int, ...],
 
 def split_dense(amps: np.ndarray) -> np.ndarray:
     """A single-mode ``(rank, d)`` stack split against vacuum into its
-    ``(rank, d * d)`` stack, as the package wrote it densely from the
-    blocks' edge columns."""
+    ``(rank, d * d)`` stack, as the package would write it densely from
+    its edge columns (``fock._edge_column``)."""
     rank, d = amps.shape
     comps, ns = np.nonzero(amps)
     top = int(ns.max(initial=0))
-    fock._bs_block(top)
-    edges = np.concatenate([fock._BLOCKS[n][:, n] for n in range(top + 1)])
+    edges = np.concatenate([fock._edge_column(n) for n in range(top + 1)])
     which = np.repeat(np.arange(ns.size), ns + 1)
     n = ns[which]
     m = np.arange(which.size) - np.repeat(np.cumsum(ns + 1) - ns - 1, ns + 1)
@@ -362,14 +363,31 @@ def apply_phase(state: QuantumState, mode: int, phi: float) -> QuantumState:
                         validate=False)
 
 
+#: Most entries the blocks U_0..U_N of one plan may hold, sum of
+#: (n + 1)^2 up to N: 16 times the largest state, 512 MiB, which admits
+#: sectors up to N = 463.
+BLOCK_ENTRY_LIMIT = 16 * fock.AMPLITUDE_LIMIT
+
+
+def check_blocks(total: int) -> None:
+    """Refuse a sector whose blocks U_0..U_total, sum of (n + 1)^2
+    entries, would pass ``BLOCK_ENTRY_LIMIT``."""
+    entries = (total + 1) * (total + 2) * (2 * total + 3) // 6
+    if entries > BLOCK_ENTRY_LIMIT:
+        raise DimensionLimitError(
+            f"the beamsplitter blocks up to {total} photons would hold "
+            f"{entries} entries, above the limit of {BLOCK_ENTRY_LIMIT}")
+
+
 def plan_sectors(state: QuantumState, mode_i: int,
                  mode_j: int) -> tuple[QuantumState, list]:
     """The state, padded so every sector N = n_i + n_j of the beamsplitter
     on (mode_i, mode_j) that carries support fits under both cutoffs, and
     those sectors, largest first, each as (rows, cols, block): its basis
-    indices as a column, the components nonzero on it, and U_N. Sectors
-    without support build no block. The padded size, then the block bound,
-    is refused before anything is allocated.
+    indices as a column, the components nonzero on it, and U_N. The
+    blocks come from one recursion up to the top occupied sector, and
+    only those of occupied sectors are kept. The padded size, then the
+    block bound, is refused before anything is allocated.
     """
     m = state.system.mode_count
     if mode_i == mode_j or not (0 <= mode_i < m and 0 <= mode_j < m):
@@ -386,18 +404,19 @@ def plan_sectors(state: QuantumState, mode_i: int,
     for mode in (mode_i, mode_j):
         cutoffs[mode] = max(cutoffs[mode], top)
     fock._check_size(rank, ModeSystem(cutoffs).dim)
-    fock._check_blocks(top)
+    check_blocks(top)
     state = pad_cutoffs(state, cutoffs)
     # each occupied sector now fits whole: its rows are the pairs (k, N - k),
     # k = 0..N, each with the other modes in C order
     grid = np.moveaxis(np.arange(state.system.dim).reshape(state.system.dims),
                        (mode_i, mode_j), (0, 1))
-    # largest sector first: its block builds every smaller one on the way
+    blocks = {total: block for total, block
+              in enumerate(fock._bs_blocks(top)) if sectors[total].any()}
     plan = []
     for total in occupied:
         k = np.arange(total + 1)
         plan.append((grid[k, total - k].reshape(-1, 1),
-                     np.flatnonzero(sectors[total]), fock._bs_block(total)))
+                     np.flatnonzero(sectors[total]), blocks[total]))
     return state, plan
 
 
@@ -454,7 +473,7 @@ def apply_beamsplitter(state: QuantumState, mode_i: int, mode_j: int, *,
     first grows both cutoffs of the pair to the largest occupied N (the
     output's system shows them), so every block acts whole and the
     transform is exactly unitary; it refuses a padded state past
-    ``AMPLITUDE_LIMIT`` or a sector past ``BLOCK_ENTRY_LIMIT`` before
+    ``fock.AMPLITUDE_LIMIT`` or a sector past ``BLOCK_ENTRY_LIMIT`` before
     allocating either.
     """
     state, plan = plan_sectors(state, mode_i, mode_j)
@@ -649,3 +668,26 @@ def assert_scan_matches_per_phase(state: QuantumState, phases,
     total = np.max(records[:, 1] + records[:, 2], initial=0.0)
     tol = 1e-12 * np.array([total, total, total * total])
     assert np.all(np.abs(scanned[:, 1:] - records[:, 1:]) <= tol)
+
+
+def assert_split_matches(state: QuantumState, got: QuantumState):
+    """Require the package's closed-form split ``got`` of a single-mode
+    state to match :func:`split_via_beamsplitter`: each part within 2^-50
+    (2 ulp of 1) of the size of the input amplitude it comes from, plus a
+    subnormal ulp for each of the two products' roundings, and every zero
+    part where the oracle has one, compared as integers so that the sign
+    of every zero counts (+0 where the product gives -0)."""
+    want = split_via_beamsplitter(state)
+    assert got.system == want.system
+    # |m, k> comes from input level n = m + k (none past the cutoff)
+    d = state.dim
+    n = np.add.outer(np.arange(d), np.arange(d)).reshape(-1)
+    size = np.where(n < d, np.abs(state.amps)[:, np.minimum(n, d - 1)], 0.0)
+    tol = (2.0 ** -50 * size[..., None]
+           + 2 * np.finfo(np.float64).smallest_subnormal)
+    ours, theirs = (split.amps.view(np.float64).reshape(state.rank, -1, 2)
+                    for split in (got, want))
+    assert np.all(np.abs(ours - theirs) <= tol)
+    zeros = (ours == 0) | (theirs == 0)
+    assert np.array_equal(ours[zeros].view(np.uint64),
+                          theirs[zeros].view(np.uint64))

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from mzbell import (DegenerateStateError, DimensionLimitError, ModeSystem,
-                    StateSpec, build_state, coherent_state, compute_moments,
-                    expectations, fock, fringe_scan, g1, g2,
+                    StateSpec, build_state, cli, coherent_state,
+                    compute_moments, expectations, fock, fringe_scan, g1, g2,
                     incoherent_anticorrelated, local_realism_verdict,
                     make_pure, mixed_ensemble, noisy_split_photon,
                     number_state, split_input, split_single_photon,
@@ -16,7 +16,8 @@ from mzbell import (DegenerateStateError, DimensionLimitError, ModeSystem,
 from mzbell.catalog import spec_label, state_to_spec
 from mzbell.coherence import classical_margin
 
-from oracle import brute_expect, density, purity, split_via_beamsplitter
+from oracle import (assert_split_matches, brute_expect, density, purity,
+                    split_via_beamsplitter)
 
 
 class TestSplitSinglePhoton:
@@ -71,12 +72,19 @@ class TestSplitInput:
         lambda: make_pure(ModeSystem((2,)), [0.6, -0.8, 0.0]),
     ], ids=["negative_real_alpha", "imaginary_alpha", "number_3_of_10",
             "negative_real_amplitude"])
-    def test_equals_the_beamsplitter_bit_for_bit(self, make):
+    def test_equals_the_beamsplitter_within_two_ulp(self, make):
         state = make()
-        got, want = split_input(state), split_via_beamsplitter(state)
-        assert got.system == want.system
-        assert np.array_equal(got.amps.view(np.uint64),
-                              want.amps.view(np.uint64))
+        assert_split_matches(state, split_input(state))
+
+    def test_split_number_moments_print_exactly(self):
+        # with every edge entry correctly rounded, each even n prints
+        # n1 = n2 = n/2 and n1n2 = n(n-1)/4 exactly at the CLI's 15
+        # significant digits
+        for n in range(0, 201, 2):
+            m = compute_moments(build_state(StateSpec("split_number",
+                                                      {"n": n})))
+            assert [cli._fmt(v) for v in (m.n1, m.n2, m.n1n2)] == [
+                cli._fmt(v) for v in (n / 2, n / 2, n * (n - 1) / 4)], n
 
     def test_size_refused_as_the_beamsplitter_refuses(self):
         # rank 130 times dimension 130^2 passes the amplitude bound
@@ -86,24 +94,31 @@ class TestSplitInput:
                                match="2197000 amplitudes"):
                 split(state)
 
-    def test_block_bound_refused_before_allocating(self):
-        # |464, 0> fits under the size bound, but its blocks U_0..U_464
-        # would pass the block bound: refused with no block built and no
-        # output stack (3.3 MiB) allocated
-        state = number_state(464, 464)
-        cached = set(fock._BLOCKS)
-        tracemalloc.start()
-        try:
-            with pytest.raises(DimensionLimitError,
-                               match="33623065 entries"):
-                split_input(state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def test_size_bound_refused_before_allocating(self, monkeypatch):
+        # |1448, 0> splits into 1449^2 amplitudes, past the size bound:
+        # refused with no edge column and no output stack (32 MiB as a
+        # dense stack) formed, as the beamsplitter refuses it; |1447, 0>
+        # splits
+        state = number_state(1448, 1448)
+
+        def refuse(n):
+            raise AssertionError(f"edge column {n} requested")
+        with monkeypatch.context() as patch:
+            patch.setattr(fock, "_edge_column", refuse)
+            tracemalloc.start()
+            try:
+                with pytest.raises(DimensionLimitError,
+                                   match="2099601 amplitudes"):
+                    split_input(state)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak < 2 ** 20
-        assert set(fock._BLOCKS) == cached
-        with pytest.raises(DimensionLimitError, match="33623065 entries"):
+        with pytest.raises(DimensionLimitError, match="2099601 amplitudes"):
             split_via_beamsplitter(state)
+        split = split_input(number_state(1447, 1447))
+        assert split.support.size == 1448
+        assert abs(np.vdot(split.values, split.values).real - 1) < 1e-13
 
 
 class TestIncoherentAnticorrelated:

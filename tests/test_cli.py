@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mzbell import catalog, cli, fock, homodyne
+from mzbell import cli, fock, homodyne
 from mzbell.catalog import StateSpec, build_state
 from mzbell.coherence import compute_moments
 
@@ -125,7 +125,7 @@ class TestAnalyze:
     def test_split_thermal_stores_only_its_nonzeros(self, capsys):
         # rank 83 x dim 83^2 = 571787 amplitudes (8.7 MiB as a dense stack),
         # of which 3486 are nonzero; measured after a first call, which
-        # builds the cached blocks
+        # fills the memo of the split's edge columns
         command = ("analyze", "--state", "split_thermal nbar=2.5")
         first = run_cli(capsys, *command)
         tracemalloc.start()
@@ -277,6 +277,43 @@ class TestFringe:
                        "at least 3 (the visibility fit needs three), got "
                        f"{phases}\n")
 
+    def test_flat_fringe_prints_zero_visibility(self, capsys):
+        # the fit's rounding noise is 0, as visibility_analytic prints
+        code, out, _ = run_cli(capsys, "fringe", "--state",
+                               "incoherent_anticorrelated p=0.3",
+                               "--phases", "16")
+        assert code == 0
+        report = parse_report(out)
+        assert report["visibility_fit"] == report["visibility_analytic"] == "0"
+
+    def test_phases_bounded_before_the_phase_list(self, capsys):
+        # 1e8 phases would fill about 41 GiB of records and rows
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "fringe", "--state",
+                                     "split_single_photon", "--phases",
+                                     "100000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == ("error: ValueError: --phases 100000000 is above the "
+                       "limit of 2097152\n")
+        assert peak < 2 ** 20
+
+    def test_most_phases_pass_the_bound(self, capsys, monkeypatch):
+        # 2^21 phases fit the bound and go on to build the state (stopped
+        # there), one more does not
+        def build(args):
+            raise KeyError("state built")
+        monkeypatch.setattr(cli, "_build", build)
+        for phases, message in [(fock.AMPLITUDE_LIMIT, "state built"),
+                                (fock.AMPLITUDE_LIMIT + 1, "above the limit")]:
+            code, _, err = run_cli(capsys, "fringe", "--state",
+                                   "split_single_photon", "--phases",
+                                   str(phases))
+            assert code == 2 and message in err
+
     def test_degenerate_summary_leaves_stdout_empty(self, capsys):
         # |1, 0> has a dark second channel: g1 is undefined, and the whole
         # summary is formed before the first row is printed
@@ -289,25 +326,20 @@ class TestFringe:
         assert err.count("\n") == 1
 
     def test_one_ladder_call_and_no_block(self, capsys, monkeypatch):
-        # the split builds its edge columns from the cached blocks; after
-        # that, the scan and its summary take one expectations call and no
-        # beamsplitter block
+        # the split writes closed-form edge columns, and the scan and its
+        # summary take one expectations call: no beamsplitter block is
+        # built anywhere
         calls = []
-        expectations, build = fock.expectations, catalog.build_state
+        expectations = fock.expectations
 
         def counting(*args, **kwargs):
             calls.append(len(args[1]))
             return expectations(*args, **kwargs)
 
-        def refuse(total):
-            raise AssertionError(f"block U_{total} requested")
-
-        def built(*args, **kwargs):
-            state = build(*args, **kwargs)
-            monkeypatch.setattr(fock, "_bs_block", refuse)
-            return state
+        def refuse(top):
+            raise AssertionError(f"blocks up to U_{top} requested")
         monkeypatch.setattr(fock, "expectations", counting)
-        monkeypatch.setattr(catalog, "build_state", built)
+        monkeypatch.setattr(fock, "_bs_blocks", refuse)
         code, out, err = run_cli(capsys, "fringe", "--state",
                                  "split_thermal nbar=1", "--phases", "16")
         assert (code, err) == (0, "")

@@ -239,6 +239,22 @@ class TestVisibility:
         records = fringe_scan(incoherent_anticorrelated(0.5), PHASES_64)
         assert visibility(records) < 1e-12
 
+    @pytest.mark.parametrize("p", [0.5, 0.3, 0.9])
+    @pytest.mark.parametrize("count", [3, 7, 16, 64])
+    def test_flat_fringe_fits_exactly_zero(self, p, count):
+        # the fit's rounding noise on a flat fringe (1.3e-16 to 2.2e-16 on
+        # these states) is within ROUTE_RESIDUAL_TOL of the mean: it is 0,
+        # as the analytic visibility is
+        state = incoherent_anticorrelated(p)
+        phases = [2 * math.pi * k / count for k in range(count)]
+        assert visibility(fringe_scan(state, phases)) == 0.0
+        assert analytic_visibility(compute_moments(state)) == 0.0
+
+    def test_swing_past_the_zero_rule_is_kept(self):
+        # a visibility of 1e-9, above the 1e-12 rule, is fitted as it is
+        state = _partially_coherent_state(1e-9)
+        assert abs(visibility(fringe_scan(state, PHASES_64)) - 1e-9) < 1e-15
+
     def test_moment_matched_visibility(self):
         state = _partially_coherent_state(0.98)
         m = compute_moments(state)

@@ -462,24 +462,29 @@ class TestBeamsplitter:
         assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_empty_sectors_build_no_block(self, monkeypatch):
+        # one recursion per plan, up to the top occupied sector, not to the
+        # cutoffs' 300; only the occupied sectors' blocks are kept
         import mzbell.fock as fock
-        requested = set()
-        build = fock._bs_block
+        requested = []
+        build = fock._bs_blocks
 
-        def recording(total):
-            requested.add(total)
-            return build(total)
-        monkeypatch.setattr(fock, "_bs_block", recording)
+        def recording(top):
+            requested.append(top)
+            return build(top)
+        monkeypatch.setattr(fock, "_bs_blocks", recording)
         state = basis_state(ModeSystem((150, 150)), (3, 0))
+        _, plan = plan_sectors(state, 0, 1)
+        assert requested == [3]
+        assert [len(block) for _, _, block in plan] == [4]
         out = apply_beamsplitter(state, 0, 1)
-        assert requested == {3}
+        assert requested == [3, 3]
         amps = out.tensorized()[0, :4, :4]
         assert abs(abs(amps[0, 3]) ** 2 - 1 / 8) < 1e-14
         system = ModeSystem((20, 20))
         mixed = make_mixed([(0.5, basis_state(system, (3, 0))),
                             (0.5, basis_state(system, (1, 2)))])
         out = apply_beamsplitter(mixed, 0, 1)
-        assert requested == {3}
+        assert requested == [3, 3, 3]
         assert abs(purity(out) - 0.5) < 1e-12
 
     def test_support_scanned_once(self, monkeypatch):
@@ -500,22 +505,27 @@ class TestBeamsplitter:
         assert plans == [(1, 1)]
 
     def test_split_input_makes_no_plan(self, monkeypatch):
-        # the split writes each input amplitude from its block's edge column:
-        # no sector plan (the package has none) and no block product, only
-        # one request for its top block, which builds the smaller ones
+        # the split writes each input amplitude from the closed-form edge
+        # column of its level: no sector plan (the package has none) and
+        # no block, and only the columns of the occupied levels
         assert not hasattr(fock, "_plan")
         requested = []
-        build = fock._bs_block
+        column = fock._edge_column
 
-        def recording(total):
-            requested.append(total)
-            return build(total)
-        monkeypatch.setattr(fock, "_bs_block", recording)
-        states = (coherent_state(0.8), thermal_state(0.5), number_state(4, 6))
-        for state in states:
+        def recording(n):
+            requested.append(n)
+            return column(n)
+
+        def refuse(top):
+            raise AssertionError(f"blocks up to U_{top} requested")
+        monkeypatch.setattr(fock, "_edge_column", recording)
+        monkeypatch.setattr(fock, "_bs_blocks", refuse)
+        for state, levels in [(coherent_state(0.8), range(13)),
+                              (thermal_state(0.5), range(26)),
+                              (number_state(4, 6), [4])]:
+            requested.clear()
             split_input(state)
-        assert requested == [int((state.support % state.dim).max())
-                             for state in states] == [12, 25, 4]
+            assert requested == list(levels)
 
     @pytest.mark.parametrize("mixed,cutoffs,modes,forward", [
         (False, (1, 1), (0, 1), True),
@@ -543,24 +553,28 @@ class TestBeamsplitter:
         for (rows, cols, block), (rows_p, cols_p, block_p) in zip(plan, want):
             np.testing.assert_array_equal(rows, rows_p)
             np.testing.assert_array_equal(cols, cols_p)
-            assert block is block_p
+            assert np.array_equal(block.view(np.uint64),
+                                  block_p.view(np.uint64))
         np.testing.assert_array_equal(
             apply_beamsplitter(state, *modes, inverse=not forward).amps,
             apply_beamsplitter(padded, *modes, inverse=not forward).amps)
 
-    def test_block_cache_bound_checked_before_building(self):
-        # U_0..U_463 hold 33406840 entries, U_0..U_464 33623065 > 2^25
-        fock._check_blocks(463)
+    def test_block_bound_checked_before_building(self, monkeypatch):
+        # the plan's own bound: U_0..U_463 hold 33406840 entries,
+        # U_0..U_464 33623065 > 2^25
+        oracle.check_blocks(463)
         with pytest.raises(DimensionLimitError, match="33623065 entries"):
-            fock._check_blocks(464)
-        # every sector 0..470 is occupied: the largest is asked for first,
-        # so the bound is hit before any smaller block is built
-        cached = set(fock._BLOCKS)
+            oracle.check_blocks(464)
+        # every sector 0..470 is occupied: the bound on the top one is hit
+        # before the recursion builds any block
+
+        def refuse(top):
+            raise AssertionError(f"blocks up to U_{top} requested")
+        monkeypatch.setattr(fock, "_bs_blocks", refuse)
         state = QuantumState(ModeSystem((470, 0)),
                              vector=np.full(471, 1 / math.sqrt(471)))
         with pytest.raises(DimensionLimitError, match="up to 470 photons"):
             apply_beamsplitter(state, 0, 1)
-        assert set(fock._BLOCKS) == cached
 
     def test_block_bound_refused_before_padding(self):
         # |1000, 0> pads to 1001^2 amplitudes (15.3 MiB, under the size
@@ -585,11 +599,14 @@ class TestBeamsplitter:
         with pytest.raises(DimensionLimitError, match="2253001 amplitudes"):
             apply_beamsplitter(state, 0, 1)
 
-    def test_phase_scan_refused_at_plan_time(self):
+    def test_phase_scan_refused_at_plan_time(self, monkeypatch):
         # the scan plans its sectors when called: the 470-photon sector is
         # refused before any block is built or the count grid over the
         # padded basis (2 x 471^2 floats, 3.4 MiB) is allocated
-        cached = set(fock._BLOCKS)
+
+        def refuse(top):
+            raise AssertionError(f"blocks up to U_{top} requested")
+        monkeypatch.setattr(fock, "_bs_blocks", refuse)
         state = QuantumState(ModeSystem((470, 0)),
                              vector=np.full(471, 1 / math.sqrt(471)))
         tracemalloc.start()
@@ -601,7 +618,6 @@ class TestBeamsplitter:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
-        assert set(fock._BLOCKS) == cached
 
     def test_invalid_modes(self):
         state = vacuum_state(TWO_MODE)

@@ -99,25 +99,45 @@ class TestModulationDepthNumeric:
         with pytest.raises(AssertionError, match="four-mode step"):
             numeric_fringe_coefficients(state, 0.4, 0.3, "input_operator")
 
-    def test_block_bound_refused_before_building(self):
-        # a 400-photon signal mode beside an oscillator of cutoff c_l needs
-        # the blocks up to sector 400 + c_l, past the 463 the block bound
-        # admits: refused with no block built and no Gram matrix allocated
-        state = basis_state(ModeSystem((400, 1)), (400, 1))
-        lo = LocalOscillator(8.0, 0.0)
-        top = 400 + coherent_state(lo.alpha).system.cutoffs[0]
-        assert top > 463
-        cached = set(fock._BLOCKS)
+    def test_gram_stacks_refused_before_allocating(self, monkeypatch):
+        # a signal mode of cutoff 1448 gives one angle pair's Gram stacks
+        # 1449^2 entries each, past the amplitude bound: refused before any
+        # block is built or any Gram matrix (32 MiB each) allocated
+        state = basis_state(ModeSystem((1448, 1)), (1448, 1))
+        lo = LocalOscillator(0.5, 0.0)
+
+        def refuse(top):
+            raise AssertionError(f"blocks up to U_{top} requested")
+        monkeypatch.setattr(fock, "_bs_blocks", refuse)
         tracemalloc.start()
         try:
             with pytest.raises(DimensionLimitError,
-                               match=f"up to {top} photons"):
+                               match="1 x 2099601 entries"):
                 modulation_depth_numeric(state, lo, lo, "unitary")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
-        assert set(fock._BLOCKS) == cached
+
+    def test_high_sectors_are_not_refused(self, monkeypatch):
+        # a 460-photon signal mode beside an oscillator of cutoff c_l needs
+        # the blocks up to sector 460 + c_l > 463: the route asks its
+        # recursion for them and refuses nothing (zero blocks stand in,
+        # as building the real ones takes about a second)
+        requested = []
+
+        def zeros(top):
+            requested.append(top)
+            return (np.zeros((n + 1, n + 1), dtype=np.complex128)
+                    for n in range(top + 1))
+        monkeypatch.setattr(fock, "_bs_blocks", zeros)
+        state = basis_state(ModeSystem((460, 1)), (460, 1))
+        lo = LocalOscillator(1.5, 0.0)
+        top = 460 + coherent_state(lo.alpha).system.cutoffs[0]
+        assert top > 463
+        with pytest.raises(DegenerateDenominatorError):
+            modulation_depth_numeric(state, lo, lo, "unitary")
+        assert requested == [top]
 
 
 class TestNumericFringeCoefficients:

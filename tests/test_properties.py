@@ -20,28 +20,28 @@ from mzbell import (DegenerateStateError, FringeCoefficients, LocalOscillator,
 from mzbell.homodyne import fringe_e
 
 from oracle import (apply_beamsplitter, apply_phase,
-                    assert_scan_matches_per_phase, bs_unitary_spectral,
-                    chsh_value, count_moments, dd_ss_after_beamsplitters,
-                    dd_ss_on_the_input_stack, dense_support, density,
-                    expectations_dense_scan, flat_lower,
-                    lowered_expectations, mix_dense,
+                    assert_scan_matches_per_phase, assert_split_matches,
+                    bs_unitary_spectral, chsh_value, count_moments,
+                    dd_ss_after_beamsplitters, dd_ss_on_the_input_stack,
+                    dense_support, density, expectations_dense_scan,
+                    flat_lower, lowered_expectations, mix_dense,
                     modulation_depth_numeric, normal_ordered_matrix,
                     pad_dense, partner_sums_per_term, phase_matrix,
-                    photon_counts_after_phases, purity,
-                    random_density, random_pure, search_chsh, split_dense,
-                    split_via_beamsplitter, strided_lower, tensor)
+                    photon_counts_after_phases, purity, random_density,
+                    random_pure, search_chsh, split_dense, strided_lower,
+                    tensor)
 
 
-@given(total=st.integers(0, 80))
-def test_blocks_are_unitary(total):
-    block = fock._bs_block(total)
-    assert block.shape == (total + 1, total + 1)
-    eye = np.eye(total + 1)
-    assert np.abs(block @ block.conj().T - eye).max() < 1e-12
-    assert np.abs(block.conj().T @ block - eye).max() < 1e-12
-    # U_N is symmetric, so its conjugate, the oracle's inverse block, is
-    # U_N^dag
-    assert np.abs(block - block.T).max() < 1e-12
+def test_blocks_are_unitary():
+    # every block U_0..U_80 of one recursion
+    for total, block in enumerate(fock._bs_blocks(80)):
+        assert block.shape == (total + 1, total + 1)
+        eye = np.eye(total + 1)
+        assert np.abs(block @ block.conj().T - eye).max() < 1e-12
+        assert np.abs(block.conj().T @ block - eye).max() < 1e-12
+        # U_N is symmetric, so its conjugate, the oracle's inverse block,
+        # is U_N^dag
+        assert np.abs(block - block.T).max() < 1e-12
 
 
 @st.composite
@@ -421,10 +421,38 @@ def single_mode_stacks(draw):
 @settings(max_examples=200, deadline=None)
 @given(state=single_mode_stacks())
 def test_split_equals_the_beamsplitter_oracle(state):
-    # bit for bit, compared as integers so the sign of every zero counts
-    got, want = split_input(state), split_via_beamsplitter(state)
-    assert got.system == want.system
-    assert np.array_equal(got.amps.view(np.uint64), want.amps.view(np.uint64))
+    assert_split_matches(state, split_input(state))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 1447))
+@example(n=1022)        # the last column taken without a scale
+@example(n=1075)        # 2^-n underflows to 0 from here on
+@example(n=1447)        # the largest split the size bound admits
+def test_edge_column_within_an_ulp_of_the_exact_root(n):
+    # every entry is +-sqrt(C(n, m) / 2^n) on the part i^(n - m) puts it
+    # on, and +0 on the other; the magnitude is not 0 and lies within
+    # 1 ulp of the root, compared in exact integers: with x = X / s and
+    # ulp = u / s, (X - u)^2 2^n <= C(n, m) s^2 <= (X + u)^2 2^n
+    column = fock._edge_column(n)
+    j = n - np.arange(n + 1)
+    parts = column.view(np.float64).reshape(-1, 2)
+    signs = np.where(j % 4 < 2, 1.0, -1.0)
+    assert np.array_equal(parts[np.arange(n + 1), 1 - j % 2].view(np.uint64),
+                          np.zeros(n + 1, dtype=np.uint64))
+    mags = signs * parts[np.arange(n + 1), j % 2]
+    # C(n, m) downward from C(n, n) = 1, the other way from the package
+    binom = 1
+    for m in range(n, -1, -1):
+        mag = float(mags[m])
+        assert mag > 0
+        num, den = mag.as_integer_ratio()
+        scale = max(den, round(1 / math.ulp(mag)))
+        x, u = num * (scale // den), round(scale * math.ulp(mag))
+        assert (x - u) ** 2 << n <= binom * scale ** 2 <= (x + u) ** 2 << n
+        # C(n, m - 1) = C(n, m) m / (n - m + 1), an exact quotient
+        binom, rest = divmod(binom * m, n - m + 1)
+        assert rest == 0
 
 
 @st.composite

@@ -73,15 +73,19 @@ PROBES = (
     (["bell-scan", "--state", "split_coherent alpha_re=1.2 alpha_im=0.4"],
      None),
     # split inputs: one high sector, then refusals on the size bound
-    # (rank 130 x 130^2 amplitudes) and on the block bound (U_0..U_464)
+    # (rank 130 x 130^2 amplitudes, and 1449^2 amplitudes)
     (["analyze", "--state", "split_number n=200"], None),
     (["analyze", "--state", "split_thermal nbar=4.2"], None),
-    (["analyze", "--state", "split_number n=464"], None),
+    (["analyze", "--state", "split_number n=1448"], None),
     # real alpha: m12 and anom are exactly imaginary, so m12_re, anom_re
     # and theta1 print 0; a rounding-level real part would move theta1
     (["analyze", "--state", "split_coherent alpha_re=0.7"], None),
     (["analyze", "--state", "split_coherent alpha_re=1.5"], None),
     (["analyze", "--state", "split_coherent alpha_re=3"], None),
+    # the unitary route refuses a signal cutoff whose Gram stacks, five
+    # angle pairs x 701^2 entries, would pass the amplitude bound
+    (["bell-scan", "--state", "split_number n=700", "--grid", "4",
+      "--route", "unitary"], None),
 )
 
 
