@@ -31,11 +31,9 @@ a caller needs on one state and reads its stored amplitudes once, in
 chunks. A term pairs each stored amplitude with the one a flat-index
 shift away, sum_k (q_k - p_k) * stride_k, found by a binary search of the
 support and weighted by small cached per-mode tables that are zero where
-the pair would cross a cutoff; no lowered copy of a row is made. Given a
-batch of pure single-mode partners, it evaluates the terms on the state x
-each partner set without storing that product: its amplitudes are formed
-a chunk at a time, and what does not depend on the chunk (each term's
-partner table grid, each partner moved by q - p) is set up once per call.
+the pair would cross a cutoff; no lowered copy of a row is made.
+``row_expectations`` takes one term on each row of a batch of pure
+single-mode amplitude rows, with the same tables.
 
 Transforms return new states and never mutate or implicitly renormalize
 their inputs: a norm deficit after a transform is a bug, not something to
@@ -416,95 +414,8 @@ def _ladder_table(cutoff: int, p: int, q: int) -> np.ndarray:
     return table
 
 
-def _product(values: np.ndarray, batches: list) -> np.ndarray:
-    """(values[j] b_1[p, n_1]) b_2[p, n_2] ... as a (P, len(values), d_1,
-    d_2, ...) array for ``(P, d_k)`` batches b_k."""
-    values = values[None]
-    for rows in batches:
-        values = values[..., None] * rows.reshape(
-            (len(rows),) + (1,) * (values.ndim - 1) + (-1,))
-    return values
-
-
-# Partner ladder grids, one per (partner widths, partner powers): a scan's
-# route call uses six.
-@functools.lru_cache(maxsize=256)
-def _ladder_grid(widths: tuple[int, ...],
-                 powers: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Read-only outer product of the partners' ladder tables
-    (:func:`_ladder_table`), one grid over (n_1, n_2, ...)."""
-    grid = functools.reduce(np.multiply.outer, [
-        _ladder_table(w - 1, p, q) for w, (p, q) in zip(widths, powers)])
-    grid.setflags(write=False)
-    return grid
-
-
-def _partner_sums(state: QuantumState, at: np.ndarray, found: np.ndarray,
-                  plans: list, partners: list) -> np.ndarray:
-    """Each planned term's sum over the product of the stored amplitudes
-    ``found`` of ``state``, at flat indices ``at``, with every index of the
-    partner batches, as a (terms, P) array. Its amplitudes are
-    formed for as many nonzeros as keep each array within a quarter of
-    ``CHUNK`` values, cutting the first partner's index range where one
-    nonzero has more: four such arrays are alive at once (the amplitudes,
-    their conjugates, a weighted term and its ladder partners).
-
-    What does not depend on the nonzeros is set up once per call: each
-    term's partner grid (:func:`_ladder_grid`) and each partner's rows
-    moved by q - p. Each signal table is looked up once per group of
-    nonzeros, and each term's weight, the product of its lookups in axis
-    order, and its shifted amplitudes once per group, not per slab."""
-    shape = (state.rank,) + state.system.dims
-    batch, widths = len(partners[0]), tuple(len(rows[0]) for rows in partners)
-    budget, per = max(1, CHUNK // 4), batch * math.prod(widths)
-    group = max(1, budget // per)
-    slab = widths[0] if per <= budget else max(1, budget * widths[0] // per)
-    grids = [_ladder_grid(widths, powers) for _, _, powers in plans]
-    # a diagonal term pairs each amplitude with itself
-    diagonal = [shift == 0 and all(p == q for p, q in powers)
-                for _, shift, powers in plans]
-    # each partner's rows at n + q - p, clipped where its table is 0, for
-    # every q - p an off-diagonal term uses
-    moved = {}
-    for (_, _, powers), same in zip(plans, diagonal):
-        for k, (rows, w, (p, q)) in enumerate(zip(partners, widths, powers)):
-            if not same and (k, q - p) not in moved:
-                moved[k, q - p] = rows[:, np.clip(np.arange(w) + q - p,
-                                                  0, w - 1)]
-    sums = np.zeros((len(plans), batch), dtype=np.complex128)
-    for j in range(0, at.size, group):
-        here = at[j:j + group]
-        digits = np.unravel_index(here, shape)
-        # the tables are cached, so one object serves each (cutoff, p, q)
-        looked, weights, shifted = {}, [], []
-        for (tables, shift, _), same in zip(plans, diagonal):
-            weight = np.ones(len(here))
-            for axis, table in tables:
-                if (axis, id(table)) not in looked:
-                    looked[axis, id(table)] = table[digits[axis]]
-                weight = weight * looked[axis, id(table)]
-            weights.append(weight)
-            shifted.append(None if same else _stored_at(state, here + shift))
-        for lo in range(0, widths[0], slab):
-            cut = (slice(lo, lo + slab),) + (slice(None),) * (len(widths) - 1)
-            amp = _product(found[j:j + group], [rows[:, c] for rows, c in
-                                                zip(partners, cut)])
-            left = amp.conj()
-            for i, (_, _, powers) in enumerate(plans):
-                right = amp if diagonal[i] else _product(shifted[i], [
-                    moved[k, q - p][:, c] for k, ((p, q), c) in enumerate(
-                        zip(powers, cut))])
-                term = left * np.multiply.outer(weights[i], grids[i][cut])
-                # row by row, the dot product of the term and right
-                sums[i] += (term.reshape(batch, 1, -1)
-                            @ right.reshape(batch, -1, 1)).reshape(batch)
-                del term, right     # before the next term's are formed
-    return sums
-
-
 def expectations(state: QuantumState,
-                 terms: Sequence[Sequence[tuple[int, int]]],
-                 partners: Sequence[np.ndarray] = ()) -> list:
+                 terms: Sequence[Sequence[tuple[int, int]]]) -> list[complex]:
     """Expectations of normal-ordered products prod_k (a_k^dag)^{p_k}
     (a_k)^{q_k}, one per term; a term lists one (creation, annihilation)
     power pair (p_k, q_k) per mode. The values are exact up to the state's
@@ -518,46 +429,42 @@ def expectations(state: QuantumState,
     in chunks of ``CHUNK``, and each partner phi[m + shift] is found by a
     binary search of the support (0 where none is stored); the terms are
     evaluated one by one, so no value depends on the others.
-
-    ``partners`` lists ``(P, d_k)`` batches of pure single-mode amplitude
-    rows, whose modes follow the state's in each term. Each value is then
-    a (P,) array over state x partners[0][p] x partners[1][p] ..., still
-    one sum over that product's support, which is not stored: every stored
-    nonzero meets every partner index, and the amplitude (phi[m] b_1[n_1])
-    b_2[n_2] ... is formed at that point and at its ladder partner, with
-    at most ``CHUNK`` values held at a time (:func:`_partner_sums`).
     """
     dims = state.system.dims
     strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
     plans = []
     for powers in terms:
         powers = [(int(p), int(q)) for p, q in powers]
-        if len(powers) != len(dims) + len(partners):
+        if len(powers) != len(dims):
             raise ValueError("powers list length does not match mode count")
         if any(p < 0 or q < 0 for p, q in powers):
             raise ValueError("operator powers must be non-negative")
         plans.append(([(k + 1, _ladder_table(dims[k] - 1, p, q))
-                       for k, (p, q) in enumerate(powers[:len(dims)])
-                       if p or q],
-                      sum((q - p) * s for (p, q), s in zip(powers, strides)),
-                      tuple(powers[len(dims):])))
-    sums = [np.zeros(len(partners[0]), dtype=np.complex128) if partners
-            else 0j] * len(plans)
+                       for k, (p, q) in enumerate(powers) if p or q],
+                      sum((q - p) * s for (p, q), s in zip(powers, strides))))
+    sums = [0j] * len(plans)
     for start in range(0, state.support.size, CHUNK):
         at = state.support[start:start + CHUNK]
         found = state.values[start:start + CHUNK]
-        if partners:
-            sums = [total + value for total, value in zip(sums, _partner_sums(
-                state, at, found, plans, partners))]
-            continue
         digits = np.unravel_index(at, (state.rank,) + dims)
-        for i, (tables, shift, _) in enumerate(plans):
+        for i, (tables, shift) in enumerate(plans):
             left = found.conj()
             for axis, table in tables:
                 left *= table[digits[axis]]
             right = found if shift == 0 else _stored_at(state, at + shift)
             sums[i] += np.dot(left, right)
-    return sums if partners else [complex(value) for value in sums]
+    return [complex(value) for value in sums]
+
+
+def row_expectations(rows: np.ndarray, p: int, q: int) -> np.ndarray:
+    """<(a^dag)^p a^q> on each row b of a ``(P, d)`` batch of pure
+    single-mode amplitude rows, as a (P,) array: sum_n conj(b[n]) W(n)
+    b[n + q - p], with the ladder table W of :func:`_ladder_table`, whose
+    zeros drop every n whose partner leaves the row."""
+    width = rows.shape[-1]
+    table = _ladder_table(width - 1, p, q)
+    moved = rows[:, np.clip(np.arange(width) + q - p, 0, width - 1)]
+    return np.einsum("pn,pn->p", rows.conj() * table, moved)
 
 
 @functools.lru_cache(maxsize=None)

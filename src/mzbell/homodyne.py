@@ -16,9 +16,9 @@ are kept deliberately separate:
   and weights the output photon numbers, reduced to two small Gram
   matrices per pair, so no four-mode state is formed;
 - ``input_operator`` evaluates the equivalent input-side operator forms
-  on the four-mode state a1 x a2 x b1 x b2, with no transform, as six
-  sums over its support that form its amplitudes on the fly (the other
-  two of its eight correlators are the conjugates of two of them);
+  on the product input a1 x a2 x b1 x b2, with no transform: each of six
+  correlators is a signal expectation times one sum per oscillator row
+  (the other two of its eight are the conjugates of two of them);
 - the analytic moment formula needs only the five channel moments.
 
 On both numeric routes an oscillator phase is an exact rotation, so E at
@@ -175,16 +175,24 @@ def _dd_ss_input_operator(state_a: QuantumState, b1: np.ndarray,
     S_k = a_k^dag a_k + b_k^dag b_k, for each row p of the oscillator
     batches. <D1 D2> and <S1 S2> expand to eight correlators, of which two
     are the complex conjugates of two others, as <X^dag> = conj<X> on any
-    state. The other six go to one ``fock.expectations`` call with the
-    oscillators as partners: each is one sum over the four-mode support,
-    and no four-mode state is stored."""
+    state. The input is the product rho_a x |b1><b1| x |b2><b2|, so each
+    of the other six is a signal factor times one factor per oscillator:
+    the six signal factors come from one ``fock.expectations`` call on the
+    two-mode state, and each oscillator's <b^dag b>, <b> and <1> per row
+    from ``fock.row_expectations`` (<b^dag> = conj<b>). No four-mode sum
+    is formed."""
     up, down, num, none = (1, 0), (0, 1), (1, 1), (0, 0)
-    terms = [[num, num, none, none], [up, up, down, down],
-             [none, none, num, num], [num, none, none, num],
-             [up, down, down, up], [none, num, num, none]]
-    s1, d1, s4, s2, d2, s3 = fock.expectations(state_a, terms, (b1, b2))
-    # <a1 a2 b1^dag b2^dag> = conj<a1^dag a2^dag b1 b2>, and
-    # <a1 a2^dag b1^dag b2> = conj<a1^dag a2 b1 b2^dag>
+    n1n2, pairs, norm, n1, m12, n2 = fock.expectations(
+        state_a, [[num, num], [up, up], [none, none], [num, none],
+                  [up, down], [none, num]])
+    (num1, low1, one1), (num2, low2, one2) = (
+        [fock.row_expectations(rows, *powers) for powers in (num, down, none)]
+        for rows in (b1, b2))
+    s1, s4 = n1n2 * one1 * one2, norm * num1 * num2
+    s2, s3 = n1 * one1 * num2, n2 * num1 * one2
+    # <a1^dag a2^dag b1 b2> and <a1^dag a2 b1 b2^dag>; their conjugates are
+    # <a1 a2 b1^dag b2^dag> and <a1 a2^dag b1^dag b2>
+    d1, d2 = pairs * low1 * low2, m12 * low1 * low2.conj()
     d4, d3 = d1.conj(), d2.conj()
     return -(d1 - d2 - d3 + d4).real, (s1 + s2 + s3 + s4).real
 

@@ -17,8 +17,8 @@ the spectral unitary checks, once per sector plan here, under a bound of
 their own (``BLOCK_ENTRY_LIMIT``). The count scan is the independent
 route for the package's fringe records, which it fills from eight
 normal-ordered moments in closed form. Likewise the input-operator E route's
-stored four-mode stack, which the package now forms on the fly, and the
-per-term form of its partner kernel, which it now sets up once per call.
+stored four-mode stack, which the package no longer forms: it factors each
+correlator of the product input into a signal and two oscillator factors.
 So are the dense constructions and the dense-scan expectations of the
 stack the package stored before it kept only each state's nonzeros.
 """
@@ -26,7 +26,6 @@ stack the package stored before it kept only each state's nonzeros.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from typing import Sequence
 
@@ -237,7 +236,7 @@ def dense_support(amps) -> np.ndarray:
 
 def expectations_dense_scan(amps: np.ndarray, dims: tuple[int, ...],
                             terms) -> list[complex]:
-    """``fock.expectations`` (without partners) as the package computed it
+    """``fock.expectations`` as the package computed it
     on the dense ``(rank, dim)`` stack of a state of ``dims``: read in
     chunks of ``fock.CHUNK`` stack positions, each scanned for its
     nonzeros, and each shifted partner taken from the stack itself."""
@@ -293,48 +292,6 @@ def mix_dense(ensemble) -> np.ndarray:
     sqrt(weight), stacked; zero weights are dropped."""
     return np.concatenate([math.sqrt(w) * amps for w, amps in ensemble
                            if w != 0.0])
-
-
-def partner_sums_per_term(state: QuantumState, at: np.ndarray,
-                          found: np.ndarray, plans: list,
-                          partners: list) -> np.ndarray:
-    """``fock._partner_sums`` as the package computed it before it set up
-    the partner grids and moved rows once per call and the signal lookups
-    once per group: per term it builds its partner grid and moves every
-    partner's rows, and per slab it forms each term's weight with
-    ``np.prod`` and takes its shifted amplitudes. The package must match
-    it bit for bit."""
-    shape = (state.rank,) + state.system.dims
-    batch, widths = len(partners[0]), [len(rows[0]) for rows in partners]
-    budget, per = max(1, fock.CHUNK // 4), batch * math.prod(widths)
-    group = max(1, budget // per)
-    slab = widths[0] if per <= budget else max(1, budget * widths[0] // per)
-    factors = [(functools.reduce(np.multiply.outer, [
-        fock._ladder_table(w - 1, p, q) for w, (p, q) in zip(widths, powers)]),
-        [rows[:, np.clip(np.arange(w) + q - p, 0, w - 1)]
-         for rows, w, (p, q) in zip(partners, widths, powers)])
-        for _, _, powers in plans]
-    sums = np.zeros((len(plans), batch), dtype=np.complex128)
-    for j in range(0, at.size, group):
-        here = at[j:j + group]
-        digits = np.unravel_index(here, shape)
-        for lo in range(0, widths[0], slab):
-            cut = (slice(lo, lo + slab),) + (slice(None),) * (len(widths) - 1)
-            amp = fock._product(found[j:j + group], [
-                rows[:, c] for rows, c in zip(partners, cut)])
-            left = amp.conj()
-            for i, ((tables, shift, powers), (grid, moved)) in enumerate(
-                    zip(plans, factors)):
-                weight = np.prod([table[digits[axis]] for axis, table in
-                                  tables] + [np.ones(len(here))], axis=0)
-                right = amp if shift == 0 and all(
-                    p == q for p, q in powers) else fock._product(
-                    fock._stored_at(state, here + shift),
-                    [rows[:, c] for rows, c in zip(moved, cut)])
-                term = left * np.multiply.outer(weight, grid[cut])
-                sums[i] += (term.reshape(batch, 1, -1)
-                            @ right.reshape(batch, -1, 1)).reshape(batch)
-    return sums
 
 
 def brute_expect(state: QuantumState, powers) -> complex:
@@ -506,8 +463,8 @@ def dd_ss_on_the_input_stack(state_a: QuantumState, b1: QuantumState,
                              b2: QuantumState) -> tuple[float, float]:
     """<D1 D2>, <S1 S2> from the input-side operator forms
     D_k = i(a_k^dag b_k - a_k b_k^dag) and S_k = a_k^dag a_k + b_k^dag b_k,
-    as the package evaluated them before it formed the product with the
-    oscillators on the fly: the signal's components tensored with both
+    as the package evaluated them before it factored each correlator over
+    the product input: the signal's components tensored with both
     oscillators into a stored four-mode stack (in slices of components
     under ``fock.AMPLITUDE_LIMIT``), and the eight correlators read from
     it by ``expectations``."""

@@ -478,6 +478,31 @@ class TestBellScan:
         rows = [l.split(",") for l in out.strip().splitlines()[1:17]]
         assert max(abs(float(r[2]) - float(r[3])) for r in rows) < 1e-10
 
+    def test_input_operator_route_reads_only_the_signal(self, capsys,
+                                                        monkeypatch):
+        # rank 127 x dim 16129 on the default route: every ladder
+        # expectation is on the two-mode signal, none on its four-mode
+        # product with the oscillators; measured after a first call, which
+        # fills the memo of the split's edge columns
+        command = ("bell-scan", "--state", "split_thermal nbar=4.1",
+                   "--grid", "4")
+        first = run_cli(capsys, *command)
+        modes, real = [], fock.expectations
+
+        def counted(state, terms):
+            modes.append(state.system.mode_count)
+            return real(state, terms)
+        monkeypatch.setattr(fock, "expectations", counted)
+        tracemalloc.start()
+        try:
+            again = run_cli(capsys, *command)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again == first and first[0] == 0, first[2]
+        assert modes and set(modes) == {2}
+        assert peak < 2 * 2 ** 20
+
     @pytest.mark.parametrize("grid", ["4", "12"])
     @pytest.mark.parametrize("route", ["input_operator", "unitary"])
     def test_five_route_evaluations_per_scan(self, capsys, monkeypatch,

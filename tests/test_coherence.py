@@ -195,7 +195,7 @@ class TestFringeMomentRoute:
                   0.05 - 0.02j]
         calls = []
 
-        def fake(state, terms, partners=()):
+        def fake(state, terms):
             calls.append([[tuple(pq) for pq in term] for term in terms])
             return [complex(v) for v in values]
         monkeypatch.setattr(fock, "expectations", fake)

@@ -27,12 +27,13 @@ def test_ops_cover_three_rounds_of_every_workload_and_the_probes(
     # measured on, bell-scans on the unitary route (two beamsplitters) and
     # two on the default input-operator route, the second also at the
     # default grid, then analyze on split inputs: one that runs, two that
-    # are refused and three real-alpha coherent ones, and last a unitary
-    # bell-scan refused on its Gram stacks
+    # are refused and three real-alpha coherent ones, then a unitary
+    # bell-scan refused on its Gram stacks, and last a default-route
+    # bell-scan on a high-sector split
     assert [argv[0] for argv in probes] == (["fringe"] * 10
                                             + ["bell-scan"] * 4
                                             + ["analyze"] * 6
-                                            + ["bell-scan"])
+                                            + ["bell-scan"] * 2)
     assert [argv[2] for argv in probes[7:10]] == [
         "split_number n=50", "noisy_split_photon w=0.5 alpha_re=0.7",
         "split_coherent alpha_re=1.5 alpha_im=0.3"]
@@ -44,8 +45,11 @@ def test_ops_cover_three_rounds_of_every_workload_and_the_probes(
     assert [argv[2] for argv in probes[14:]] == [
         "split_number n=200", "split_thermal nbar=4.2", "split_number n=1448",
         "split_coherent alpha_re=0.7", "split_coherent alpha_re=1.5",
-        "split_coherent alpha_re=3", "split_number n=700"]
-    assert probes[-1][probes[-1].index("--route") + 1] == "unitary"
+        "split_coherent alpha_re=3", "split_number n=700",
+        "split_number n=200"]
+    assert probes[20][probes[20].index("--route") + 1] == "unitary"
+    assert probes[21] == ["bell-scan", "--state", "split_number n=200",
+                          "--grid", "4"]
 
 
 def test_record_then_diff(tmp_path, monkeypatch, capsys):

@@ -10,17 +10,20 @@ import pytest
 from mzbell import (ChshResult, CoherenceMoments, DegenerateDenominatorError,
                     DegenerateLimit, DegenerateStateError, DimensionLimitError,
                     FringeCoefficients, LocalOscillator, ModeSystem,
-                    RouteResidualError, basis_state, coherent_state,
-                    compute_moments, criterion_from_measurements, fock,
-                    fringe_coefficients, fringe_coefficients_at, homodyne,
-                    local_realism_verdict, maximize_chsh,
-                    modulation_depth_analytic, numeric_fringe_coefficients,
-                    optimal_lo_amplitudes, split_input, split_single_photon,
-                    thermal_state, violation_thresholds)
+                    QuantumState, RouteResidualError, basis_state,
+                    coherent_state, compute_moments,
+                    criterion_from_measurements, fock, fringe_coefficients,
+                    fringe_coefficients_at, homodyne, local_realism_verdict,
+                    maximize_chsh, modulation_depth_analytic,
+                    numeric_fringe_coefficients, optimal_lo_amplitudes,
+                    split_input, split_single_photon, thermal_state,
+                    violation_thresholds)
 from mzbell.homodyne import fringe_e
 
-from oracle import (chsh_value, modulation_depth_numeric, random_density,
-                    random_state, search_chsh, validate_trig_form)
+from oracle import (chsh_value, dd_ss_after_beamsplitters,
+                    dd_ss_on_the_input_stack, modulation_depth_numeric,
+                    random_density, random_state, search_chsh,
+                    validate_trig_form)
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -98,6 +101,27 @@ class TestModulationDepthNumeric:
         assert abs(got.c2 - want.c2) < 1e-12
         with pytest.raises(AssertionError, match="four-mode step"):
             numeric_fringe_coefficients(state, 0.4, 0.3, "input_operator")
+
+    @pytest.mark.parametrize("route", ["unitary", "input_operator"])
+    def test_routes_assume_no_unit_norm(self, route):
+        # both correlators are linear in the signal's density operator and
+        # in each oscillator's, so on a signal of norm 4 and oscillator rows
+        # of other norms they still match both four-mode oracles
+        rng = np.random.default_rng(43)
+        state = random_density(rng, (2, 3), rank=3)
+        state = QuantumState(state.system, amps=2 * state.amps,
+                             validate=False)
+        rows = [rng.normal(size=(3, width)) + 1j * rng.normal(size=(3, width))
+                for width in (4, 3)]
+        dds, sss = getattr(homodyne, f"_dd_ss_{route}")(state, *rows)
+        for p, (dd, ss) in enumerate(zip(dds, sss)):
+            b1, b2 = (QuantumState(ModeSystem((width - 1,)), vector=r[p],
+                                   validate=False)
+                      for r, width in zip(rows, (4, 3)))
+            for want in (dd_ss_on_the_input_stack(state, b1, b2),
+                         dd_ss_after_beamsplitters(state, b1, b2)):
+                for got, value in zip((dd, ss), want):
+                    assert abs(got - value) <= 1e-12 * max(1.0, abs(value))
 
     def test_gram_stacks_refused_before_allocating(self, monkeypatch):
         # a signal mode of cutoff 1448 gives one angle pair's Gram stacks
@@ -195,7 +219,8 @@ class TestNumericFringeCoefficients:
     def test_input_operator_scan_memory_is_bounded(self):
         # the four-mode product of split_thermal nbar=2 with its optimal
         # oscillators has 7.0e5 nonzeros per pair (11 MiB), 3.5e6 for the
-        # five pairs; only CHUNK-sized pieces of it are formed
+        # five pairs; none of it is formed: the route reads the signal's
+        # stored amplitudes once and the oscillator rows per pair
         state = split_input(thermal_state(2.0))
         betas = optimal_lo_amplitudes(compute_moments(state))
         numeric_fringe_coefficients(state, *betas, "input_operator")

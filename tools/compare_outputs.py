@@ -66,7 +66,7 @@ PROBES = (
     (["bell-scan", "--state", "noisy_split_photon w=0.5 alpha_re=0.7",
       "--grid", "6", "--route", "unitary", "--beta", "0.3"], None),
     # the default input-operator route on a mixed state whose four-mode
-    # product with its oscillators has 1.4e5 nonzeros per angle pair
+    # product with its oscillators would have 1.4e5 nonzeros per angle pair
     (["bell-scan", "--state", "split_thermal nbar=1", "--grid", "4"], None),
     # the default route and grid on a pure state, where the off-diagonal
     # correlators dominate, with the largest array grid (576 rows)
@@ -86,6 +86,9 @@ PROBES = (
     # angle pairs x 701^2 entries, would pass the amplitude bound
     (["bell-scan", "--state", "split_number n=700", "--grid", "4",
       "--route", "unitary"], None),
+    # the default input-operator route on a high-sector split, where a
+    # four-mode sum over the product with the oscillators took 0.8 s
+    (["bell-scan", "--state", "split_number n=200", "--grid", "4"], None),
 )
 
 
