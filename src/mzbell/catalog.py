@@ -49,11 +49,10 @@ class StateSpec:
 
 def split_single_photon() -> QuantumState:
     """(|10> + i|01>)/sqrt(2): one photon split on the 50:50 beamsplitter."""
-    system = ModeSystem((1, 1))
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[int(np.ravel_multi_index((1, 0), system.dims))] = math.sqrt(0.5)
-    amps[int(np.ravel_multi_index((0, 1), system.dims))] = 1j * math.sqrt(0.5)
-    return QuantumState(system, vector=amps)
+    # flat indices 1 = |01> and 2 = |10> of the (2, 2) basis
+    return QuantumState._from_support(
+        ModeSystem((1, 1)), 1, np.array([1, 2]),
+        np.array([1j * math.sqrt(0.5), math.sqrt(0.5)]), validate=True)
 
 
 def split_input(input_state: QuantumState) -> QuantumState:

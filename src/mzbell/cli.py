@@ -19,9 +19,13 @@ fills E_numeric from four route evaluations and checks a fifth, see
 eight normal-ordered moments in closed form (``coherence.fringe_scan``),
 so it has no route to check. Code 4 is retired and no longer produced.
 
-``main`` builds its parser once per process, which only callers that run
-many commands in one process notice: a one-shot ``mzbell`` spends far
-longer on its imports.
+``main`` builds its parsers once per process and parses each call in one
+argparse pass: an argv that starts with a command goes straight to that
+command's parser, and only an argv with no known command, or one that the
+command's parser leaves arguments over from, goes through the top-level
+parser, so every usage message and exit code is the top level's. Only
+callers that run many commands in one process notice: a one-shot
+``mzbell`` spends far longer on its imports.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -57,13 +62,27 @@ def _fmt_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+# a run of anything but shlex's whitespace, which is not str.split's: \x0b,
+# \x0c and NBSP stay inside a token
+_SHLEX_WORD = re.compile(r"[^ \t\r\n]+")
+
+
+def spec_tokens(text: str) -> list[str]:
+    """``shlex.split(text.strip())``: text with no quote or backslash, on
+    which shlex only splits at its whitespace, skips shlex's tokenizer."""
+    text = text.strip()
+    if "'" in text or '"' in text or "\\" in text:
+        return shlex.split(text)
+    return _SHLEX_WORD.findall(text)
+
+
 def parse_inline_spec(text: str) -> StateSpec:
     """Parse a one-line spec: ``family key=value ...``.
 
     Values are parsed as JSON where possible (numbers, lists, objects),
     otherwise kept as strings. Quote values containing spaces.
     """
-    tokens = shlex.split(text.strip())
+    tokens = spec_tokens(text)
     if not tokens:
         raise ValueError("empty state spec")
     family, params = tokens[0], {}
@@ -310,9 +329,16 @@ def cmd_thresholds(args) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Built once per process, so no default may be a mutable object."""
+    """The top-level ``mzbell`` parser, built once per process."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser,
+                        dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's parser by name, built once
+    per process, so no default may be a mutable object."""
     parser = argparse.ArgumentParser(
         prog="mzbell",
         description="Coherence, Mach-Zehnder fringes and the homodyne Bell "
@@ -383,12 +409,30 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, state=False)
     p.set_defaults(func=cmd_thresholds)
 
-    return parser
+    return parser, sub.choices
+
+
+def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one argparse pass.
+
+    An argv that starts with a command is parsed by that command's parser
+    alone. Without a known command, or with arguments that parser leaves
+    over, argv goes through the top-level parser, which prints the same
+    usage message and exits with the same code as it always would.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except (DegenerateStateError, DegenerateDenominatorError) as exc:

@@ -296,11 +296,14 @@ def coherent_state(alpha: complex, tail_eps: float = DEFAULT_TAIL_EPS, *,
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     magnitude = math.hypot(alpha.real, alpha.imag)  # inf, not an error
-    too_big = (f"coherent amplitude |alpha|={magnitude:.3g} needs a cutoff "
-               f"beyond {max_cutoff} for tail {tail_eps:g}")
+
+    def too_big() -> DimensionLimitError:
+        return DimensionLimitError(
+            f"coherent amplitude |alpha|={magnitude:.3g} needs a cutoff "
+            f"beyond {max_cutoff} for tail {tail_eps:g}")
     # the bound below needs lam < N + 2: refused before lam may overflow
     if magnitude >= math.sqrt(max_cutoff + 2):
-        raise DimensionLimitError(too_big)
+        raise too_big()
     lam = abs(alpha) ** 2
     # Smallest N whose Poisson survival P(n > N) is certified below
     # tail_eps via the geometric bound P(n > N) <= p_{N+1}/(1 - lam/(N+2)).
@@ -318,7 +321,7 @@ def coherent_state(alpha: complex, tail_eps: float = DEFAULT_TAIL_EPS, *,
                     break
             cutoff += 1
             if cutoff > max_cutoff:
-                raise DimensionLimitError(too_big)
+                raise too_big()
     n = np.arange(cutoff + 1)
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
     mags = np.exp(-lam / 2 + n * np.log(abs(alpha)) - log_fact / 2) \
@@ -326,7 +329,8 @@ def coherent_state(alpha: complex, tail_eps: float = DEFAULT_TAIL_EPS, *,
     phases = np.exp(1j * n * np.angle(alpha)) if alpha != 0 else 1.0
     amps = mags * phases
     amps /= np.linalg.norm(amps)
-    return QuantumState(ModeSystem((cutoff,)), vector=amps, validate=False)
+    return QuantumState._from_support(ModeSystem((cutoff,)), 1, n,
+                                      amps.astype(np.complex128, copy=False))
 
 
 def number_state(n: int, cutoff: int) -> QuantumState:

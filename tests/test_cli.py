@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mzbell import cli, fock, homodyne
 from mzbell.catalog import StateSpec, build_state
@@ -35,7 +37,30 @@ def parse_report(text):
     return out
 
 
+# spec text, shlex's four whitespace characters, whitespace that shlex keeps
+# inside a token (str.strip removes it only at the ends), and the quoting
+# characters that send a spec through shlex
+SPEC_ALPHABET = ("abcdefnprstuwxyzAQZ0123456789=.-#[],"
+                 " \t\r\n" "\x0b\x0c\xa0\u2003" "'\"\\")
+
+
 class TestSpecParsing:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(SPEC_ALPHABET, max_size=40))
+    @example("\xa0split_thermal\x0bnbar=1 \t#x\u2003\r\nw=[1,2]\x0c")
+    @example("pure_explicit 'a=1 2' b=\"c\\\"d\" e\\ f")
+    @example("split_thermal nbar='1")
+    @example("split_thermal nbar=1\\")
+    def test_tokens_are_shlex_tokens(self, text):
+        try:
+            expected = shlex.split(text.strip())
+        except ValueError:
+            # an unterminated quote or a trailing backslash
+            with pytest.raises(ValueError):
+                cli.spec_tokens(text)
+        else:
+            assert cli.spec_tokens(text) == expected
+
     def test_inline_simple(self):
         spec = cli.parse_inline_spec("split_thermal nbar=0.5")
         assert spec.family == "split_thermal"
@@ -764,8 +789,9 @@ class TestRefusedInputs:
 
 
 class TestParserReuse:
-    """``main`` builds its parser once per process; every call must still
-    behave as if it had a parser of its own."""
+    """``main`` builds its parsers once per process and dispatches on the
+    command; every call must still behave as if the top-level parser of
+    its own had parsed it."""
 
     def test_parser_built_once(self):
         assert cli.build_parser() is cli.build_parser()
@@ -810,6 +836,44 @@ class TestParserReuse:
                                capture_output=True, text=True, env=env,
                                check=True)
         assert out == fresh.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--state", "split_single_photon"],
+        ["analyze", "--state=split_thermal nbar=0.5", "--format", "csv",
+         "--cutoff", "3", "--tail-eps", "1e-9", "--out", "report.txt"],
+        ["fringe", "--phases", "8", "--state", "split_thermal nbar=1"],
+        ["bell-scan", "--state", "split_single_photon", "--grid", "4",
+         "--beta", "0.5", "--route", "unitary"],
+        ["sweep", "--state", "split_thermal nbar=0.5",
+         "--sweep", "nbar=0.5:0.7:0.1", "--sweep", "w=0:1:0.5"],
+        ["criterion", "0.9", "0.2"],
+        ["criterion", "-0.5", "0.2"],
+        ["criterion", "--", "0.9", "0.2"],
+        ["thresholds"],
+        ["thresholds", "--out", "thresholds.txt"],
+    ])
+    def test_dispatch_matches_the_top_level_parser(self, argv):
+        assert vars(cli.parse_args(argv)) == vars(
+            cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["-h"],
+        ["no-such-command"],
+        ["analyze"],
+        ["analyze", "-h"],
+        ["bell-scan", "--state", "split_single_photon", "--grid", "x"],
+        ["analyze", "--state", "split_single_photon", "stray"],
+    ])
+    def test_refusals_and_help_match_the_top_level_parser(self, capsys,
+                                                          argv):
+        def exit_and_streams(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(list(argv))
+            captured = capsys.readouterr()
+            return exc.value.code, captured.out, captured.err
+        assert exit_and_streams(cli.main) == exit_and_streams(
+            cli.build_parser().parse_args)
 
     def test_help_follows_columns_of_each_call(self, capsys, monkeypatch):
         def widest_help_line(columns):
