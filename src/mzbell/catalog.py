@@ -1,18 +1,26 @@
 """Named two-channel input states and parametrized families for sweeps.
 
-Every family produces a two-mode state of the signal channels, i.e. the
+Every family describes a two-mode state of the signal channels, i.e. the
 two outputs of the splitting beamsplitter. Families cover the extreme
 quantum case (split single photon), classical references (split coherent,
 split thermal, incoherent anticorrelated mixtures) and a noisy family that
 mixes the split photon with a weak split coherent background to emulate
 imperfect experimental states.
+
+``resolve`` is the one family dispatch: it turns a spec into weighted
+:class:`Part` s, each a single-mode input to split against vacuum or a
+two-mode state, and runs every check that building the state would, in
+the same order, without splitting or mixing anything. ``assemble`` splits
+and mixes the parts into the state (``build_state`` is the two in turn),
+and ``coherence`` reads a split part's moments from its input alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,12 +55,16 @@ class StateSpec:
         object.__setattr__(self, "params", dict(self.params))
 
 
+#: |1>, the input of every split single photon. States are immutable, so
+#: one serves every part, and :func:`split_single_photon` splits it once.
+_PHOTON = fock.number_state(1, 1)
+
+
+@functools.cache
 def split_single_photon() -> QuantumState:
-    """(|10> + i|01>)/sqrt(2): one photon split on the 50:50 beamsplitter."""
-    # flat indices 1 = |01> and 2 = |10> of the (2, 2) basis
-    return QuantumState._from_support(
-        ModeSystem((1, 1)), 1, np.array([1, 2]),
-        np.array([1j * math.sqrt(0.5), math.sqrt(0.5)]), validate=True)
+    """(|10> + i|01>)/sqrt(2): one photon split on the 50:50 beamsplitter,
+    built once."""
+    return split_input(_PHOTON)
 
 
 def split_input(input_state: QuantumState) -> QuantumState:
@@ -64,6 +76,94 @@ def split_input(input_state: QuantumState) -> QuantumState:
     if input_state.system.mode_count != 1:
         raise ValueError("split_input expects a single-mode state")
     return fock._split(input_state)
+
+
+class Part(NamedTuple):
+    """One weighted part of a catalog state: a single-mode input sent
+    against vacuum through the splitting beamsplitter (``split``), or a
+    state of the channels as it stands."""
+
+    weight: float
+    state: QuantumState
+    split: bool
+
+    @property
+    def cutoffs(self) -> tuple[int, ...]:
+        """The cutoffs of the part's channel state: (c, c) for a split
+        input of cutoff c."""
+        cutoffs = self.state.system.cutoffs
+        return cutoffs * 2 if self.split else cutoffs
+
+    def channels(self) -> QuantumState:
+        """The part's channel state, split here if it is an input."""
+        if not self.split:
+            return self.state
+        if self.state is _PHOTON:
+            return split_single_photon()
+        return split_input(self.state)
+
+
+def _input(state: QuantumState) -> list[Part]:
+    """A single-mode input to split, refused where its split would be."""
+    fock._check_size(state.rank, state.dim * state.dim)
+    return [Part(1.0, state, True)]
+
+
+def _whole(state: QuantumState) -> list[Part]:
+    return [Part(1.0, state, False)]
+
+
+def _cutoffs(parts: Sequence[Part]) -> tuple[int, ...]:
+    """The elementwise-maximum cutoffs of parts of one mode count."""
+    return tuple(map(max, zip(*(part.cutoffs for part in parts))))
+
+
+def _rank(parts: Sequence[Part]) -> int:
+    return sum(part.state.rank for part in parts if part.weight != 0.0)
+
+
+def _mixture(members: Sequence[tuple[float, list[Part]]]) -> list[Part]:
+    """The parts of a mixture of members, each given by its parts: every
+    part scaled by its member's weight, zero weights kept (they still set
+    the cutoffs). Refused as ``mixed_ensemble`` and ``fock.make_mixed``
+    would refuse the state built from them, in their order, with nothing
+    built: an empty ensemble, unequal mode counts, a member whose rank
+    times the padded dimension passes the size bound, a negative weight,
+    weights that do not sum to 1, and the mixture's rank times its
+    dimension. Weights of nested mixtures multiply, and their products
+    are checked to sum to 1, as the built state's norm^2 is, with its
+    message (its digits may differ at rounding level)."""
+    if not members:
+        raise ValueError("ensemble is empty")
+    mode_count = len(members[0][1][0].cutoffs)
+    if any(len(parts[0].cutoffs) != mode_count for _, parts in members):
+        raise ValueError("ensemble members have different mode counts")
+    cutoffs = _cutoffs([part for _, parts in members for part in parts])
+    dim = math.prod(c + 1 for c in cutoffs)
+    kept = [(w, parts) for w, parts in members if w != 0.0]
+    for _, parts in kept:
+        if _cutoffs(parts) != cutoffs:
+            fock._check_size(_rank(parts), dim)
+    fock._check_weights([float(w) for w, _ in kept])
+    fock._check_size(sum(_rank(parts) for _, parts in kept), dim)
+    mixed = [part._replace(weight=w * part.weight)
+             for w, parts in members for part in parts]
+    norm2 = sum(part.weight for part in mixed)
+    if abs(norm2 - 1.0) > fock.NORM_TOL:
+        raise ValueError(f"state norm^2 = {norm2!r}, expected 1")
+    return mixed
+
+
+def assemble(parts: Sequence[Part]) -> QuantumState:
+    """The state of weighted parts: each input split, and several parts
+    (or one of weight other than 1) padded to their elementwise-maximum
+    cutoffs and mixed, zero weights dropped."""
+    if len(parts) == 1 and parts[0].weight == 1.0:
+        return parts[0].channels()
+    cutoffs = _cutoffs(parts)
+    return fock.make_mixed([(part.weight,
+                             fock.pad_cutoffs(part.channels(), cutoffs))
+                            for part in parts if part.weight != 0.0])
 
 
 def incoherent_anticorrelated(p: float) -> QuantumState:
@@ -81,17 +181,18 @@ def mixed_ensemble(components: Sequence[tuple[float, QuantumState]]
                    ) -> QuantumState:
     """Mix states with possibly different cutoffs: pad everything to the
     elementwise-maximum cutoffs, drop zero weights, then combine."""
-    if not components:
-        raise ValueError("ensemble is empty")
-    mode_count = components[0][1].system.mode_count
-    if any(s.system.mode_count != mode_count for _, s in components):
-        raise ValueError("ensemble members have different mode counts")
-    cutoffs = tuple(
-        max(s.system.cutoffs[k] for _, s in components)
-        for k in range(mode_count))
-    padded = [(w, fock.pad_cutoffs(s, cutoffs))
-              for w, s in components if w != 0.0]
-    return fock.make_mixed(padded)
+    return assemble(_mixture([(w, _whole(s)) for w, s in components]))
+
+
+def _noisy_split_photon(w: float, alpha: complex,
+                        tail_eps: float) -> list[Part]:
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"w must lie in [0, 1], got {w!r}")
+    members = [(w, _input(_PHOTON))]
+    if w < 1.0:
+        members.append(
+            (1.0 - w, _input(fock.coherent_state(alpha, tail_eps))))
+    return _mixture(members)
 
 
 def noisy_split_photon(w: float, alpha: complex, *,
@@ -102,13 +203,7 @@ def noisy_split_photon(w: float, alpha: complex, *,
     rate is tunable through the coherent background weight: the sweep
     knob for emulating imperfect single-photon experiments.
     """
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"w must lie in [0, 1], got {w!r}")
-    parts: list[tuple[float, QuantumState]] = [(w, split_single_photon())]
-    if w < 1.0:
-        parts.append(
-            (1.0 - w, split_input(fock.coherent_state(alpha, tail_eps))))
-    return mixed_ensemble(parts)
+    return assemble(_noisy_split_photon(w, alpha, tail_eps))
 
 
 def _number(key: str, value, *, integral: bool = False):
@@ -148,9 +243,15 @@ def _as_amplitude(value) -> complex:
     return complex(value)
 
 
-def build_state(spec: StateSpec, *, cutoff: int | None = None,
-                tail_eps: float = fock.DEFAULT_TAIL_EPS) -> QuantumState:
-    """Construct the two-mode state described by a StateSpec.
+def resolve(spec: StateSpec, *, cutoff: int | None = None,
+            tail_eps: float = fock.DEFAULT_TAIL_EPS) -> list[Part]:
+    """The weighted parts of the state a StateSpec describes, each checked
+    as building it would check it, in the same order, but not split or
+    mixed: ``split_single_photon``, ``split_number``, ``split_coherent``
+    and ``split_thermal`` are one input part each, ``noisy_split_photon``
+    is w |1> plus (1-w) coherent, a ``mixed_ensemble`` its components'
+    parts scaled by their weights, and the other families one two-mode
+    part each.
 
     ``cutoff`` overrides the single-mode input cutoff for number states;
     ``tail_eps`` controls coherent/thermal truncation.
@@ -158,7 +259,7 @@ def build_state(spec: StateSpec, *, cutoff: int | None = None,
     params = spec.params
     family = spec.family
     if family == "split_single_photon":
-        return split_single_photon()
+        return _input(_PHOTON)
     if family == "split_number":
         n = _number("n", params["n"], integral=True)
         cut = n if cutoff is None else cutoff
@@ -167,19 +268,18 @@ def build_state(spec: StateSpec, *, cutoff: int | None = None,
             # fock._split refuse them, before |n> is allocated
             fock._check_size(1, cut + 1)
             fock._check_size(1, (cut + 1) ** 2)
-        return split_input(fock.number_state(n, cut))
+        return _input(fock.number_state(n, cut))
     if family == "split_coherent":
-        return split_input(
+        return _input(
             fock.coherent_state(_complex_param(params, "alpha"), tail_eps))
     if family == "split_thermal":
-        return split_input(
+        return _input(
             fock.thermal_state(_number("nbar", params["nbar"]), tail_eps))
     if family == "incoherent_anticorrelated":
-        return incoherent_anticorrelated(_number("p", params["p"]))
+        return _whole(incoherent_anticorrelated(_number("p", params["p"])))
     if family == "noisy_split_photon":
-        return noisy_split_photon(_number("w", params["w"]),
-                                  _complex_param(params, "alpha"),
-                                  tail_eps=tail_eps)
+        return _noisy_split_photon(_number("w", params["w"]),
+                                   _complex_param(params, "alpha"), tail_eps)
     if family == "pure_explicit":
         amps = [_as_amplitude(a)
                 for a in _list("amplitudes", params["amplitudes"])]
@@ -194,9 +294,9 @@ def build_state(spec: StateSpec, *, cutoff: int | None = None,
                     "pure_explicit without cutoffs needs a square amplitude "
                     f"count for a two-mode state; got {len(amps)}")
             system = ModeSystem((side - 1, side - 1))
-        return fock.make_pure(system, amps)
+        return _whole(fock.make_pure(system, amps))
     if family == "mixed_ensemble":
-        built = []
+        members = []
         for comp in _list("components", params["components"]):
             if not isinstance(comp, dict):
                 raise ValueError(
@@ -204,11 +304,18 @@ def build_state(spec: StateSpec, *, cutoff: int | None = None,
             comp = dict(comp)
             weight = _number("weight", comp.pop("weight"))
             fam = comp.pop("family")
-            built.append((weight, build_state(StateSpec(fam, comp),
-                                              cutoff=cutoff,
-                                              tail_eps=tail_eps)))
-        return mixed_ensemble(built)
+            members.append((weight, resolve(StateSpec(fam, comp),
+                                            cutoff=cutoff,
+                                            tail_eps=tail_eps)))
+        return _mixture(members)
     raise ValueError(f"unknown state family {family!r}")
+
+
+def build_state(spec: StateSpec, *, cutoff: int | None = None,
+                tail_eps: float = fock.DEFAULT_TAIL_EPS) -> QuantumState:
+    """Construct the two-mode state described by a StateSpec: its parts
+    (:func:`resolve`), assembled (:func:`assemble`)."""
+    return assemble(resolve(spec, cutoff=cutoff, tail_eps=tail_eps))
 
 
 def state_to_spec(state: QuantumState) -> StateSpec:

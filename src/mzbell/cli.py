@@ -19,6 +19,16 @@ fills E_numeric from four route evaluations and checks a fifth, see
 eight normal-ordered moments in closed form (``coherence.fringe_scan``),
 so it has no route to check. Code 4 is retired and no longer produced.
 
+Every command resolves its state into weighted parts
+(``catalog.resolve``), checked as building the state would check it.
+``analyze``, ``fringe`` and ``sweep`` read the moments from the parts and
+never build the two-mode split of a split family: a split single-mode
+input is read from three moments of its own, so ``g1_mag`` is 1 for any
+such input. ``bell-scan`` reads ``E_analytic`` from the parts the same
+way, and assembles them into the two-mode state only for its numeric
+route, so its analytic and numeric ``E`` come from different
+constructions.
+
 ``main`` builds its parsers once per process and parses each call in one
 argparse pass: an argv that starts with a command goes straight to that
 command's parser, and only an argv with no known command, or one that the
@@ -128,13 +138,15 @@ def _emit(lines: Sequence[str], out: str | None):
         sys.stdout.write(text)
 
 
-def _build(args) -> tuple[StateSpec, fock.QuantumState]:
+def _build(args) -> tuple[StateSpec, list[catalog.Part]]:
+    """The spec of ``--state`` and its parts, checked as building its
+    state would check it (``catalog.resolve``) but neither split nor
+    mixed, and refused unless that state has two modes."""
     spec = resolve_state_arg(args.state)
-    state = catalog.build_state(spec, cutoff=args.cutoff,
-                                tail_eps=args.tail_eps)
-    if state.system.mode_count != 2:
+    parts = catalog.resolve(spec, cutoff=args.cutoff, tail_eps=args.tail_eps)
+    if len(parts[0].cutoffs) != 2:
         raise ValueError("this command needs a two-mode (two-channel) state")
-    return spec, state
+    return spec, parts
 
 
 def _verdict_lines(verdict: homodyne.Verdict) -> list[str]:
@@ -168,8 +180,8 @@ def _verdict_csv_row(state_id: str, verdict: homodyne.Verdict,
 
 
 def cmd_analyze(args) -> int:
-    spec, state = _build(args)
-    moments = coherence.compute_moments(state)
+    spec, parts = _build(args)
+    moments = coherence.compute_moments(parts)
     verdict = homodyne.local_realism_verdict(moments)
     chsh = homodyne.maximize_chsh(verdict.coeffs)
     lines = [
@@ -206,10 +218,10 @@ def cmd_fringe(args) -> int:
     if args.phases > fock.AMPLITUDE_LIMIT:
         raise ValueError(f"--phases {args.phases} is above the limit of "
                          f"{fock.AMPLITUDE_LIMIT}")
-    spec, state = _build(args)
+    _, parts = _build(args)
     phases = [2.0 * math.pi * k / args.phases for k in range(args.phases)]
-    # one ladder call serves the rows and the summary
-    moments = coherence.fringe_moments(state)
+    # one ladder call per part serves the rows and the summary
+    moments = coherence.fringe_moments(parts)
     records = coherence.fringe_scan(moments, phases)
     # the whole summary before any output, so an error leaves none
     summary = [
@@ -235,8 +247,10 @@ def cmd_bell_scan(args) -> int:
         raise ValueError(f"--grid {args.grid} would evaluate {args.grid ** 2} "
                          f"angle pairs, above the limit of "
                          f"{fock.AMPLITUDE_LIMIT}")
-    spec, state = _build(args)
-    moments = coherence.compute_moments(state)
+    _, parts = _build(args)
+    # E_analytic reads the parts; the numeric route, the cross-check,
+    # reads the state they assemble into
+    moments = coherence.compute_moments(parts)
     if args.beta == "auto":
         beta1, beta2 = homodyne.lo_pair_for(moments)
     else:
@@ -249,7 +263,8 @@ def cmd_bell_scan(args) -> int:
                                                     theta1, theta2)
     # after E_analytic, whose errors come first
     numeric = homodyne.numeric_fringe_coefficients(
-        state, beta1, beta2, args.route, tail_eps=args.tail_eps)
+        catalog.assemble(parts), beta1, beta2, args.route,
+        tail_eps=args.tail_eps)
     # + 0.0 turns a signed zero into 0, so no row prints -0
     e_numeric = homodyne.fringe_e(numeric, theta1, theta2) + 0.0
     # each angle is formatted once, then every row in one pass
@@ -277,7 +292,11 @@ def cmd_bell_scan(args) -> int:
     return 0
 
 
-def _sweep_values(spec_text: str) -> tuple[str, list[float]]:
+def _sweep_range(spec_text: str) -> tuple[str, float, float, float, int]:
+    """Key, start, stop, step and point count of one ``--sweep`` range:
+    the points start + k step up to stop, or up to 1e-12 past it for
+    rounding, counted in exact rational arithmetic, so that no range is
+    too long or too fine to count."""
     try:
         key, rng = spec_text.split("=", 1)
         start_s, stop_s, step_s = rng.split(":")
@@ -290,25 +309,37 @@ def _sweep_values(spec_text: str) -> tuple[str, list[float]]:
                          f"got {spec_text!r}")
     if step <= 0 or stop < start:
         raise ValueError(f"bad sweep range {spec_text!r}")
-    count = int(round((stop - start) / step)) + 1
-    values = [start + k * step for k in range(count)]
-    return key, [v for v in values if v <= stop + 1e-12]
+    # imported here, as only sweep counts with it: about 2 ms a start-up
+    from fractions import Fraction
+    span, stride = Fraction(stop) - Fraction(start), Fraction(step)
+    count = min(round(span / stride),
+                math.floor((span + Fraction(1e-12)) / stride)) + 1
+    return key, start, stop, step, count
 
 
 def cmd_sweep(args) -> int:
     spec = resolve_state_arg(args.state)
-    sweeps = [_sweep_values(s) for s in args.sweep or ()]
-    if not sweeps:
+    ranges = [_sweep_range(s) for s in args.sweep or ()]
+    if not ranges:
         raise ValueError("sweep needs at least one --sweep key=start:stop:step")
+    # the rows are held until printed: their count is bounded before any
+    # value or combination is listed
+    points = 1
+    for text, (*_, count) in zip(args.sweep, ranges):
+        points *= count
+        if points > fock.AMPLITUDE_LIMIT:
+            raise ValueError(f"--sweep {text!r} takes the point count above "
+                             f"the limit of {fock.AMPLITUDE_LIMIT}")
     combos: list[dict] = [{}]
-    for key, values in sweeps:
+    for key, start, stop, step, count in ranges:
+        values = [v for v in (start + k * step for k in range(count))
+                  if v <= stop + 1e-12]
         combos = [dict(c, **{key: v}) for c in combos for v in values]
     rows = [SWEEP_CSV_HEADER]
     for overrides in combos:
         point = StateSpec(spec.family, {**spec.params, **overrides})
-        state = catalog.build_state(point, cutoff=args.cutoff,
-                                    tail_eps=args.tail_eps)
-        moments = coherence.compute_moments(state)
+        moments = coherence.compute_moments(catalog.resolve(
+            point, cutoff=args.cutoff, tail_eps=args.tail_eps))
         verdict = homodyne.local_realism_verdict(moments)
         chsh = homodyne.maximize_chsh(verdict.coeffs)
         rows.append(_verdict_csv_row(catalog.spec_label(point), verdict,
@@ -394,7 +425,8 @@ def _parsers() -> tuple[argparse.ArgumentParser,
     add_common(p)
     p.add_argument("--sweep", action="append",
                    metavar="KEY=START:STOP:STEP",
-                   help="parameter range (repeatable; cartesian product)")
+                   help="parameter range (repeatable; cartesian product "
+                        "of at most 2097152 points)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("criterion",

@@ -13,12 +13,23 @@ moments <a1^dag^2 a1^2>, <a2^dag^2 a2^2> and <a1^dag^2 a2^2>.
 ``fringe_moments`` reads all eight in one batched ``fock.expectations``
 call, and ``fringe_scan`` fills any number of phases from them, with no
 beamsplitter applied.
+
+Both readers also take a catalog state as its weighted parts
+(``catalog.resolve``) and sum the parts' moments by weight. A two-mode
+part is read as a two-mode state. A single-mode input split against
+vacuum is read from three moments of its own, <n>, <a^2> and
+<a^dag^2 a^2>, in one call, and its split is never built: on
+normal-ordered moments the outputs act as a1 = a/sqrt(2) and
+a2 = i a/sqrt(2), as the vacuum port contributes nothing, so
+n1 = n2 = <n>/2, m12 = i<n>/2, anom = i<a^2>/2 and
+n1n2 = pairs1 = pairs2 = -cross = <a^dag^2 a^2>/4. Hence |g1| = 1 for any
+split single-mode input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -40,6 +51,11 @@ _CHANNEL_TERMS = [[_NUM, _NONE], [(1, 0), (0, 1)], [_NONE, _NUM],
                   [(0, 1), (0, 1)], [_NUM, _NUM]]
 #: <a1^dag^2 a1^2>, <a2^dag^2 a2^2> and <a1^dag^2 a2^2>.
 _PAIR_TERMS = [[(2, 2), _NONE], [_NONE, (2, 2)], [(2, 0), (0, 2)]]
+#: <n>, <a^2> and <a^dag^2 a^2> of a single-mode input.
+_INPUT_TERMS = [[_NUM], [(0, 2)], [(2, 2)]]
+#: A two-mode state, or weighted parts (weight, state, split) whose state
+#: is a two-mode one, or a single-mode input to split if ``split``.
+Source = Union[QuantumState, Sequence[tuple[float, QuantumState, bool]]]
 
 
 @dataclass(frozen=True)
@@ -68,21 +84,50 @@ class CoherenceMoments:
                 f"> n1*n2 = {self.n1 * self.n2!r}")
 
 
-def _channel_moments(state: QuantumState, terms: list) -> tuple:
-    """The channel moments of a two-mode state, then the values of any
-    further ``terms``, all from one batched ladder call."""
-    if state.system.mode_count != 2:
-        raise ValueError("need a two-mode (two-channel) state")
-    n1, m12, n2, anom, n1n2, *rest = fock.expectations(
-        state, _CHANNEL_TERMS + terms)
+def _split_values(state: QuantumState) -> list:
+    """The values of ``_CHANNEL_TERMS + _PAIR_TERMS`` on a single-mode
+    input split against vacuum, from three moments of the input in one
+    batched ladder call (module docstring); no real part is -0."""
+    number, square, pairs = fock.expectations(state, _INPUT_TERMS)
+    half, quarter = number.real / 2, pairs.real / 4
+    anom = complex((0.0 - square.imag) / 2, square.real / 2)
+    return [half, complex(0.0, half), half, anom, quarter, quarter, quarter,
+            complex(0.0 - quarter)]
+
+
+def _read(source: Source, terms: list) -> list:
+    """The values of ``terms``, a prefix of ``_CHANNEL_TERMS +
+    _PAIR_TERMS``, on a two-mode state, or summed by weight over parts,
+    one batched ladder call per part of nonzero weight."""
+    parts = ([(1.0, source, False)] if isinstance(source, QuantumState)
+             else source)
+    total = None
+    for weight, state, split in parts:
+        if weight == 0.0:
+            continue
+        if split:
+            values = _split_values(state)[:len(terms)]
+        elif state.system.mode_count != 2:
+            raise ValueError("need a two-mode (two-channel) state")
+        else:
+            values = fock.expectations(state, terms)
+        if weight != 1.0:
+            values = [weight * value for value in values]
+        total = values if total is None else [
+            t + value for t, value in zip(total, values)]
+    return total
+
+
+def _channel(n1, m12, n2, anom, n1n2) -> CoherenceMoments:
     return CoherenceMoments(m12=m12, anom=anom, n1=n1.real, n2=n2.real,
-                            n1n2=n1n2.real), rest
+                            n1n2=n1n2.real)
 
 
-def compute_moments(state: QuantumState) -> CoherenceMoments:
-    """All five moments of the two channels of a two-mode state, by ladder
-    arithmetic in one batched call."""
-    return _channel_moments(state, [])[0]
+def compute_moments(source: Source) -> CoherenceMoments:
+    """All five moments of the two channels of a two-mode state, or of the
+    state of weighted parts, by ladder arithmetic in one batched call per
+    part."""
+    return _channel(*_read(source, _CHANNEL_TERMS))
 
 
 def _check_degenerate(moments: CoherenceMoments):
@@ -132,12 +177,14 @@ class FringeMoments:
     cross: complex
 
 
-def fringe_moments(state: QuantumState) -> FringeMoments:
-    """The eight fringe moments of a two-mode state in one batched ladder
-    call. Each term is evaluated on its own, so ``channel`` equals
-    :func:`compute_moments` bit for bit."""
-    channel, (pairs1, pairs2, cross) = _channel_moments(state, _PAIR_TERMS)
-    return FringeMoments(channel=channel, pairs1=pairs1.real,
+def fringe_moments(source: Source) -> FringeMoments:
+    """The eight fringe moments of a two-mode state, or of the state of
+    weighted parts, in one batched ladder call per part. Each term is
+    evaluated on its own, so ``channel`` equals :func:`compute_moments`
+    bit for bit."""
+    *channel, pairs1, pairs2, cross = _read(source,
+                                           _CHANNEL_TERMS + _PAIR_TERMS)
+    return FringeMoments(channel=_channel(*channel), pairs1=pairs1.real,
                          pairs2=pairs2.real, cross=cross)
 
 

@@ -250,6 +250,18 @@ def make_pure(system: ModeSystem, amplitudes: Iterable[complex]) -> QuantumState
     return QuantumState(system, vector=vec / norm, renormalized=renormalized)
 
 
+def _check_weights(weights: Sequence[float]) -> None:
+    """Refuse ensemble weights that are none, negative or do not sum to 1
+    within ``NORM_TOL``."""
+    if not weights:
+        raise ValueError("ensemble is empty")
+    if any(w < 0 for w in weights):
+        raise ValueError(f"negative ensemble weight: {min(weights)}")
+    total = sum(weights)
+    if abs(total - 1.0) > NORM_TOL:
+        raise ValueError(f"ensemble weights sum to {total!r}, expected 1")
+
+
 def make_mixed(ensemble: Sequence[tuple[float, QuantumState]]) -> QuantumState:
     """Convex mixture of states sharing one ModeSystem: the members' stacks,
     each scaled by sqrt(weight), stacked (zero weights are dropped), as
@@ -257,14 +269,8 @@ def make_mixed(ensemble: Sequence[tuple[float, QuantumState]]) -> QuantumState:
 
     Weights must be non-negative and sum to 1 within ``NORM_TOL``.
     """
-    if not ensemble:
-        raise ValueError("ensemble is empty")
     weights = [float(w) for w, _ in ensemble]
-    if any(w < 0 for w in weights):
-        raise ValueError(f"negative ensemble weight: {min(weights)}")
-    total = sum(weights)
-    if abs(total - 1.0) > NORM_TOL:
-        raise ValueError(f"ensemble weights sum to {total!r}, expected 1")
+    _check_weights(weights)
     system = ensemble[0][1].system
     for _, state in ensemble:
         if state.system != system:

@@ -283,6 +283,31 @@ class TestMixedEnsemble:
         assert abs(got.n1n2
                    - brute_expect(mix, [(1, 1), (1, 1)]).real) < 1e-13
 
+    @pytest.mark.parametrize("excess, refused", [(0.45e-9, True),
+                                                 (0.3e-9, False)])
+    def test_nested_weights_checked_as_the_norm(self, monkeypatch, excess,
+                                                refused):
+        # each level's weights sum to 1 within NORM_TOL, their products
+        # sum to 1 + 3 excess: refused with the norm's message, as the
+        # built state's norm would be, before anything is split
+        def comp(weight, family, **params):
+            return {"weight": weight, "family": family, **params}
+        spec = StateSpec("mixed_ensemble", {"components": [
+            comp(0.5 + excess, "mixed_ensemble", components=[
+                comp(0.5 + excess, "split_single_photon"),
+                comp(0.5 + excess, "split_thermal", nbar=0.7)]),
+            comp(0.5 + excess, "split_coherent", alpha_re=1.0)]})
+        if not refused:
+            state = build_state(spec)
+            assert abs(np.vdot(state.values, state.values) - 1) < 1e-9
+            return
+
+        def refuse(*args):
+            raise AssertionError("a split was built")
+        monkeypatch.setattr(fock, "_split", refuse)
+        with pytest.raises(ValueError, match=r"^state norm\^2 = 1\.0000000013"):
+            build_state(spec)
+
 
 class TestSnapshots:
     def test_pure_roundtrip(self):

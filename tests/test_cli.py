@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzbell import cli, fock, homodyne
-from mzbell.catalog import StateSpec, build_state
+from mzbell.catalog import StateSpec, build_state, resolve
 from mzbell.coherence import compute_moments
 
 from oracle import purity
@@ -249,7 +249,8 @@ class TestAnalyze:
     def test_memory_error_exit_code(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("cannot allocate the state")
-        monkeypatch.setattr(cli.catalog, "build_state", exhausted)
+        # every command resolves its state through catalog.resolve
+        monkeypatch.setattr(cli.catalog, "resolve", exhausted)
         code, out, err = run_cli(capsys, "analyze", "--state",
                                  "split_single_photon")
         assert code == 2
@@ -270,6 +271,52 @@ class TestAnalyze:
         _, second, _ = run_cli(capsys, "analyze", "--state",
                                "noisy_split_photon w=0.9 alpha_re=0.2 alpha_im=0")
         assert first == second
+
+
+SPLIT_SPECS = [
+    "split_single_photon", "split_number n=1", "split_number n=7",
+    "split_number n=1447", "split_coherent alpha_re=1.2 alpha_im=-0.4",
+    "split_coherent alpha_re=0 alpha_im=2.5", "split_thermal nbar=0.3",
+    "split_thermal nbar=4.1", "noisy_split_photon w=0.5 alpha_re=0.7",
+    "noisy_split_photon w=0 alpha_re=0.2 alpha_im=0.9",
+    "mixed_ensemble components='" + json.dumps([
+        {"weight": 0.4, "family": "split_single_photon"},
+        {"weight": 0.35, "family": "split_thermal", "nbar": 0.8},
+        {"weight": 0.25, "family": "split_number", "n": 4}],
+        separators=(",", ":")) + "'",
+]
+
+
+def report(out: str) -> dict[str, str]:
+    return dict(line.split(" = ", 1) for line in out.splitlines())
+
+
+class TestSplitIdentity:
+    """A split single-mode input leaves its channels with n1 = n2 and
+    m12 = i n1, so |g1| = 1 exactly."""
+
+    @pytest.mark.parametrize("spec", SPLIT_SPECS)
+    def test_g1_is_one_and_the_channels_equal(self, capsys, spec):
+        code, out, err = run_cli(capsys, "analyze", "--state", spec)
+        assert code == 0, err
+        values = report(out)
+        assert values["g1_mag"] == "1"
+        assert values["n1"] == values["n2"]
+        moments = compute_moments(
+            resolve(cli.parse_inline_spec(spec)))
+        assert moments.n1 == moments.n2 and moments.m12.real == 0.0
+        assert moments.m12.imag == moments.n1
+
+    @pytest.mark.parametrize("alpha", ["0.7", "1.5", "3"])
+    def test_real_alpha_keeps_real_parts_zero(self, capsys, alpha):
+        # a rounding-level real part of m12 or anom could move theta1
+        # from 0 to pi/2
+        code, out, err = run_cli(capsys, "analyze", "--state",
+                                 f"split_coherent alpha_re={alpha}")
+        assert code == 0, err
+        values = report(out)
+        assert (values["m12_re"], values["anom_re"], values["theta1"]) == (
+            "0", "0", "0")
 
 
 class TestFringe:
@@ -351,24 +398,25 @@ class TestFringe:
         assert err.count("\n") == 1
 
     def test_one_ladder_call_and_no_block(self, capsys, monkeypatch):
-        # the split writes closed-form edge columns, and the scan and its
-        # summary take one expectations call: no beamsplitter block is
-        # built anywhere
+        # the scan and its summary read the thermal input's three moments
+        # in one expectations call of single-mode terms: the split is not
+        # built, and no beamsplitter block anywhere
         calls = []
         expectations = fock.expectations
 
         def counting(*args, **kwargs):
-            calls.append(len(args[1]))
+            calls.append([len(term) for term in args[1]])
             return expectations(*args, **kwargs)
 
-        def refuse(top):
-            raise AssertionError(f"blocks up to U_{top} requested")
+        def refuse(*args):
+            raise AssertionError("a split or a block was requested")
         monkeypatch.setattr(fock, "expectations", counting)
+        monkeypatch.setattr(fock, "_split", refuse)
         monkeypatch.setattr(fock, "_bs_blocks", refuse)
         code, out, err = run_cli(capsys, "fringe", "--state",
                                  "split_thermal nbar=1", "--phases", "16")
         assert (code, err) == (0, "")
-        assert calls == [8]
+        assert calls == [[1, 1, 1]]
         assert len(out.splitlines()) == 1 + 16 + 3
 
     def test_out_file_splits_streams(self, capsys, tmp_path):
@@ -505,10 +553,11 @@ class TestBellScan:
 
     def test_input_operator_route_reads_only_the_signal(self, capsys,
                                                         monkeypatch):
-        # rank 127 x dim 16129 on the default route: every ladder
-        # expectation is on the two-mode signal, none on its four-mode
-        # product with the oscillators; measured after a first call, which
-        # fills the memo of the split's edge columns
+        # rank 127 x dim 16129 on the default route: E_analytic reads the
+        # single-mode input, and the route's ladder expectations are on
+        # the two-mode signal, none on its four-mode product with the
+        # oscillators; measured after a first call, which fills the memo
+        # of the split's edge columns
         command = ("bell-scan", "--state", "split_thermal nbar=4.1",
                    "--grid", "4")
         first = run_cli(capsys, *command)
@@ -525,7 +574,7 @@ class TestBellScan:
         finally:
             tracemalloc.stop()
         assert again == first and first[0] == 0, first[2]
-        assert modes and set(modes) == {2}
+        assert modes == [1, 2]
         assert peak < 2 * 2 ** 20
 
     @pytest.mark.parametrize("grid", ["4", "12"])
@@ -705,16 +754,63 @@ class TestSweep:
     @pytest.mark.parametrize("sweep", ["nbar=0.1:inf:0.1", "nbar=0.1:2:nan",
                                        "nbar=-inf:2:0.1", "nbar=nan:2:0.1"])
     def test_non_finite_range_refused(self, capsys, monkeypatch, sweep):
-        # refused before any state is built, quoting the --sweep text
+        # refused before any state is resolved, quoting the --sweep text
         def refuse(*args, **kwargs):
-            raise AssertionError("a state was built")
-        monkeypatch.setattr(cli.catalog, "build_state", refuse)
+            raise AssertionError("a state was resolved")
+        monkeypatch.setattr(cli.catalog, "resolve", refuse)
         code, out, err = run_cli(capsys, "sweep", "--state",
                                  "split_thermal nbar=0.1", "--sweep", sweep)
         assert code == 2
         assert out == ""
         assert err == ("error: ValueError: --sweep needs a finite start, "
                        f"stop and step, got {sweep!r}\n")
+
+    @pytest.mark.parametrize("sweep", ["nbar=-1e308:1e308:1e-300",
+                                       "nbar=0:1:1e-300",
+                                       "nbar=0:1e-300:1e-310"])
+    def test_too_many_points_refused_before_listing(self, capsys, sweep):
+        # 2e608, 1e300 and 1e10 points, counted exactly: one error line,
+        # no traceback, nothing listed
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "sweep", "--state",
+                                     "split_thermal nbar=1", "--sweep", sweep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == (f"error: ValueError: --sweep {sweep!r} takes the "
+                       "point count above the limit of 2097152\n")
+        assert peak < 2 ** 20
+
+    def test_point_product_refused_at_the_range_that_passes_it(self, capsys):
+        # 2 x 1048577 combinations: each range fits the bound, the product
+        # does not
+        code, out, err = run_cli(capsys, "sweep", "--state",
+                                 "split_thermal nbar=1", "--sweep",
+                                 "nbar=1:2:1", "--sweep", "p=0:1048576:1")
+        assert (code, out) == (2, "")
+        assert err == ("error: ValueError: --sweep 'p=0:1048576:1' takes the "
+                       "point count above the limit of 2097152\n")
+
+    @pytest.mark.parametrize("sweep, count", [
+        ("p=0:1:0.1", 11), ("p=0:1:0.6", 2), ("p=1:1:1", 1),
+        ("p=0.1:0.5:0.1", 5), ("p=0:2097151:1", 2 ** 21),
+        ("p=-1e308:1e308:1e308", 3),
+        # a step of 2^-40: 2^40 steps, the tolerance adds none
+        ("p=0:1:9.094947017729282e-13", 2 ** 40 + 1)])
+    def test_points_counted_exactly(self, sweep, count):
+        assert cli._sweep_range(sweep)[-1] == count
+
+    def test_range_past_the_float_range_is_swept(self, capsys):
+        # stop - start overflows a float: counted exactly, the three points
+        # are swept, and the first is refused by the family
+        code, out, err = run_cli(capsys, "sweep", "--state",
+                                 "incoherent_anticorrelated p=0.5",
+                                 "--sweep", "p=-1e308:1e308:1e308")
+        assert (code, out) == (2, "")
+        assert err == ("error: ValueError: p must lie in [0, 1], got "
+                       "-1e+308\n")
 
     def test_deterministic(self, capsys):
         args = ("sweep", "--state", "split_coherent alpha_re=0.3 alpha_im=0",

@@ -7,16 +7,19 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
 from mzbell import (DegenerateStateError, FringeCoefficients, LocalOscillator,
                     ModeSystem, QuantumState, StateSpec, basis_state,
                     build_state, cli, coherent_state, compute_moments,
-                    expectations, fock, fringe_coefficients_at, fringe_scan,
+                    expectations, fock, fringe_coefficients_at,
+                    fringe_moments, fringe_scan,
                     homodyne, local_realism_verdict, make_mixed,
                     maximize_chsh, numeric_fringe_coefficients, pad_cutoffs,
                     split_input)
+from mzbell.catalog import resolve
 from mzbell.homodyne import fringe_e
 
 from oracle import (apply_beamsplitter, apply_phase,
@@ -664,3 +667,84 @@ def test_a_bad_scalar_anywhere_exits_2(capsys, tmp_path, spec, data):
     code = cli.main(["analyze", "--state", str(path)])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+@st.composite
+def split_inputs(draw):
+    """A normalized single-mode input, pure or of rank 2-4, of cutoff 0-10:
+    a drawn share of exact zeros, some amplitudes 1e-310 times a normal
+    one (subnormal), some rows but the first scaled by 1e-160, and some
+    rows real and non-negative (as number, thermal and real-alpha inputs
+    are)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 11)))
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    real = rng.random(shape[0]) < draw(st.floats(0.0, 1.0))
+    amps[real] = np.abs(amps[real].real)
+    amps[rng.random(shape) < draw(st.floats(0.0, 0.9))] = 0
+    amps[rng.random(shape) < draw(st.floats(0.0, 0.5))] *= 1e-310
+    amps[1:] *= rng.choice([1.0, 1e-160], size=(shape[0] - 1, 1))
+    amps[0, draw(st.integers(0, shape[1] - 1))] = 0.6 - 0.8j
+    amps /= np.linalg.norm(amps)
+    return QuantumState(ModeSystem((shape[1] - 1,)), amps=amps)
+
+
+#: The eight fringe terms, n1, m12, n2, anom, n1n2, pairs1, pairs2, cross.
+FRINGE_TERMS = [[(1, 1), (0, 0)], [(1, 0), (0, 1)], [(0, 0), (1, 1)],
+                [(0, 1), (0, 1)], [(1, 1), (1, 1)], [(2, 2), (0, 0)],
+                [(0, 0), (2, 2)], [(2, 0), (0, 2)]]
+
+
+def fringe_values(moments) -> list[complex]:
+    m = moments.channel
+    return [m.n1, m.m12, m.n2, m.anom, m.n1n2, moments.pairs1,
+            moments.pairs2, moments.cross]
+
+
+def assert_moments_close(got, want):
+    """Each of the eight fringe moments within 1e-13 of the largest of its
+    order in ``want`` (the four second-order ones, then the four
+    fourth-order ones), and a few thousand subnormal steps, where a
+    moment of subnormal rows is itself subnormal."""
+    for lo, hi in ((0, 4), (4, 8)):
+        scale = max(abs(w) for w in want[lo:hi])
+        for g, w in zip(got[lo:hi], want[lo:hi]):
+            assert abs(g - w) <= 1e-13 * scale + 1e-320, (got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=split_inputs())
+def test_input_moments_match_the_split_and_the_dense_oracle(state):
+    # the reader never splits the input; its moments must equal those of
+    # the split read as a two-mode state, and the dense oracle's traces
+    got = fringe_values(fringe_moments([(1.0, state, True)]))
+    assert got[0] == got[2] and got[1].real == 0.0
+    assert_moments_close(got, fringe_values(fringe_moments(
+        split_input(state))))
+    d = state.dim
+    rho = density(QuantumState(ModeSystem((d - 1, d - 1)),
+                               amps=split_dense(state.amps), validate=False))
+    assert_moments_close(got, [
+        complex(np.trace(rho @ normal_ordered_matrix((d, d), powers)))
+        for powers in FRINGE_TERMS])
+
+
+@pytest.mark.parametrize("spec", [
+    StateSpec("noisy_split_photon", {"w": 0.35, "alpha_re": 0.9,
+                                     "alpha_im": -0.4}),
+    StateSpec("mixed_ensemble", {"components": [
+        {"weight": 0.2, "family": "split_single_photon"},
+        {"weight": 0.3, "family": "split_number", "n": 3},
+        {"weight": 0.1, "family": "split_coherent", "alpha_re": 1.1,
+         "alpha_im": 0.5},
+        {"weight": 0.25, "family": "split_thermal", "nbar": 0.6},
+        {"weight": 0.15, "family": "noisy_split_photon", "w": 0.5,
+         "alpha_re": -0.3, "alpha_im": 0.2}]}),
+])
+def test_mixtures_of_splits_read_as_their_built_state(spec):
+    parts = resolve(spec)
+    assert all(part.split for part in parts)
+    got = fringe_moments(parts)
+    assert got.channel == compute_moments(parts)
+    assert_moments_close(fringe_values(got),
+                         fringe_values(fringe_moments(build_state(spec))))
