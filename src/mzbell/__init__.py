@@ -13,8 +13,8 @@ from .errors import (DegenerateDenominatorError, DegenerateStateError,
 from .fock import (ModeSystem, QuantumState, basis_state, coherent_state,
                    expectations, make_mixed, make_pure, number_state,
                    pad_cutoffs, thermal_state)
-from .homodyne import (ChshResult, DegenerateLimit, FringeCoefficients,
-                       LocalOscillator, Verdict, criterion_from_measurements,
+from .homodyne import (ChshResult, FringeCoefficients, LocalOscillator,
+                       Verdict, criterion_from_measurements,
                        fringe_coefficients, fringe_coefficients_at,
                        local_realism_verdict, maximize_chsh,
                        modulation_depth_analytic, numeric_fringe_coefficients,
@@ -29,7 +29,7 @@ __all__ = [
     "CoherenceMoments", "compute_moments", "g1", "g2", "FringeRecord",
     "FringeMoments", "fringe_moments", "fringe_scan", "visibility",
     "analytic_visibility",
-    "LocalOscillator", "FringeCoefficients", "DegenerateLimit", "ChshResult",
+    "LocalOscillator", "FringeCoefficients", "ChshResult",
     "Verdict", "modulation_depth_analytic", "optimal_lo_amplitudes",
     "fringe_coefficients", "fringe_coefficients_at",
     "numeric_fringe_coefficients", "maximize_chsh", "local_realism_verdict",

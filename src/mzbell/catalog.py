@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from . import fock
 from .fock import ModeSystem, QuantumState
 
@@ -262,13 +260,7 @@ def resolve(spec: StateSpec, *, cutoff: int | None = None,
         return _input(_PHOTON)
     if family == "split_number":
         n = _number("n", params["n"], integral=True)
-        cut = n if cutoff is None else cutoff
-        if 0 <= n <= cut:
-            # the sizes of |n> and of its split, as number_state and
-            # fock._split refuse them, before |n> is allocated
-            fock._check_size(1, cut + 1)
-            fock._check_size(1, (cut + 1) ** 2)
-        return _input(fock.number_state(n, cut))
+        return _input(fock.number_state(n, n if cutoff is None else cutoff))
     if family == "split_coherent":
         return _input(
             fock.coherent_state(_complex_param(params, "alpha"), tail_eps))
@@ -316,31 +308,6 @@ def build_state(spec: StateSpec, *, cutoff: int | None = None,
     """Construct the two-mode state described by a StateSpec: its parts
     (:func:`resolve`), assembled (:func:`assemble`)."""
     return assemble(resolve(spec, cutoff=cutoff, tail_eps=tail_eps))
-
-
-def state_to_spec(state: QuantumState) -> StateSpec:
-    """Snapshot any state as a reproducible StateSpec.
-
-    Pure states become ``pure_explicit``; mixed states become a
-    ``mixed_ensemble`` of their stored components, each normalized and
-    weighted by its squared norm. ``build_state`` on the result rebuilds
-    the same components up to rounding.
-    """
-    def amplitude_pairs(vec):
-        return [[float(a.real), float(a.imag)] for a in vec]
-
-    cutoffs = list(state.system.cutoffs)
-    if state.is_pure:
-        return StateSpec("pure_explicit",
-                         {"amplitudes": amplitude_pairs(state.vector),
-                          "cutoffs": cutoffs})
-    amps = state.amps
-    weights = [float(np.vdot(row, row).real) for row in amps]
-    components = [
-        {"weight": w, "family": "pure_explicit",
-         "amplitudes": amplitude_pairs(row / math.sqrt(w)), "cutoffs": cutoffs}
-        for w, row in zip(weights, amps)]
-    return StateSpec("mixed_ensemble", {"components": components})
 
 
 def spec_label(spec: StateSpec) -> str:

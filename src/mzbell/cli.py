@@ -252,15 +252,16 @@ def cmd_bell_scan(args) -> int:
     # reads the state they assemble into
     moments = coherence.compute_moments(parts)
     if args.beta == "auto":
-        beta1, beta2 = homodyne.lo_pair_for(moments)
+        beta1, beta2 = homodyne.optimal_lo_amplitudes(moments)
     else:
-        beta1 = beta2 = float(args.beta)
+        # + 0.0 turns a signed zero into 0, so no field prints -0
+        beta1 = beta2 = float(args.beta) + 0.0
         if beta1 < 0:
             raise ValueError("--beta must be non-negative")
     angles = 2.0 * math.pi * np.arange(args.grid) / args.grid
     theta1, theta2 = np.repeat(angles, args.grid), np.tile(angles, args.grid)
     e_analytic = homodyne.modulation_depth_analytic(moments, beta1, beta2,
-                                                    theta1, theta2)
+                                                    theta1, theta2) + 0.0
     # after E_analytic, whose errors come first
     numeric = homodyne.numeric_fringe_coefficients(
         catalog.assemble(parts), beta1, beta2, args.route,

@@ -64,6 +64,10 @@ DEFAULT_TAIL_EPS = 1e-12
 #: Most complex amplitudes (rank x dim) one state may store: 32 MiB.
 AMPLITUDE_LIMIT = 1 << 21
 NORM_TOL = 1e-9
+#: Largest cutoff the tail rules of :func:`coherent_state` and
+#: :func:`thermal_state` may choose.
+COHERENT_CUTOFF_LIMIT = 512
+THERMAL_CUTOFF_LIMIT = 4095
 
 
 @dataclass(frozen=True)
@@ -288,8 +292,8 @@ def make_mixed(ensemble: Sequence[tuple[float, QuantumState]]) -> QuantumState:
         validate=True)
 
 
-def coherent_state(alpha: complex, tail_eps: float = DEFAULT_TAIL_EPS, *,
-                   max_cutoff: int = 512) -> QuantumState:
+def coherent_state(alpha: complex,
+                   tail_eps: float = DEFAULT_TAIL_EPS) -> QuantumState:
     """Single-mode coherent state, truncated by the Poisson tail rule.
 
     The cutoff is the smallest N with neglected probability below
@@ -306,9 +310,9 @@ def coherent_state(alpha: complex, tail_eps: float = DEFAULT_TAIL_EPS, *,
     def too_big() -> DimensionLimitError:
         return DimensionLimitError(
             f"coherent amplitude |alpha|={magnitude:.3g} needs a cutoff "
-            f"beyond {max_cutoff} for tail {tail_eps:g}")
+            f"beyond {COHERENT_CUTOFF_LIMIT} for tail {tail_eps:g}")
     # the bound below needs lam < N + 2: refused before lam may overflow
-    if magnitude >= math.sqrt(max_cutoff + 2):
+    if magnitude >= math.sqrt(COHERENT_CUTOFF_LIMIT + 2):
         raise too_big()
     lam = abs(alpha) ** 2
     # Smallest N whose Poisson survival P(n > N) is certified below
@@ -326,7 +330,7 @@ def coherent_state(alpha: complex, tail_eps: float = DEFAULT_TAIL_EPS, *,
                 if log_p_next <= math.log(tail_eps) + math.log1p(-ratio):
                     break
             cutoff += 1
-            if cutoff > max_cutoff:
+            if cutoff > COHERENT_CUTOFF_LIMIT:
                 raise too_big()
     n = np.arange(cutoff + 1)
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
@@ -345,8 +349,8 @@ def number_state(n: int, cutoff: int) -> QuantumState:
     return basis_state(ModeSystem((cutoff,)), (n,))
 
 
-def thermal_state(nbar: float, tail_eps: float = DEFAULT_TAIL_EPS, *,
-                  max_cutoff: int = 4095) -> QuantumState:
+def thermal_state(nbar: float,
+                  tail_eps: float = DEFAULT_TAIL_EPS) -> QuantumState:
     """Single-mode thermal state p_n = nbar^n / (1 + nbar)^(n+1), truncated
     when the geometric tail drops below ``tail_eps`` and renormalized; its
     components are the number states, rows sqrt(p_n)|n>."""
@@ -359,12 +363,12 @@ def thermal_state(nbar: float, tail_eps: float = DEFAULT_TAIL_EPS, *,
     if nbar == 0.0:
         return basis_state(ModeSystem((0,)), (0,))
     q = nbar / (1.0 + nbar)
-    # tail after cutoff N is q^(N+1), falling with N: checked at max_cutoff
+    # tail after cutoff N is q^(N+1), falling with N: checked at the limit
     # first, as q rounds to 1 from nbar ~ 1e16 on
-    if q ** (max_cutoff + 1) >= tail_eps:
+    if q ** (THERMAL_CUTOFF_LIMIT + 1) >= tail_eps:
         raise DimensionLimitError(
-            f"thermal nbar={nbar:.3g} needs a cutoff beyond {max_cutoff} "
-            f"for tail {tail_eps:g}")
+            f"thermal nbar={nbar:.3g} needs a cutoff beyond "
+            f"{THERMAL_CUTOFF_LIMIT} for tail {tail_eps:g}")
     cutoff = max(0, math.ceil(math.log(tail_eps) / math.log(q)) - 1)
     while q ** (cutoff + 1) >= tail_eps:
         cutoff += 1

@@ -114,15 +114,6 @@ class FringeCoefficients:
 
 
 @dataclass(frozen=True)
-class DegenerateLimit:
-    """Marker for states with <n1 n2> = 0: the optimal oscillator product
-    is zero, so the optimum is approached as the common scale -> 0+ with
-    beta1/beta2 fixed at ``ratio``."""
-
-    ratio: float
-
-
-@dataclass(frozen=True)
 class ChshResult:
     b_value: float
     angles: tuple[float, float, float, float]
@@ -267,6 +258,25 @@ def numeric_fringe_coefficients(state_a: QuantumState, beta1: float,
     return coeffs
 
 
+def _denominator(moments: CoherenceMoments, beta1: float,
+                 beta2: float) -> float:
+    """<S1 S2> over the coherent oscillators of amplitudes beta_k, the
+    phase-free denominator of E, after both amplitudes are checked;
+    refused where it overflows or vanishes."""
+    for beta in (beta1, beta2):
+        _check_beta(beta)
+    den = (moments.n1n2 + moments.n1 * beta2 ** 2 + moments.n2 * beta1 ** 2
+           + beta1 ** 2 * beta2 ** 2)
+    # beta1^2 beta2^2 overflows from beta ~ 1.16e77 on, before the bound
+    if not math.isfinite(den):
+        raise ValueError(f"modulation-depth denominator overflows at beta1 = "
+                         f"{beta1!r}, beta2 = {beta2!r}")
+    if den <= 1e-15:
+        raise DegenerateDenominatorError(
+            f"modulation-depth denominator {den:.3e} vanishes")
+    return den
+
+
 def modulation_depth_analytic(moments: CoherenceMoments, beta1: float,
                               beta2: float, theta1, theta2):
     """E from the five channel moments at oscillator amplitudes beta_k and
@@ -278,17 +288,7 @@ def modulation_depth_analytic(moments: CoherenceMoments, beta1: float,
     the input-operator expressions into coherent-state expectations; the
     numerator bracket is a sum of conjugate pairs and therefore real.
     """
-    for beta in (beta1, beta2):
-        _check_beta(beta)
-    den = (moments.n1n2 + moments.n1 * beta2 ** 2 + moments.n2 * beta1 ** 2
-           + beta1 ** 2 * beta2 ** 2)
-    # beta1^2 beta2^2 overflows from beta ~ 1.16e77 on, before the bound
-    if not math.isfinite(den):
-        raise ValueError(f"modulation-depth denominator overflows at beta1 = "
-                         f"{beta1!r}, beta2 = {beta2!r}")
-    if den <= 1e-15:
-        raise DegenerateDenominatorError(
-            f"modulation-depth denominator {den:.3e} vanishes")
+    den = _denominator(moments, beta1, beta2)
     diff = theta1 - theta2
     total = theta1 + theta2
     # Re[m12 e^{i diff}] and Re[conj(anom) e^{i total}], each formed from
@@ -299,53 +299,37 @@ def modulation_depth_analytic(moments: CoherenceMoments, beta1: float,
     return beta1 * beta2 * bracket / den
 
 
-def optimal_lo_amplitudes(moments: CoherenceMoments):
+def optimal_lo_amplitudes(moments: CoherenceMoments) -> tuple[float, float]:
     """Oscillator amplitudes maximizing the fringe amplitude of E.
 
     Returns (beta1, beta2) with beta1*beta2 = sqrt(<n1 n2>) and
-    beta1/beta2 = sqrt(n1/n2), or a :class:`DegenerateLimit` when
-    <n1 n2> = 0 so the optimum is only approached as the scale -> 0+.
+    beta1/beta2 = sqrt(n1/n2). When <n1 n2> = 0 the optimum is only
+    approached as the common scale -> 0+, so the small scale
+    ``DEGENERATE_BETA_SCALE`` stands in for it, with the ratio kept.
     """
     if moments.n1 <= DEGENERACY_FLOOR or moments.n2 <= DEGENERACY_FLOOR:
         raise DegenerateStateError("optimal amplitudes need both channels lit")
-    ratio = math.sqrt(moments.n1 / moments.n2)
-    if moments.n1n2 <= DEGENERACY_FLOOR:
-        return DegenerateLimit(ratio=ratio)
-    scale = math.sqrt(math.sqrt(moments.n1n2))
-    return scale * math.sqrt(ratio), scale / math.sqrt(ratio)
+    root = math.sqrt(math.sqrt(moments.n1 / moments.n2))
+    scale = DEGENERATE_BETA_SCALE if moments.n1n2 <= DEGENERACY_FLOOR \
+        else math.sqrt(math.sqrt(moments.n1n2))
+    return scale * root, scale / root
 
 
-def lo_pair_for(moments: CoherenceMoments) -> tuple[float, float]:
-    """(beta1, beta2) at the optimal amplitudes, falling back to the small
-    common scale ``DEGENERATE_BETA_SCALE`` (ratio preserved) for
-    degenerate-limit states."""
-    betas = optimal_lo_amplitudes(moments)
-    if isinstance(betas, DegenerateLimit):
-        root = math.sqrt(betas.ratio)
-        return DEGENERATE_BETA_SCALE * root, DEGENERATE_BETA_SCALE / root
-    return betas
+def _with_phases(moments: CoherenceMoments, c1: float,
+                 c2: float) -> FringeCoefficients:
+    """Coefficients c1, c2 with the phases of the moments: phi1 =
+    arg<a1^dag a2> and phi2 = pi - arg<a1 a2>."""
+    return FringeCoefficients(
+        c1=c1, phi1=cmath.phase(moments.m12),
+        c2=c2, phi2=(math.pi - cmath.phase(moments.anom)) % _TWO_PI)
 
 
 def fringe_coefficients_at(moments: CoherenceMoments, beta1: float,
                            beta2: float) -> FringeCoefficients:
     """Trig-form coefficients of E at the given oscillator amplitudes."""
-    for beta in (beta1, beta2):
-        _check_beta(beta)
-    den = (moments.n1n2 + moments.n1 * beta2 ** 2 + moments.n2 * beta1 ** 2
-           + beta1 ** 2 * beta2 ** 2)
-    # beta1^2 beta2^2 overflows from beta ~ 1.16e77 on, before the bound
-    if not math.isfinite(den):
-        raise ValueError(f"modulation-depth denominator overflows at beta1 = "
-                         f"{beta1!r}, beta2 = {beta2!r}")
-    if den <= 1e-15:
-        raise DegenerateDenominatorError(
-            f"modulation-depth denominator {den:.3e} vanishes")
-    prefactor = beta1 * beta2 / den
-    return FringeCoefficients(
-        c1=2.0 * prefactor * abs(moments.m12),
-        phi1=cmath.phase(moments.m12),
-        c2=2.0 * prefactor * abs(moments.anom),
-        phi2=(math.pi - cmath.phase(moments.anom)) % _TWO_PI)
+    prefactor = beta1 * beta2 / _denominator(moments, beta1, beta2)
+    return _with_phases(moments, 2.0 * prefactor * abs(moments.m12),
+                        2.0 * prefactor * abs(moments.anom))
 
 
 def fringe_coefficients(moments: CoherenceMoments) -> FringeCoefficients:
@@ -360,11 +344,8 @@ def fringe_coefficients(moments: CoherenceMoments) -> FringeCoefficients:
     if gg2 < 0.0:
         gg2 = 0.0
     root = math.sqrt(moments.n1 * moments.n2) * (1.0 + math.sqrt(gg2))
-    return FringeCoefficients(
-        c1=abs(moments.m12) / root,
-        phi1=cmath.phase(moments.m12),
-        c2=abs(moments.anom) / root,
-        phi2=(math.pi - cmath.phase(moments.anom)) % _TWO_PI)
+    return _with_phases(moments, abs(moments.m12) / root,
+                        abs(moments.anom) / root)
 
 
 def fringe_e(coeffs: FringeCoefficients, theta1, theta2):
@@ -419,28 +400,27 @@ def maximize_chsh(coeffs: FringeCoefficients) -> ChshResult:
         for relabeling in _CHSH_RELABELINGS for shift in (0, 1)))
 
 
-def local_realism_verdict(moments: CoherenceMoments) -> Verdict:
-    """Full verdict from channel moments: all margins plus the two flags.
+def _verdict(g1_mag: float, g2_value: float, c1: float,
+             coeffs: FringeCoefficients | None) -> Verdict:
+    """All margins and both flags of (|g1|, g2) at C1 = c1; c2 and the
+    sum c1^2 + c2^2 when ``coeffs`` is known.
 
     Violations are strict inequalities; boundary states report False with
     a zero margin.
     """
-    g1_mag = abs(g1(moments))
-    gg2 = g2(moments)
-    tg = classical_margin(g1_mag, gg2)
+    tg = classical_margin(g1_mag, g2_value)
+    c2 = None if coeffs is None else coeffs.c2
+    return Verdict(g1_mag=g1_mag, g2=g2_value, c1=c1, c2=c2,
+                   thw_sum=None if coeffs is None else c1 ** 2 + c2 ** 2,
+                   bell_margin=BELL_BOUND_C1 - c1, tg_margin=tg,
+                   violates_bell=c1 > BELL_BOUND_C1,
+                   violates_classical=tg < 0.0, coeffs=coeffs)
+
+
+def local_realism_verdict(moments: CoherenceMoments) -> Verdict:
+    """Full verdict from channel moments: all margins plus the two flags."""
     coeffs = fringe_coefficients(moments)
-    return Verdict(
-        g1_mag=g1_mag,
-        g2=gg2,
-        c1=coeffs.c1,
-        c2=coeffs.c2,
-        thw_sum=coeffs.c1 ** 2 + coeffs.c2 ** 2,
-        bell_margin=BELL_BOUND_C1 - coeffs.c1,
-        tg_margin=tg,
-        violates_bell=coeffs.c1 > BELL_BOUND_C1,
-        violates_classical=tg < 0.0,
-        coeffs=coeffs,
-    )
+    return _verdict(abs(g1(moments)), g2(moments), coeffs.c1, coeffs)
 
 
 def criterion_from_measurements(g1_mag: float, g2_value: float) -> Verdict:
@@ -450,20 +430,8 @@ def criterion_from_measurements(g1_mag: float, g2_value: float) -> Verdict:
         raise ValueError(f"g1 magnitude must lie in [0, 1], got {g1_mag!r}")
     if not 0.0 <= g2_value < math.inf:
         raise ValueError(f"g2 must be finite and >= 0, got {g2_value!r}")
-    c1 = g1_mag / (1.0 + math.sqrt(g2_value))
-    tg = classical_margin(g1_mag, g2_value)
-    return Verdict(
-        g1_mag=float(g1_mag),
-        g2=float(g2_value),
-        c1=c1,
-        c2=None,
-        thw_sum=None,
-        bell_margin=BELL_BOUND_C1 - c1,
-        tg_margin=tg,
-        violates_bell=c1 > BELL_BOUND_C1,
-        violates_classical=tg < 0.0,
-        coeffs=None,
-    )
+    return _verdict(float(g1_mag), float(g2_value),
+                    g1_mag / (1.0 + math.sqrt(g2_value)), None)
 
 
 def violation_thresholds() -> tuple[float, float]:

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from mzbell import (ChshResult, DimensionLimitError, ModeSystem,
-                    QuantumState, basis_state, expectations, fock,
+                    QuantumState, StateSpec, basis_state, expectations, fock,
                     fringe_scan, homodyne, modulation_depth_analytic,
                     pad_cutoffs)
 from mzbell.homodyne import fringe_e
@@ -522,6 +522,31 @@ def random_state(rng, cutoffs) -> QuantumState:
     if rng.random() < 0.5:
         return random_pure(rng, cutoffs)
     return random_density(rng, cutoffs)
+
+
+def state_to_spec(state: QuantumState) -> StateSpec:
+    """Snapshot any state as a reproducible StateSpec.
+
+    Pure states become ``pure_explicit``; mixed states become a
+    ``mixed_ensemble`` of their stored components, each normalized and
+    weighted by its squared norm. ``build_state`` on the result rebuilds
+    the same components up to rounding.
+    """
+    def amplitude_pairs(vec):
+        return [[float(a.real), float(a.imag)] for a in vec]
+
+    cutoffs = list(state.system.cutoffs)
+    if state.is_pure:
+        return StateSpec("pure_explicit",
+                         {"amplitudes": amplitude_pairs(state.vector),
+                          "cutoffs": cutoffs})
+    amps = state.amps
+    weights = [float(np.vdot(row, row).real) for row in amps]
+    components = [
+        {"weight": w, "family": "pure_explicit",
+         "amplitudes": amplitude_pairs(row / math.sqrt(w)), "cutoffs": cutoffs}
+        for w, row in zip(weights, amps)]
+    return StateSpec("mixed_ensemble", {"components": components})
 
 
 def search_chsh(coeffs, grid: int = 24, angle_tol: float = 1e-6) -> ChshResult:

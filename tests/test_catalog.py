@@ -13,11 +13,11 @@ from mzbell import (DegenerateStateError, DimensionLimitError, ModeSystem,
                     make_pure, mixed_ensemble, noisy_split_photon,
                     number_state, split_input, split_single_photon,
                     thermal_state)
-from mzbell.catalog import spec_label, state_to_spec
+from mzbell.catalog import spec_label
 from mzbell.coherence import classical_margin
 
 from oracle import (assert_split_matches, brute_expect, density, purity,
-                    split_via_beamsplitter)
+                    split_via_beamsplitter, state_to_spec)
 
 
 class TestSplitSinglePhoton:

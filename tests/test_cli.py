@@ -492,7 +492,7 @@ class TestBellScan:
         assert code == 0, err
         state = build_state(cli.parse_inline_spec(text))
         moments = compute_moments(state)
-        betas = homodyne.lo_pair_for(moments) if beta == "auto" \
+        betas = homodyne.optimal_lo_amplitudes(moments) if beta == "auto" \
             else (0.3, 0.3)
         numeric = homodyne.numeric_fringe_coefficients(state, *betas, route)
         lines = out.splitlines()
@@ -532,13 +532,22 @@ class TestBellScan:
         assert err == ("error: DegenerateDenominatorError: modulation-depth "
                        "denominator 0.000e+00 vanishes\n")
 
-    def test_no_negative_zero(self, capsys):
-        code, out, _ = run_cli(capsys, "bell-scan", "--state",
-                               "incoherent_anticorrelated p=0.3",
-                               "--grid", "4")
-        assert code == 0
-        rows = [l.split(",") for l in out.strip().splitlines()[1:17]]
-        assert [r[3] for r in rows] == ["0"] * 16
+    @pytest.mark.parametrize("state, beta, column", [
+        ("incoherent_anticorrelated p=0.3", "auto", 3),
+        # at beta 0 the analytic E is 0 times a bracket of either sign, and
+        # -0.0 parses to a signed zero
+        ("split_thermal nbar=1", "0", 2),
+        ("split_thermal nbar=1", "-0.0", 2)])
+    def test_no_negative_zero(self, capsys, state, beta, column):
+        code, out, err = run_cli(capsys, "bell-scan", "--state", state,
+                                 "--beta", beta, "--grid", "4")
+        assert code == 0, err
+        lines = out.strip().splitlines()
+        rows = [line.split(",") for line in lines[1:17]]
+        assert [r[column] for r in rows] == ["0"] * 16
+        fields = [f for r in rows for f in r]
+        fields += [line.split(" = ", 1)[1] for line in lines[17:]]
+        assert "-0" not in fields
 
     @pytest.mark.parametrize("nbar", ["0.6", "2"])
     def test_unitary_route_on_split_thermal(self, capsys, nbar):

@@ -156,8 +156,12 @@ class TestSingleModeStates:
             assert abs(got - want) < 1e-10
 
     def test_coherent_cutoff_limit(self):
-        with pytest.raises(DimensionLimitError):
-            coherent_state(40.0, 1e-12, max_cutoff=64)
+        # |alpha| = 20 passes the up-front bound sqrt(limit + 2), so the
+        # tail search itself runs past the limit
+        assert 20.0 < math.sqrt(fock.COHERENT_CUTOFF_LIMIT + 2)
+        with pytest.raises(DimensionLimitError,
+                           match="needs a cutoff beyond 512 for tail 1e-12"):
+            coherent_state(20.0, 1e-12)
 
     def test_number_state(self):
         state = number_state(1, 1)

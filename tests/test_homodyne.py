@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mzbell import (ChshResult, CoherenceMoments, DegenerateDenominatorError,
-                    DegenerateLimit, DegenerateStateError, DimensionLimitError,
+                    DegenerateStateError, DimensionLimitError,
                     FringeCoefficients, LocalOscillator, ModeSystem,
                     QuantumState, RouteResidualError, basis_state,
                     coherent_state, compute_moments,
@@ -282,11 +282,14 @@ class TestModulationDepthAnalytic:
 
 
 class TestOptimalAmplitudes:
-    def test_ratio_from_intensities(self):
-        m = CoherenceMoments(m12=0.05j, anom=0.0, n1=0.4, n2=0.1, n1n2=0.02)
+    # at <n1 n2> = 0 the optimum is a limit, stood in for by a small scale
+    @pytest.mark.parametrize("n1n2, product", [
+        (0.02, math.sqrt(0.02)), (0.0, homodyne.DEGENERATE_BETA_SCALE ** 2)])
+    def test_ratio_from_intensities(self, n1n2, product):
+        m = CoherenceMoments(m12=0.05j, anom=0.0, n1=0.4, n2=0.1, n1n2=n1n2)
         beta1, beta2 = optimal_lo_amplitudes(m)
         assert abs(beta1 / beta2 - 2.0) < 1e-12
-        assert abs(beta1 * beta2 - math.sqrt(0.02)) < 1e-12
+        assert abs(beta1 * beta2 - product) < 1e-12
 
     def test_split_coherent_closed_form(self):
         alpha = 0.6
@@ -298,14 +301,35 @@ class TestOptimalAmplitudes:
 
     def test_split_photon_degenerate_limit(self):
         m = compute_moments(split_single_photon())
-        result = optimal_lo_amplitudes(m)
-        assert isinstance(result, DegenerateLimit)
-        assert abs(result.ratio - 1.0) < 1e-12
+        scale = homodyne.DEGENERATE_BETA_SCALE
+        assert optimal_lo_amplitudes(m) == (scale, scale)
 
     def test_dark_channel_rejected(self):
         m = CoherenceMoments(m12=0.0, anom=0.0, n1=0.0, n2=0.5, n1n2=0.0)
         with pytest.raises(DegenerateStateError):
             optimal_lo_amplitudes(m)
+
+
+class TestDenominatorRefusals:
+    # E and its trig-form coefficients share one denominator, so each
+    # refuses an input exactly as the other does
+    @pytest.mark.parametrize("betas, error, message", [
+        ((1.2e77, 1.2e77), ValueError,
+         "modulation-depth denominator overflows at beta1 = 1.2e+77"),
+        ((2 * homodyne.BETA_LIMIT, 0.5), ValueError,
+         "or its square overflows"),
+        ((0.0, 0.0), DegenerateDenominatorError,
+         "modulation-depth denominator 0.000e+00 vanishes")])
+    def test_both_forms_refuse_alike(self, betas, error, message):
+        m = compute_moments(split_single_photon())
+        raised = []
+        for form in (lambda: modulation_depth_analytic(m, *betas, 0.0, 0.0),
+                     lambda: fringe_coefficients_at(m, *betas)):
+            with pytest.raises(error) as info:
+                form()
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+        assert message in raised[0][1]
 
 
 class TestFringeCoefficients:
